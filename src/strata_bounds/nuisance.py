@@ -123,8 +123,10 @@ class _CellIndex:
                 self.edges[j] = _weighted_quantile(x_train[:, j], w_train, qs)
 
     def keys(self, x) -> np.ndarray:
+        """Non-negative cell ids: the row-major flat index of each row's
+        per-column level/bin indices (distinct cells, distinct ids)."""
         x = np.atleast_2d(x)
-        parts = []
+        parts, dims = [], []
         for j in self.spec.discrete_cols:
             lv = self.levels[j]
             idx = np.searchsorted(lv, x[:, j])
@@ -135,14 +137,13 @@ class _CellIndex:
                     f"unseen level in discrete column {j}: "
                     f"{np.unique(x[~ok, j])[:5]}")
             parts.append(idx)
+            dims.append(len(lv))
         for j in self.cont_cols:
             parts.append(np.searchsorted(self.edges[j], x[:, j]))
+            dims.append(len(self.edges[j]) + 1)
         if not parts:
             return np.zeros(x.shape[0], dtype=np.int64)
-        key = parts[0].astype(np.int64)
-        for extra in parts[1:]:
-            key = key * 1_000_003 + extra.astype(np.int64)
-        return key
+        return np.ravel_multi_index(parts, dims).astype(np.int64)
 
 
 def _weighted_quantile(values, weights, qs):
@@ -150,11 +151,15 @@ def _weighted_quantile(values, weights, qs):
     order = np.argsort(values, kind="stable")
     v = np.asarray(values, dtype=float)[order]
     cw = np.cumsum(np.asarray(weights, dtype=float)[order])
+    return v[_quantile_pos(cw, np.atleast_1d(np.asarray(qs, dtype=float)))]
+
+
+def _quantile_pos(cw, u):
+    """Sorted-order index of the left-continuous weighted quantile at each
+    level ``u``, given the cumulative weights ``cw`` of the sorted values."""
     total = cw[-1]
-    qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    idx = np.searchsorted(cw, qs * total - 1e-12 * total, side="left")
-    idx = np.clip(idx, 0, len(v) - 1)
-    return v[idx]
+    pos = np.searchsorted(cw, u * total - 1e-12 * total, side="left")
+    return np.minimum(pos, len(cw) - 1)
 
 
 class CellOutcomeSurface:
@@ -196,67 +201,84 @@ class CellOutcomeSurface:
             self.index[d] = cidx
             self.cells[d] = cells
 
-    def _cell(self, d, key):
-        try:
-            return self.cells[d][int(key)]
-        except KeyError:
-            raise EmptyCellError(f"no training rows in arm {d} for cell {key}")
-
     def _keys(self, d, x):
         if self.index[d] is None:
             raise EmptyCellError(f"no selected training rows in arm {d}")
         return self.index[d].keys(x)
 
+    def _groups(self, d, x):
+        """Split the rows of ``x`` by training cell of arm ``d``.
+
+        Returns ``(groups, unseen)``: ``groups`` lists ``(key, cell, rows)``
+        for every cell seen in training, with ``rows`` ascending, and
+        ``unseen`` is ``(row, error)`` for the first row, in row order,
+        whose cell was never seen (None when there is none).
+        """
+        keys = self._keys(d, x)
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.cumsum(np.bincount(inverse))[:-1]
+        groups, unseen = [], None
+        for key, rows in zip(uniq.tolist(), np.split(order, bounds)):
+            cell = self.cells[d].get(key)
+            if cell is not None:
+                groups.append((key, cell, rows))
+            elif unseen is None or rows[0] < unseen[0]:
+                unseen = (rows[0], EmptyCellError(
+                    f"no training rows in arm {d} for cell {key}"))
+        return groups, unseen
+
     def quantile(self, x, d, u) -> np.ndarray:
         x = np.atleast_2d(x)
         u = np.asarray(u, dtype=float)
-        keys = self._keys(d, x)
-        out = np.empty(len(keys))
-        for i, key in enumerate(keys):
-            yv, cw, _ = self._cell(d, key)
-            total = cw[-1]
-            pos = np.searchsorted(cw, u[i] * total - 1e-12 * total, side="left")
-            out[i] = yv[min(pos, len(yv) - 1)]
+        groups, unseen = self._groups(d, x)
+        if unseen is not None:
+            raise unseen[1]
+        out = np.empty(x.shape[0])
+        for _, (yv, cw, _), rows in groups:
+            out[rows] = yv[_quantile_pos(cw, u[rows])]
         return out
 
     def trunc_mean(self, x, j, d, u) -> np.ndarray:
         x = np.atleast_2d(x)
         u = np.asarray(u, dtype=float)
-        keys = self._keys(d, x)
-        out = np.empty(len(keys))
-        for i, key in enumerate(keys):
-            yv, cw, cy = self._cell(d, key)
+        groups, unseen = self._groups(d, x)
+        first_unseen = unseen[0] if unseen is not None else np.inf
+        what = f"arm {d} {'lower' if j == 1 else 'upper'} tail"
+        out = np.empty(x.shape[0])
+        for key, (yv, cw, cy), rows in groups:
+            uc = u[rows]
+            q = yv[_quantile_pos(cw, uc)]
             total_w, total_y = cw[-1], cy[-1]
-            pos = np.searchsorted(cw, u[i] * total_w - 1e-12 * total_w, side="left")
-            pos = min(pos, len(yv) - 1)
-            q = yv[pos]
             # include every tied observation at the threshold
-            hi = np.searchsorted(yv, q, side="right") - 1
-            lo = np.searchsorted(yv, q, side="left")
             if j == 1:
-                w_at, y_at = cw[hi], cy[hi]
-                if u[i] >= 1.0:
-                    out[i] = total_y / total_w
-                elif w_at <= 0:
-                    out[i] = self._lenient(yv, cy, cw, f"arm {d} lower tail")
-                else:
-                    out[i] = y_at / w_at
+                hi = np.searchsorted(yv, q, side="right") - 1
+                num, den = cy[hi], cw[hi]
+                full = uc >= 1.0
             else:
-                w_above = total_w - (cw[lo - 1] if lo > 0 else 0.0)
-                y_above = total_y - (cy[lo - 1] if lo > 0 else 0.0)
-                if u[i] <= 0.0:
-                    out[i] = total_y / total_w
-                elif w_above <= 0:
-                    out[i] = self._lenient(yv, cy, cw, f"arm {d} upper tail")
+                lo = np.searchsorted(yv, q, side="left")
+                num = total_y - np.where(lo > 0, cy[lo - 1], 0.0)
+                den = total_w - np.where(lo > 0, cw[lo - 1], 0.0)
+                full = uc <= 0.0
+            empty = ~full & (den <= 0)
+            if empty.any():
+                # the cell mean stands in for an empty truncation region
+                if not self.spec.lenient_tails:
+                    # the first offending row, in row order, names the error
+                    if rows[empty][0] < first_unseen:
+                        raise EmptyTailError(
+                            f"no observation in truncation region ({what})")
                 else:
-                    out[i] = y_above / w_above
+                    logger.warning("empty truncation region (%s) in cell %d "
+                                   "for %d rows; using the cell mean",
+                                   what, key, int(empty.sum()))
+            ok = ~(full | empty)
+            out[rows[ok]] = num[ok] / den[ok]
+            if not ok.all():
+                out[rows[~ok]] = total_y / total_w
+        if unseen is not None:
+            raise unseen[1]
         return out
-
-    def _lenient(self, yv, cy, cw, what):
-        if not self.spec.lenient_tails:
-            raise EmptyTailError(f"no observation in truncation region ({what})")
-        logger.warning("empty truncation region (%s); using the cell mean", what)
-        return cy[-1] / cw[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +344,21 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
         surfaces[k] = CellOutcomeSurface(train, spec.cells)
 
     def quantile_fn(rows, d, u):
+        f, x = folds[rows], table.x[rows]
         out = np.empty(len(rows))
         for k in range(spec.folds):
-            here = folds[rows] == k
+            here = f == k
             if here.any():
-                out[here] = surfaces[k].quantile(table.x[rows][here], d, u[here])
+                out[here] = surfaces[k].quantile(x[here], d, u[here])
         return out
 
     def trunc_mean_fn(rows, j, d, u):
+        f, x = folds[rows], table.x[rows]
         out = np.empty(len(rows))
         for k in range(spec.folds):
-            here = folds[rows] == k
+            here = f == k
             if here.any():
-                out[here] = surfaces[k].trunc_mean(table.x[rows][here], j, d, u[here])
+                out[here] = surfaces[k].trunc_mean(x[here], j, d, u[here])
         return out
 
     bundle = NuisanceBundle(m, s0, s1, quantile_fn, trunc_mean_fn,
@@ -346,6 +370,34 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
 # ---------------------------------------------------------------------------
 # externally supplied predictions
 
+def _interp_rows(xp, fp, x):
+    """Row-wise ``np.interp(x[i], xp, fp[i])`` for levels ``xp`` shared by
+    every row, with numpy's own arithmetic: a level at or beyond a grid end
+    takes that end's value, a level on a grid point takes its value, and a
+    NaN from the slope formula is retried from the right-hand point."""
+    r = np.arange(len(fp))
+    x = np.asarray(x, dtype=float)[r]
+    if len(xp) == 1:
+        return fp[:, 0].copy()
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+    x_lo, x_hi = xp[j], xp[j + 1]
+    f_lo, f_hi = fp[r, j], fp[r, j + 1]
+    with np.errstate(all="ignore"):
+        slope = (f_hi - f_lo) / (x_hi - x_lo)
+        out = slope * (x - x_lo) + f_lo
+        retry = np.isnan(out)
+        out[retry] = slope[retry] * (x[retry] - x_hi[retry]) + f_hi[retry]
+    flat = np.isnan(out) & (f_lo == f_hi)
+    out[flat] = f_lo[flat]
+    at_point = x == x_lo
+    out[at_point] = f_lo[at_point]
+    out[x < xp[0]] = fp[x < xp[0], 0]
+    out[x >= xp[-1]] = fp[x >= xp[-1], -1]
+    nan = np.isnan(x)
+    out[nan] = x[nan]
+    return out
+
+
 _GRID_COL = re.compile(r"^(q|b)_(\d)(?:_(\d))?_u(.+)$")
 
 
@@ -355,8 +407,9 @@ def load_external_nuisances(path, table: ObservationTable,
 
     Required columns ``m,s0,s1``; optional per-level surface grids with
     columns ``q_<d>_u<level>`` and ``b_<j>_<d>_u<level>``. Surfaces are
-    piecewise-linear in the level between grid points (monotonized for
-    quantiles) and clamped at the grid ends.
+    piecewise-linear in the level between grid points and clamped at the
+    grid ends. Grid values are used as supplied: a quantile grid that
+    decreases in the level is not monotonized.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -394,11 +447,7 @@ def load_external_nuisances(path, table: ObservationTable,
         values = np.column_stack([grid[u] for u in levels])
 
         def interp(rows_idx, u):
-            vals = values[rows_idx]
-            out = np.empty(len(rows_idx))
-            for i in range(len(rows_idx)):
-                out[i] = np.interp(u[i], levels, vals[i])
-            return out
+            return _interp_rows(levels, values[rows_idx], u)
 
         return interp
 

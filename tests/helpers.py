@@ -1,11 +1,13 @@
 """Shared test machinery: closed-form outcome mixtures, a discrete design
-with exact conditional-moment enumeration, and a discrete-grid process for
-brute-force bound checks."""
+with exact conditional-moment enumeration, a discrete-grid process for
+brute-force bound checks, and per-row reference loops for the vectorized
+nuisance surfaces."""
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from strata_bounds.data_model import NuisanceBundle, ObservationTable
+from strata_bounds.errors import EmptyCellError, EmptyTailError
 from strata_bounds.identification import SupportBounds
 
 
@@ -286,3 +288,78 @@ def direct_grid_bound(points, stratum, side, dominance):
         num += p["prob"] * bx * w
         den += p["prob"] * w
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# per-row reference loops for the vectorized nuisance surfaces
+
+def _reference_cell(surface, d, key):
+    try:
+        return surface.cells[d][int(key)]
+    except KeyError:
+        raise EmptyCellError(f"no training rows in arm {d} for cell {key}")
+
+
+def reference_quantile(surface, x, d, u):
+    """``CellOutcomeSurface.quantile`` evaluated one row at a time."""
+    x = np.atleast_2d(x)
+    u = np.asarray(u, dtype=float)
+    keys = surface._keys(d, x)
+    out = np.empty(len(keys))
+    for i, key in enumerate(keys):
+        yv, cw, _ = _reference_cell(surface, d, key)
+        total = cw[-1]
+        pos = np.searchsorted(cw, u[i] * total - 1e-12 * total, side="left")
+        out[i] = yv[min(pos, len(yv) - 1)]
+    return out
+
+
+def reference_trunc_mean(surface, x, j, d, u):
+    """``CellOutcomeSurface.trunc_mean`` evaluated one row at a time (an
+    empty truncation region takes the cell mean, or raises when the
+    surface's spec is strict)."""
+    x = np.atleast_2d(x)
+    u = np.asarray(u, dtype=float)
+    keys = surface._keys(d, x)
+    out = np.empty(len(keys))
+
+    def lenient(cy, cw, what):
+        if not surface.spec.lenient_tails:
+            raise EmptyTailError(f"no observation in truncation region ({what})")
+        return cy[-1] / cw[-1]
+
+    for i, key in enumerate(keys):
+        yv, cw, cy = _reference_cell(surface, d, key)
+        total_w, total_y = cw[-1], cy[-1]
+        pos = np.searchsorted(cw, u[i] * total_w - 1e-12 * total_w, side="left")
+        pos = min(pos, len(yv) - 1)
+        q = yv[pos]
+        hi = np.searchsorted(yv, q, side="right") - 1
+        lo = np.searchsorted(yv, q, side="left")
+        if j == 1:
+            w_at, y_at = cw[hi], cy[hi]
+            if u[i] >= 1.0:
+                out[i] = total_y / total_w
+            elif w_at <= 0:
+                out[i] = lenient(cy, cw, f"arm {d} lower tail")
+            else:
+                out[i] = y_at / w_at
+        else:
+            w_above = total_w - (cw[lo - 1] if lo > 0 else 0.0)
+            y_above = total_y - (cy[lo - 1] if lo > 0 else 0.0)
+            if u[i] <= 0.0:
+                out[i] = total_y / total_w
+            elif w_above <= 0:
+                out[i] = lenient(cy, cw, f"arm {d} upper tail")
+            else:
+                out[i] = y_above / w_above
+    return out
+
+
+def reference_interp(levels, values, u):
+    """Row ``i`` interpolated at ``u[i]`` over the shared ``levels``, one
+    ``np.interp`` call per row."""
+    out = np.empty(len(values))
+    for i in range(len(values)):
+        out[i] = np.interp(u[i], levels, values[i])
+    return out

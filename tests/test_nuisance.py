@@ -1,14 +1,17 @@
 import io
+import logging
 
 import numpy as np
 import pytest
 
 import strata_bounds as sb
+from helpers import reference_interp, reference_quantile, reference_trunc_mean
 from strata_bounds.data_model import ObservationTable
-from strata_bounds.errors import EmptyCellError, SeparationWarning
+from strata_bounds.errors import EmptyCellError, EmptyTailError, SeparationWarning
 from strata_bounds.nuisance import (CellOutcomeSurface, CellSpec, LearnerSpec,
                                     crossfit, fit_selection, fold_assignments,
-                                    load_external_nuisances, _weighted_quantile)
+                                    load_external_nuisances, _CellIndex,
+                                    _interp_rows, _weighted_quantile)
 
 
 def simple_table(n=200, seed=0, p=1):
@@ -113,6 +116,123 @@ class TestCellSurface:
         assert hi > 5.0 > lo
 
 
+def outcome(fn, *args):
+    """The bytes a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args).tobytes()
+    except (EmptyCellError, EmptyTailError) as exc:
+        return type(exc), str(exc)
+
+
+def tied_cell_table(seed, n=300):
+    """Two arms, a discrete column and a binned one, tied outcomes and mixed
+    weights that include zeros."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.integers(0, 3, n), rng.normal(size=n)])
+    y = np.round(rng.normal(size=n), 1)
+    w = rng.choice([0.0, 0.5, 1.0, 2.5], size=n, p=[0.1, 0.3, 0.4, 0.2])
+    return ObservationTable(y=y, s=np.ones(n, int), d=rng.integers(0, 2, n),
+                            x=x, weight=w)
+
+
+EDGE_LEVELS = np.array([0.0, 1.0, 1e-13, 1 - 1e-13, 0.5, 0.25])
+
+
+class TestVectorizedSurfaces:
+    """The cell-grouped evaluation against the per-row reference loops."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_byte_identical_to_reference(self, seed):
+        t = tied_cell_table(seed)
+        surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0,), n_bins=3))
+        rng = np.random.default_rng(100 + seed)
+        x = t.x[rng.integers(0, t.n, 250)]
+        u = np.concatenate([EDGE_LEVELS, rng.integers(0, 21, 94) / 20.0,
+                            rng.random(150)])
+        for d in (0, 1):
+            assert outcome(surf.quantile, x, d, u) == \
+                outcome(reference_quantile, surf, x, d, u)
+            for j in (0, 1):
+                assert outcome(surf.trunc_mean, x, j, d, u) == \
+                    outcome(reference_trunc_mean, surf, x, j, d, u)
+
+    def test_unseen_cell_same_error_as_reference(self):
+        t = tied_cell_table(1)
+        keep = ~((t.x[:, 0] == 2) & (t.d == 1))
+        surf = CellOutcomeSurface(t.select(np.flatnonzero(keep)),
+                                  CellSpec(discrete_cols=(0,), n_bins=3))
+        # column 0 level 2 stays known through arm 0; arm 1 never saw it
+        x = np.array([[0.0, 0.1], [2.0, 3.0], [1.0, -0.2], [2.0, -3.0]])
+        u = np.full(4, 0.5)
+        got = outcome(surf.quantile, x, 1, u)
+        assert got[0] is EmptyCellError
+        assert got == outcome(reference_quantile, surf, x, 1, u)
+        for j in (0, 1):
+            assert outcome(surf.trunc_mean, x, j, 1, u) == \
+                outcome(reference_trunc_mean, surf, x, j, 1, u)
+        # an unseen discrete level fails in the key lookup, for both
+        x_new = np.array([[5.0, 0.0]])
+        assert outcome(surf.quantile, x_new, 0, u[:1]) == \
+            outcome(reference_quantile, surf, x_new, 0, u[:1])
+
+
+class TestEmptyTails:
+    """Zero-weight rows at the bottom of a cell leave its lower tail empty
+    at small levels."""
+
+    def _surface(self, lenient):
+        t = ObservationTable(y=np.array([1.0, 2.0, 3.0, 4.0]),
+                             s=np.ones(4, int), d=np.ones(4, int),
+                             x=np.zeros((4, 1)),
+                             weight=np.array([0.0, 1.0, 1.0, 1.0]))
+        return CellOutcomeSurface(t, CellSpec(lenient_tails=lenient))
+
+    def test_strict_raises(self):
+        surf = self._surface(lenient=False)
+        with pytest.raises(EmptyTailError, match="arm 1 lower tail"):
+            surf.trunc_mean(np.zeros((3, 1)), 1, 1, np.array([0.5, 1e-13, 0.0]))
+
+    def test_lenient_cell_mean_logged_once(self, caplog):
+        surf = self._surface(lenient=True)
+        u = np.array([0.5, 1e-13, 0.0, 1e-13, 0.0])
+        x = np.zeros((5, 1))
+        with caplog.at_level(logging.WARNING, logger="strata_bounds"):
+            got = surf.trunc_mean(x, 1, 1, u)
+        assert got[1:].tolist() == [3.0] * 4   # weighted mean of 2, 3, 4
+        assert got[0] == 2.5                   # mean of 2 and 3
+        assert got.tobytes() == reference_trunc_mean(surf, x, 1, 1, u).tobytes()
+        assert len(caplog.records) == 1
+        assert "4 rows" in caplog.records[0].getMessage()
+
+    def test_strict_error_order_follows_rows(self):
+        # cell (0, 0) has an empty lower tail; no row falls in cell (1, 1)
+        x_train = np.array([[0.0, 0.0]] * 3 + [[0.0, 1.0], [1.0, 0.0]])
+        t = ObservationTable(y=np.arange(1.0, 6.0), s=np.ones(5, int),
+                             d=np.ones(5, int), x=x_train,
+                             weight=np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
+        surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0, 1),
+                                              lenient_tails=False))
+        u = np.full(2, 1e-13)
+        for x, first in (([[0.0, 0.0], [1.0, 1.0]], EmptyTailError),
+                         ([[1.0, 1.0], [0.0, 0.0]], EmptyCellError)):
+            got = outcome(surf.trunc_mean, np.array(x), 1, 1, u)
+            assert got[0] is first
+            assert got == outcome(reference_trunc_mean, surf, np.array(x), 1, 1, u)
+
+
+class TestCellKeys:
+    def test_no_overflow_at_six_columns(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3000, 6))
+        index = _CellIndex(x, np.ones(len(x)), CellSpec(n_bins=3))
+        keys = index.keys(x)
+        assert (keys >= 0).all()
+        cells = np.column_stack([np.searchsorted(index.edges[j], x[:, j])
+                                 for j in range(6)])
+        pairs = np.unique(np.column_stack([cells, keys]), axis=0)
+        assert len(pairs) == len(np.unique(cells, axis=0)) == len(np.unique(keys))
+
+
 class TestFolds:
     def test_balanced_sizes(self):
         folds = fold_assignments(9, 5, seed=1)
@@ -202,6 +322,33 @@ class TestExternal:
         np.testing.assert_allclose(q, 2.0)  # linear between grid points
         bm = b.trunc_mean(np.arange(n), 1, 1, np.full(n, 0.75))
         np.testing.assert_allclose(bm, 1.5)
+
+    def test_interpolation_byte_identical_to_reference(self, tmp_path):
+        rng = np.random.default_rng(12)
+        n = 40
+        t = ObservationTable(y=np.ones(n), s=np.ones(n, int),
+                             d=np.zeros(n, int), x=np.zeros((n, 1)),
+                             weight=np.ones(n))
+        levels = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
+        grid = np.sort(rng.normal(size=(n, len(levels))), axis=1)
+        grid[3, 4] = np.inf
+        grid[5, 0] = -np.inf
+        grid[7, 1:3] = np.inf
+        header = "m,s0,s1," + ",".join(f"q_1_u{u}" for u in levels)
+        rows = [[0.5, 0.4, 0.8, *g] for g in grid]
+        b = load_external_nuisances(self._write(tmp_path, t, header, rows), t)
+        u = np.concatenate([[0.0, 1.0, 0.1, 0.9, 0.25, 1e-13, 1 - 1e-13],
+                            rng.random(33)])
+        idx = rng.permutation(n)
+        got = b.quantile(idx, 1, u)
+        assert got.tobytes() == reference_interp(levels, grid[idx], u).tobytes()
+        # levels outside [0, 1], NaN, and a one-level grid
+        wide = np.array([-1.0, 2.0, np.nan, 0.3, 0.5, -np.inf])
+        sub = grid[:len(wide)]
+        assert _interp_rows(levels, sub, wide).tobytes() == \
+            reference_interp(levels, sub, wide).tobytes()
+        assert _interp_rows(levels[:1], sub[:, :1], wide).tobytes() == \
+            reference_interp(levels[:1], sub[:, :1], wide).tobytes()
 
     def test_row_count_mismatch_is_hard_error(self, tmp_path):
         t = ObservationTable(y=np.ones(3), s=np.ones(3, int),
