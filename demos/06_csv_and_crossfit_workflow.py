@@ -30,8 +30,7 @@ print(f"validation: {'ok' if report.ok else report.messages}")
 
 # cross-fitted built-in learners; the first covariate is the discrete
 # monotonicity shifter, the second is binned at its training quantiles
-spec = LearnerSpec(kind="builtin",
-                   cells=CellSpec(discrete_cols=(0,), n_bins=4),
+spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=4),
                    folds=5, seed=1, propensity_known=0.5)
 fitted = crossfit(back, spec)
 print(f"cross-fitted bundle: provenance={fitted.provenance}, "

@@ -9,8 +9,8 @@ deterministic Monte Carlo harness for benchmarking them.
 __version__ = "0.1.0"
 
 from .data_model import (BoundsEstimate, NuisanceBundle, ObservationTable,
-                         PartitionLabel, Side, SmoothingConfig, Stratum,
-                         StratumSpec, ValidationReport, classify_partition,
+                         PartitionLabel, Side, Stratum, StratumSpec,
+                         ValidationReport, classify_partition,
                          partition_labels, validate)
 from .errors import (AllTrimmedError, DegenerateTrimError, EmptyCellError,
                      EmptyTailError, PartitionError, SeparationWarning,

@@ -82,7 +82,7 @@ def _echo_resolved(resolved: dict):
 # ---------------------------------------------------------------------------
 # estimate
 
-def _build_bundle(table, args, seed):
+def _build_bundle(table, args, seed, folds):
     if args.nuisance_file:
         return load_external_nuisances(
             args.nuisance_file, table,
@@ -91,7 +91,7 @@ def _build_bundle(table, args, seed):
                                          (args.cells_discrete or "").split(",")
                                          if c.strip() != ""),
                      n_bins=args.cells_bins)
-    spec = LearnerSpec(kind="builtin", cells=cells, folds=args.folds, seed=seed)
+    spec = LearnerSpec(cells=cells, folds=folds, seed=seed)
     return crossfit(table, spec)
 
 
@@ -114,7 +114,13 @@ def cmd_estimate(args) -> int:
         return _fail(EXIT_INPUT, "ValidationFailed", "; ".join(report.messages))
 
     try:
-        bundle = _build_bundle(table, args, int(resolved["seed"]))
+        bundle = _build_bundle(table, args, int(resolved["seed"]),
+                               int(resolved["folds"]))
+    except (OSError, ValueError) as exc:
+        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+    except StrataBoundsError as exc:
+        return _fail(EXIT_ESTIMATION, type(exc).__name__, str(exc))
+    try:
         support = SupportBounds.from_table(table)
         cfg = EstimationConfig(stratum=Stratum.parse(resolved["stratum"]),
                                alpha=float(resolved["alpha"]),
@@ -257,7 +263,7 @@ def cmd_bounds_curve(args) -> int:
             if not report.ok:
                 return _fail(EXIT_INPUT, "ValidationFailed",
                              "; ".join(report.messages))
-            bundle = _build_bundle(table, args, args.seed or 0)
+            bundle = _build_bundle(table, args, args.seed or 0, args.folds)
         else:
             config = DgpConfig(n=args.dgp_n, shares=PANEL_SHARES[args.panel],
                                base_seed=args.seed or 0, replications=1)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -224,10 +223,12 @@ def validate(table: ObservationTable) -> ValidationReport:
         fail("outcome finite under selection", "selected rows have non-finite y")
     if (table.weight < 0).any():
         fail("nonnegative weights", "negative weights present")
-    if not table.weight.sum() > 0:
+    if not np.isfinite(table.weight).all():
+        fail("finite weights", "NaN or infinite weights present")
+    elif not table.weight.sum() > 0:
         fail("positive total weight", "weights sum to zero")
-    if np.isnan(table.x).any():
-        fail("finite covariates", "NaN covariates present")
+    if not np.isfinite(table.x).all():
+        fail("finite covariates", "NaN or infinite covariates present")
     return ValidationReport(ok=not failures, failures=tuple(failures), messages=tuple(msgs))
 
 
@@ -267,21 +268,6 @@ def partition_labels(s0: np.ndarray, s1: np.ndarray, eps0: float = 0.0) -> np.nd
     return labels.astype(np.int8)
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Smoothing parameter and family selection for the outer bounds."""
-
-    h: float
-    family: str = "log_sum_exp"
-    derivative_cap_check: bool = True
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("h must be positive")
-        if self.family != "log_sum_exp":
-            raise ValueError(f"unknown smoothing family {self.family!r}")
-
-
 class NuisanceBundle:
     """Per-row nuisance evaluations packaged together.
 
@@ -306,6 +292,10 @@ class NuisanceBundle:
         m = np.asarray(m, dtype=float)
         s0 = np.asarray(s0, dtype=float)
         s1 = np.asarray(s1, dtype=float)
+        for name, arr in (("m", m), ("s0", s0), ("s1", s1)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValueError(f"nuisance {name} is not finite at row {bad[0]}")
         clamped = int(((m < m_floor) | (m > 1 - m_floor)).sum()
                       + ((s0 < s_floor) | (s0 > 1 - s_floor)).sum()
                       + ((s1 < s_floor) | (s1 > 1 - s_floor)).sum())
@@ -356,57 +346,48 @@ class NuisanceBundle:
 
     # -- transforms used to derive mirrored strata moments ------------------
 
+    def _derive(self, m, s0, s1, quantile_fn: Callable,
+                trunc_mean_fn: Callable) -> "NuisanceBundle":
+        """Bundle with already clamped probabilities and new evaluators that
+        keeps this bundle's provenance, floors and clamp count."""
+        out = NuisanceBundle.__new__(NuisanceBundle)
+        out.m, out.s0, out.s1 = m, s0, s1
+        for arr in (m, s0, s1):
+            arr.setflags(write=False)
+        out._quantile_fn = quantile_fn
+        out._trunc_mean_fn = trunc_mean_fn
+        out.provenance = self.provenance
+        out.m_floor, out.s_floor = self.m_floor, self.s_floor
+        out.n_clamped = self.n_clamped
+        return out
+
     def with_negated_outcome(self) -> "NuisanceBundle":
         """Bundle for the sign-flipped outcome -Y.
 
         Quantiles satisfy q_{-Y}(u) = -q_Y(1-u) and the two truncated-mean
         surfaces swap roles (exact under a continuous outcome distribution).
         """
-        parent = self
-
-        def qfn(rows, d, u):
-            return -parent.quantile(rows, d, 1.0 - u)
-
-        def bfn(rows, j, d, u):
-            return -parent.trunc_mean(rows, 1 - j, d, 1.0 - u)
-
-        out = NuisanceBundle.__new__(NuisanceBundle)
-        out.m, out.s0, out.s1 = parent.m, parent.s0, parent.s1
-        out._quantile_fn = lambda rows, d, u: qfn(rows, d, u)
-        out._trunc_mean_fn = lambda rows, j, d, u: bfn(rows, j, d, u)
-        out.provenance = parent.provenance
-        out.m_floor, out.s_floor = parent.m_floor, parent.s_floor
-        out.n_clamped = parent.n_clamped
-        return out
+        return self._derive(
+            self.m, self.s0, self.s1,
+            lambda rows, d, u: -self.quantile(rows, d, 1.0 - u),
+            lambda rows, j, d, u: -self.trunc_mean(rows, 1 - j, d, 1.0 - u))
 
     def with_swapped_arms(self) -> "NuisanceBundle":
         """Bundle for the relabeled treatment 1-D: swaps m and the two arms."""
-        parent = self
-        out = NuisanceBundle.__new__(NuisanceBundle)
-        out.m = np.asarray(1.0 - parent.m)
-        out.m.setflags(write=False)
-        out.s0, out.s1 = parent.s1, parent.s0
-        out._quantile_fn = lambda rows, d, u: parent.quantile(rows, 1 - d, u)
-        out._trunc_mean_fn = lambda rows, j, d, u: parent.trunc_mean(rows, j, 1 - d, u)
-        out.provenance = parent.provenance
-        out.m_floor, out.s_floor = parent.m_floor, parent.s_floor
-        out.n_clamped = parent.n_clamped
-        return out
+        return self._derive(
+            np.asarray(1.0 - self.m), self.s1, self.s0,
+            lambda rows, d, u: self.quantile(rows, 1 - d, u),
+            lambda rows, j, d, u: self.trunc_mean(rows, j, 1 - d, u))
 
     def select(self, idx: np.ndarray) -> "NuisanceBundle":
         """View of the bundle restricted to a row subset."""
-        parent = self
         idx = np.asarray(idx)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
-        out = NuisanceBundle.__new__(NuisanceBundle)
-        out.m, out.s0, out.s1 = parent.m[idx], parent.s0[idx], parent.s1[idx]
-        out._quantile_fn = lambda rows, d, u: parent.quantile(idx[np.asarray(rows)], d, u)
-        out._trunc_mean_fn = lambda rows, j, d, u: parent.trunc_mean(idx[np.asarray(rows)], j, d, u)
-        out.provenance = parent.provenance
-        out.m_floor, out.s_floor = parent.m_floor, parent.s_floor
-        out.n_clamped = parent.n_clamped
-        return out
+        return self._derive(
+            self.m[idx], self.s0[idx], self.s1[idx],
+            lambda rows, d, u: self.quantile(idx[rows], d, u),
+            lambda rows, j, d, u: self.trunc_mean(idx[rows], j, d, u))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ class DegenerateTrimError(StrataBoundsError):
 
 
 class EmptyCellError(StrataBoundsError):
-    """A cell learner was evaluated on a cell with no training observations."""
+    """A learner was asked about a treatment arm or a discrete covariate
+    level with no training observations."""
 
 
 class EmptyTailError(StrataBoundsError):

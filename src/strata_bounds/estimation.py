@@ -11,19 +11,19 @@ truncated-mean augmentation from the moments.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .data_model import (BoundsEstimate, NuisanceBundle, ObservationTable,
                          Side, Stratum, StratumSpec, XZERO)
 from .errors import AllTrimmedError, PartitionError, ZeroShareError
-from .identification import SupportBounds
+from .identification import (SupportBounds, conditional_sharp_bound,
+                             stratum_weight)
 from .influence import (InfluenceRows, degenerate_at_moments, eif_regular,
                         eif_smooth)
 from .smoothing import GFamily
@@ -62,16 +62,16 @@ def im_critical_value(delta: float, se: float, alpha: float = 0.05,
     ``[0, z_{1-alpha/2}]``; the point-identified limit gives the two-sided
     value and a wide identified set the one-sided one.
     """
-    z_two = float(norm.ppf(1.0 - alpha / 2.0))
+    z_two = float(ndtri(1.0 - alpha / 2.0))
     delta = max(float(delta), 0.0)
     if not np.isfinite(delta):
-        return float(norm.ppf(1.0 - alpha))
+        return float(ndtri(1.0 - alpha))
     if se <= 0.0:
-        return float(norm.ppf(1.0 - alpha)) if delta > 0 else z_two
+        return float(ndtri(1.0 - alpha)) if delta > 0 else z_two
     ratio = delta / se
 
     def f(c):
-        return norm.cdf(c + ratio) - norm.cdf(-c) - (1.0 - alpha)
+        return ndtr(c + ratio) - ndtr(-c) - (1.0 - alpha)
 
     if f(0.0) >= 0.0:
         return 0.0
@@ -80,30 +80,29 @@ def im_critical_value(delta: float, se: float, alpha: float = 0.05,
     return float(brentq(f, 0.0, z_two, xtol=tol))
 
 
+def _effect_interval(lower, upper, se_lower, se_upper, alpha):
+    c = im_critical_value(upper - lower, max(se_lower, se_upper), alpha=alpha)
+    return lower - c * se_lower, upper + c * se_upper
+
+
 def imbens_manski_interval(lower: float, upper: float, se_lower: float,
-                           se_upper: float, n: Optional[int] = None,
-                           alpha: float = 0.05):
+                           se_upper: float, alpha: float = 0.05):
     """Effect confidence interval for a partially identified parameter.
 
     ``se_lower``/``se_upper`` are per-estimate standard errors (any sample
-    size scaling already applied); ``n`` is accepted for interface
-    compatibility and not used beyond that. The conservative variant with
-    the larger of the two standard errors enters the critical-value
-    equation.
+    size scaling already applied). The conservative variant with the
+    larger of the two standard errors enters the critical-value equation.
     """
-    del n
     if upper < lower:
         raise ValueError("upper bound below lower bound")
     if se_lower < 0 or se_upper < 0:
         raise ValueError("standard errors must be nonnegative")
-    se = max(se_lower, se_upper)
-    c = im_critical_value(upper - lower, se, alpha=alpha)
-    return lower - c * se_lower, upper + c * se_upper
+    return _effect_interval(lower, upper, se_lower, se_upper, alpha)
 
 
 def identified_set_interval(lower, upper, se_lower, se_upper, alpha=0.05):
     """Pointwise interval for the identified set itself."""
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     return lower - z * se_lower, upper + z * se_upper
 
 
@@ -114,8 +113,7 @@ def _package(lower, se_lower, upper, se_upper, method, n_effective, alpha,
     ci_set = identified_set_interval(lower, upper, se_lower, se_upper, alpha)
     # estimated ends can cross on degenerate samples; the critical value
     # then uses the point-identified (zero-width) limit
-    c = im_critical_value(upper - lower, max(se_lower, se_upper), alpha=alpha)
-    ci_effect = (lower - c * se_lower, upper + c * se_upper)
+    ci_effect = _effect_interval(lower, upper, se_lower, se_upper, alpha)
     return BoundsEstimate(lower=lower, upper=upper, se_lower=se_lower,
                           se_upper=se_upper, ci_set=ci_set, ci_effect=ci_effect,
                           method=method, n_effective=int(n_effective),
@@ -146,12 +144,6 @@ def _regular_rows(table, bundle, labels, spec, support, inefficient,
     return InfluenceRows(psi_b=psi_b, psi_s=psi_s)
 
 
-def _sides(side) -> Sequence[Side]:
-    if str(side).lower() in ("both", "lu"):
-        return (Side.L, Side.U)
-    return (Side.parse(side),)
-
-
 @dataclass(frozen=True)
 class EstimationConfig:
     """Shared knobs for the bound estimators."""
@@ -180,6 +172,17 @@ def moment_rows(table: ObservationTable, bundle: NuisanceBundle, side,
                          support, config.inefficient, mask)
 
 
+def _estimate(side_estimate, method, n_effective, config, h=None,
+              diagnostics=None) -> BoundsEstimate:
+    """Package ``side_estimate(side) -> (estimate, se)`` for the lower and
+    then the upper side."""
+    lower, se_lower = side_estimate(Side.L)
+    upper, se_upper = side_estimate(Side.U)
+    return _package(lower, se_lower, upper, se_upper, method, n_effective,
+                    config.alpha, config.stratum.value, h=h,
+                    diagnostics=diagnostics)
+
+
 def estimate_sharp(table: ObservationTable, bundle: NuisanceBundle,
                    config: EstimationConfig = EstimationConfig(),
                    support: Optional[SupportBounds] = None) -> BoundsEstimate:
@@ -192,31 +195,28 @@ def estimate_sharp(table: ObservationTable, bundle: NuisanceBundle,
     """
     if support is None:
         support = SupportBounds.from_table(table)
+    if config.stratum is Stratum.NT:
+        w_nt = stratum_weight(bundle.s0, bundle.s1, Stratum.NT)
+
+        def plug_in(side):
+            beta_x = conditional_sharp_bound(bundle, config.spec(side), support)
+            return ratio_estimate(beta_x * w_nt, w_nt, table.weight,
+                                  config.share_floor)
+
+        return _estimate(plug_in, "sharp", table.n, config,
+                         diagnostics={"plug_in": True})
     labels = bundle.labels(config.eps0)
     mask = labels == XZERO
-    if config.stratum is Stratum.NT:
-        from .identification import conditional_sharp_bound, stratum_weight
-        w_nt = stratum_weight(bundle.s0, bundle.s1, Stratum.NT)
-        out = {}
-        for side in (Side.L, Side.U):
-            beta_x = conditional_sharp_bound(bundle, config.spec(side), support)
-            out[side] = ratio_estimate(beta_x * w_nt, w_nt, table.weight,
-                                       config.share_floor)
-        return _package(out[Side.L][0], out[Side.L][1], out[Side.U][0],
-                        out[Side.U][1], "sharp", table.n, config.alpha,
-                        config.stratum.value,
-                        diagnostics={"plug_in": True})
-    out = {}
-    for side in (Side.L, Side.U):
+
+    def side_estimate(side):
         rows = _regular_rows(table, bundle, labels, config.spec(side), support,
                              config.inefficient, mask)
-        out[side] = ratio_estimate(rows.psi_b, rows.psi_s, table.weight,
-                                   config.share_floor)
+        return ratio_estimate(rows.psi_b, rows.psi_s, table.weight,
+                              config.share_floor)
+
     method = "inefficient_known_ps" if config.inefficient else "sharp"
     diags = {"share_xzero": float(mask.mean()), "n_clamped": bundle.n_clamped}
-    return _package(out[Side.L][0], out[Side.L][1], out[Side.U][0], out[Side.U][1],
-                    method, table.n, config.alpha, config.stratum.value,
-                    diagnostics=diags)
+    return _estimate(side_estimate, method, table.n, config, diagnostics=diags)
 
 
 def estimate_inefficient(table, bundle, config: EstimationConfig = EstimationConfig(),
@@ -225,10 +225,8 @@ def estimate_inefficient(table, bundle, config: EstimationConfig = EstimationCon
     if bundle.provenance not in ("oracle", "external", "external_oracle"):
         raise PartitionError("known-propensity moments require an oracle or "
                              "externally supplied propensity score")
-    cfg = EstimationConfig(stratum=config.stratum, alpha=config.alpha,
-                           eps0=config.eps0, dominance=config.dominance,
-                           inefficient=True, share_floor=config.share_floor)
-    return estimate_sharp(table, bundle, cfg, support)
+    return estimate_sharp(table, bundle, replace(config, inefficient=True),
+                          support)
 
 
 def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
@@ -261,37 +259,31 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
         sub_table = table.select(survivors)
         sub_bundle = bundle.select(survivors)
         sub_labels = labels[survivors]
-        out = {}
-        for side in (Side.L, Side.U):
+
+        def side_estimate(side):
             rows = eif_regular(sub_table, sub_bundle, sub_labels,
                                config.spec(side), support,
                                inefficient=config.inefficient)
-            out[side] = ratio_estimate(rows.psi_b, rows.psi_s, sub_table.weight,
-                                       config.share_floor)
-        return _package(out[Side.L][0], out[Side.L][1], out[Side.U][0],
-                        out[Side.U][1], "trim", n_surv, config.alpha,
-                        config.stratum.value, diagnostics=diags)
+            return ratio_estimate(rows.psi_b, rows.psi_s, sub_table.weight,
+                                  config.share_floor)
+    elif variant == "retain":
+        w = table.weight
+        wn_all = w / w.sum()
+        w_surv = np.where(survivors, w, 0.0)
+        wn_surv = w_surv / w_surv.sum()
 
-    if variant != "retain":
+        def side_estimate(side):
+            rows = _regular_rows(table, bundle, labels, config.spec(side),
+                                 support, config.inefficient, band)
+            den = float(np.dot(wn_all, rows.psi_s))
+            if den <= config.share_floor:
+                raise ZeroShareError("share moment at or below floor")
+            beta = float(np.dot(wn_all, rows.psi_b)) / den
+            resid = rows.psi_b - beta * rows.psi_s
+            return beta, float(np.sqrt(np.sum((wn_surv * resid) ** 2))) / den
+    else:
         raise ValueError(f"unknown trim variant {variant!r}")
-    w = table.weight
-    wn_all = w / w.sum()
-    w_surv = np.where(survivors, w, 0.0)
-    wn_surv = w_surv / w_surv.sum()
-    out = {}
-    for side in (Side.L, Side.U):
-        rows = _regular_rows(table, bundle, labels, config.spec(side), support,
-                             config.inefficient, band)
-        den = float(np.dot(wn_all, rows.psi_s))
-        if den <= config.share_floor:
-            raise ZeroShareError("share moment at or below floor")
-        beta = float(np.dot(wn_all, rows.psi_b)) / den
-        resid = rows.psi_b - beta * rows.psi_s
-        se = float(np.sqrt(np.sum((wn_surv * resid) ** 2))) / den
-        out[side] = (beta, se)
-    return _package(out[Side.L][0], out[Side.L][1], out[Side.U][0],
-                    out[Side.U][1], "trim", n_surv, config.alpha,
-                    config.stratum.value, diagnostics=diags)
+    return _estimate(side_estimate, "trim", n_surv, config, diagnostics=diags)
 
 
 def estimate_switch(table: ObservationTable, bundle: NuisanceBundle,
@@ -306,16 +298,15 @@ def estimate_switch(table: ObservationTable, bundle: NuisanceBundle,
     rho = float(rho)
     labels = bundle.labels(config.eps0)
     band = (labels == XZERO) | (np.abs(bundle.p0 - 1.0) <= rho)
-    out = {}
-    for side in (Side.L, Side.U):
+
+    def side_estimate(side):
         rows = _regular_rows(table, bundle, labels, config.spec(side), support,
                              config.inefficient, band)
-        out[side] = ratio_estimate(rows.psi_b, rows.psi_s, table.weight,
-                                   config.share_floor)
+        return ratio_estimate(rows.psi_b, rows.psi_s, table.weight,
+                              config.share_floor)
+
     diags = {"rho": rho, "share_switched": float(band.mean())}
-    return _package(out[Side.L][0], out[Side.L][1], out[Side.U][0], out[Side.U][1],
-                    "switch", table.n, config.alpha, config.stratum.value,
-                    diagnostics=diags)
+    return _estimate(side_estimate, "switch", table.n, config, diagnostics=diags)
 
 
 def smooth_ratio_estimate(rows, weights, share_floor: float = 1e-12):
@@ -345,13 +336,12 @@ def estimate_smooth(table: ObservationTable, bundle: NuisanceBundle,
     if config.stratum is not Stratum.AT:
         raise PartitionError("smoothed moments are provided for the "
                              "always-taker stratum")
-    out = {}
-    for side in (Side.L, Side.U):
-        rows = eif_smooth(table, bundle, family, side)
-        out[side] = smooth_ratio_estimate(rows, table.weight, config.share_floor)
-    return _package(out[Side.L][0], out[Side.L][1], out[Side.U][0], out[Side.U][1],
-                    "smooth", table.n, config.alpha, config.stratum.value,
-                    h=family.h)
+
+    def side_estimate(side):
+        return smooth_ratio_estimate(eif_smooth(table, bundle, family, side),
+                                     table.weight, config.share_floor)
+
+    return _estimate(side_estimate, "smooth", table.n, config, h=family.h)
 
 
 def heterogeneous_bounds(lower_rows: InfluenceRows, upper_rows: InfluenceRows,
@@ -378,12 +368,3 @@ def heterogeneous_bounds(lower_rows: InfluenceRows, upper_rows: InfluenceRows,
                              alpha, stratum, diagnostics={"group": gval})
     return out
 
-
-def serialize_estimates(estimates, **extra) -> str:
-    """JSON for one estimate or a list of them."""
-    if isinstance(estimates, BoundsEstimate):
-        estimates = [estimates]
-    payload = [e.to_dict() for e in estimates]
-    for entry in payload:
-        entry.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True, default=float)

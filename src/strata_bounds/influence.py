@@ -128,29 +128,16 @@ def _at_moments(table, bundle, labels, side: Side, inefficient: bool,
             psi_b = np.where(plus, psi_b, treated - control)
 
     if inefficient:
-        psi_b = psi_b - _at_delta_scaled(table, bundle, labels, side)
+        psi_b = psi_b - _augmentation(np.where(plus, s0, s1), b1, b0, d, m)
     return InfluenceRows(psi_b=psi_b, psi_s=psi_s)
 
 
-def _at_delta_scaled(table, bundle, labels, side: Side) -> np.ndarray:
-    """Share-scaled mean-zero correction dropped under known propensities.
+def _augmentation(share, b1, b0, d, m) -> np.ndarray:
+    """Share-scaled mean-zero truncated-mean augmentation of the moments.
 
-    Subtracting it removes the truncated-mean augmentation, leaving moments
-    that consume quantiles but no truncated-mean surfaces.
+    The known-propensity moments drop it, so they consume quantiles but no
+    truncated-mean surfaces.
     """
-    _, d, _, _, _, _ = _ipw_pieces(table, bundle)
-    m, s0, s1, p0 = bundle.m, bundle.s0, bundle.s1, bundle.p0
-    rows = bundle.all_rows()
-    plus = np.asarray(labels) == XPLUS
-    t1 = np.minimum(p0, 1.0)
-    r0 = np.minimum(1.0 / p0, 1.0)
-    if side is Side.L:
-        b1 = bundle.trunc_mean(rows, 1, 1, t1)
-        b0 = bundle.trunc_mean(rows, 0, 0, 1.0 - r0)
-    else:
-        b1 = bundle.trunc_mean(rows, 0, 1, 1.0 - t1)
-        b0 = bundle.trunc_mean(rows, 1, 0, r0)
-    share = np.where(plus, s0, s1)
     return share * (b1 * (1.0 - d / m) - b0 * (1.0 - (1.0 - d) / (1.0 - m)))
 
 
@@ -170,8 +157,7 @@ def degenerate_at_moments(table, bundle, inefficient: bool = False) -> Influence
     if not inefficient:
         b1 = bundle.trunc_mean(rows, 1, 1, np.ones(bundle.n))
         b0 = bundle.trunc_mean(rows, 0, 0, np.zeros(bundle.n))
-        psi_b = psi_b + sbar * (b1 * (1.0 - d / m)
-                                - b0 * (1.0 - (1.0 - d) / (1.0 - m)))
+        psi_b = psi_b + _augmentation(sbar, b1, b0, d, m)
     return InfluenceRows(psi_b=psi_b, psi_s=psi_s)
 
 

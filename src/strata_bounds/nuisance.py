@@ -13,7 +13,7 @@ import logging
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -162,13 +162,25 @@ def _quantile_pos(cw, u):
     return np.minimum(pos, len(cw) - 1)
 
 
+def _sorted_cell(y, w):
+    """Outcomes in ascending order with their cumulative weights and
+    cumulative weighted outcomes."""
+    order = np.argsort(y, kind="stable")
+    yv, wv = y[order], w[order]
+    return yv, np.cumsum(wv), np.cumsum(wv * yv)
+
+
 class CellOutcomeSurface:
     """Weighted empirical quantile and truncated-mean surfaces on cells.
 
     Monotonicity in the quantile level holds by construction (one sorted
     copy per cell). Conventions at the edges: the level-1 quantile is the
     cell maximum; the lower truncated mean at level 1 and the upper one at
-    level 0 both return the full cell mean.
+    level 0 both return the full cell mean. A row whose cell holds no
+    training rows of the arm (its levels and bins were each seen, but not
+    together) is evaluated on the arm-level surface, stored under cell key
+    -1, with one warning per call; a discrete level never seen in the arm
+    raises ``EmptyCellError``.
     """
 
     def __init__(self, table: ObservationTable, spec: CellSpec):
@@ -189,15 +201,9 @@ class CellOutcomeSurface:
             yi = table.y[mask]
             cidx = _CellIndex(xi, wi, spec)
             keys = cidx.keys(xi)
-            cells = {}
-            for key in np.unique(keys):
-                inc = keys == key
-                order = np.argsort(yi[inc], kind="stable")
-                yv = yi[inc][order]
-                wv = wi[inc][order]
-                cw = np.cumsum(wv)
-                cy = np.cumsum(wv * yv)
-                cells[int(key)] = (yv, cw, cy)
+            cells = {int(key): _sorted_cell(yi[keys == key], wi[keys == key])
+                     for key in np.unique(keys)}
+            cells[-1] = _sorted_cell(yi, wi)
             self.index[d] = cidx
             self.cells[d] = cells
 
@@ -207,46 +213,37 @@ class CellOutcomeSurface:
         return self.index[d].keys(x)
 
     def _groups(self, d, x):
-        """Split the rows of ``x`` by training cell of arm ``d``.
-
-        Returns ``(groups, unseen)``: ``groups`` lists ``(key, cell, rows)``
-        for every cell seen in training, with ``rows`` ascending, and
-        ``unseen`` is ``(row, error)`` for the first row, in row order,
-        whose cell was never seen (None when there is none).
-        """
+        """Split the rows of ``x`` by training cell of arm ``d`` into
+        ``(key, cell, rows)`` triples with ``rows`` ascending; rows of an
+        unseen cell go to the arm-level surface (key -1)."""
         keys = self._keys(d, x)
         uniq, inverse = np.unique(keys, return_inverse=True)
+        seen = np.array([key in self.cells[d] for key in uniq.tolist()])[inverse]
+        if not seen.all():
+            logger.warning("%d rows in arm %d fall in cells with no training "
+                           "rows; using the arm-level surface",
+                           int((~seen).sum()), d)
+            uniq, inverse = np.unique(np.where(seen, keys, -1),
+                                      return_inverse=True)
         order = np.argsort(inverse, kind="stable")
         bounds = np.cumsum(np.bincount(inverse))[:-1]
-        groups, unseen = [], None
-        for key, rows in zip(uniq.tolist(), np.split(order, bounds)):
-            cell = self.cells[d].get(key)
-            if cell is not None:
-                groups.append((key, cell, rows))
-            elif unseen is None or rows[0] < unseen[0]:
-                unseen = (rows[0], EmptyCellError(
-                    f"no training rows in arm {d} for cell {key}"))
-        return groups, unseen
+        return [(key, self.cells[d][key], rows)
+                for key, rows in zip(uniq.tolist(), np.split(order, bounds))]
 
     def quantile(self, x, d, u) -> np.ndarray:
         x = np.atleast_2d(x)
         u = np.asarray(u, dtype=float)
-        groups, unseen = self._groups(d, x)
-        if unseen is not None:
-            raise unseen[1]
         out = np.empty(x.shape[0])
-        for _, (yv, cw, _), rows in groups:
+        for _, (yv, cw, _), rows in self._groups(d, x):
             out[rows] = yv[_quantile_pos(cw, u[rows])]
         return out
 
     def trunc_mean(self, x, j, d, u) -> np.ndarray:
         x = np.atleast_2d(x)
         u = np.asarray(u, dtype=float)
-        groups, unseen = self._groups(d, x)
-        first_unseen = unseen[0] if unseen is not None else np.inf
         what = f"arm {d} {'lower' if j == 1 else 'upper'} tail"
         out = np.empty(x.shape[0])
-        for key, (yv, cw, cy), rows in groups:
+        for key, (yv, cw, cy), rows in self._groups(d, x):
             uc = u[rows]
             q = yv[_quantile_pos(cw, uc)]
             total_w, total_y = cw[-1], cy[-1]
@@ -264,10 +261,8 @@ class CellOutcomeSurface:
             if empty.any():
                 # the cell mean stands in for an empty truncation region
                 if not self.spec.lenient_tails:
-                    # the first offending row, in row order, names the error
-                    if rows[empty][0] < first_unseen:
-                        raise EmptyTailError(
-                            f"no observation in truncation region ({what})")
+                    raise EmptyTailError(
+                        f"no observation in truncation region ({what})")
                 else:
                     logger.warning("empty truncation region (%s) in cell %d "
                                    "for %d rows; using the cell mean",
@@ -276,8 +271,6 @@ class CellOutcomeSurface:
             out[rows[ok]] = num[ok] / den[ok]
             if not ok.all():
                 out[rows[~ok]] = total_y / total_w
-        if unseen is not None:
-            raise unseen[1]
         return out
 
 
@@ -288,13 +281,10 @@ class CellOutcomeSurface:
 class LearnerSpec:
     """Which learners produce the bundle and how folds are formed."""
 
-    kind: str = "builtin"          # builtin | oracle | external
     cells: CellSpec = field(default_factory=CellSpec)
     folds: int = 5
     seed: int = 0
     propensity_known: Optional[float] = None   # fix m(x) to a constant if given
-    oracle_factory: Optional[Callable] = None  # table -> NuisanceBundle
-    external_path: Optional[str] = None
 
 
 def fold_assignments(n: int, k: int, seed: int) -> np.ndarray:
@@ -312,17 +302,6 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
     """Cross-fitted nuisance bundle: each row is scored by models trained on
     the complementary folds; truncated-mean surfaces reuse the quantile
     surface fitted on the same training folds."""
-    if spec.kind == "oracle":
-        if spec.oracle_factory is None:
-            raise ValueError("oracle learner requires an oracle_factory")
-        return spec.oracle_factory(table)
-    if spec.kind == "external":
-        if spec.external_path is None:
-            raise ValueError("external learner requires external_path")
-        return load_external_nuisances(spec.external_path, table)
-    if spec.kind != "builtin":
-        raise ValueError(f"unknown learner kind {spec.kind!r}")
-
     n = table.n
     folds = fold_assignments(n, spec.folds, spec.seed)
     m = np.empty(n)
@@ -361,10 +340,8 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
                 out[here] = surfaces[k].trunc_mean(x[here], j, d, u[here])
         return out
 
-    bundle = NuisanceBundle(m, s0, s1, quantile_fn, trunc_mean_fn,
-                            provenance="cross_fitted")
-    bundle.fold_ids = folds
-    return bundle
+    return NuisanceBundle(m, s0, s1, quantile_fn, trunc_mean_fn,
+                          provenance="cross_fitted")
 
 
 # ---------------------------------------------------------------------------

@@ -410,30 +410,10 @@ class BenchmarkDesign:
         return num / den
 
     def smooth_bound(self, side, h: float) -> float:
-        side = Side.parse(side)
-        fam = GFamily(h=float(h))
-        g = fam.g
-
-        def beta_h(pt):
-            p0 = pt.s0 / pt.s1
-            if side is Side.L:
-                return pt.b11(float(g(1, p0))) - pt.b00(1.0 - float(g(1, 1.0 / p0)))
-            return pt.b01(1.0 - float(g(1, p0))) - pt.b10(float(g(1, 1.0 / p0)))
-
-        def wexp(gi_outer, gi_level):
-            return self.expectation(
-                lambda pt: float(g(gi_outer, beta_h(pt)))
-                * float(g(gi_level, pt.s0 / pt.s1)) * pt.s1)
-
-        den1 = self.expectation(lambda pt: float(g(1, pt.s0 / pt.s1)) * pt.s1)
-        den3 = self.expectation(lambda pt: float(g(3, pt.s0 / pt.s1)) * pt.s1)
-        if side is Side.L:
-            return wexp(4, 1) / den3 - self.expectation(
-                lambda pt: float(g(2, -beta_h(pt)))
-                * float(g(3, pt.s0 / pt.s1)) * pt.s1) / den1
-        return wexp(2, 3) / den1 - self.expectation(
-            lambda pt: float(g(4, -beta_h(pt)))
-            * float(g(1, pt.s0 / pt.s1)) * pt.s1) / den3
+        """Population smoothed outer bound: since ``g5(z) = -g2(-z)`` and
+        ``g6(z) = -g4(-z)`` it is the sum of the two component targets."""
+        plus, minus = self.smooth_component_targets(side, h)
+        return plus + minus
 
     def smooth_component_targets(self, side, h: float) -> tuple:
         """(plus, minus) population values of the two smoothed ratio pieces."""

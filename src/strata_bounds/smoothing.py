@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .data_model import NuisanceBundle, Side, SmoothingConfig
+from .data_model import NuisanceBundle, Side
 from .errors import DegenerateTrimError, ZeroShareError
 
 LOG2 = float(np.log(2.0))
@@ -38,10 +38,6 @@ class GFamily:
     """Evaluators and derivatives for the softplus approximation family."""
 
     h: float
-
-    @classmethod
-    def from_config(cls, config: SmoothingConfig) -> "GFamily":
-        return cls(h=config.h)
 
     def __post_init__(self):
         if not self.h > 0:

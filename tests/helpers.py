@@ -7,7 +7,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from strata_bounds.data_model import NuisanceBundle, ObservationTable
-from strata_bounds.errors import EmptyCellError, EmptyTailError
+from strata_bounds.errors import EmptyTailError
 from strata_bounds.identification import SupportBounds
 
 
@@ -294,10 +294,8 @@ def direct_grid_bound(points, stratum, side, dominance):
 # per-row reference loops for the vectorized nuisance surfaces
 
 def _reference_cell(surface, d, key):
-    try:
-        return surface.cells[d][int(key)]
-    except KeyError:
-        raise EmptyCellError(f"no training rows in arm {d} for cell {key}")
+    """The row's training cell, or the arm-level surface when none."""
+    return surface.cells[d].get(int(key), surface.cells[d][-1])
 
 
 def reference_quantile(surface, x, d, u):

@@ -52,8 +52,8 @@ class TestEstimate:
         assert [rec["method"] for rec in payload] == ["sharp", "switch"]
         # identical library-side call: same learners, folds, and seed
         from strata_bounds.nuisance import CellSpec, LearnerSpec, crossfit
-        bundle = crossfit(table, LearnerSpec(kind="builtin", cells=CellSpec(),
-                                             folds=3, seed=11))
+        bundle = crossfit(table, LearnerSpec(cells=CellSpec(), folds=3,
+                                             seed=11))
         want = sb.estimate_sharp(table, bundle, sb.EstimationConfig())
         assert payload[0]["estimate_lower"] == want.lower
         assert payload[0]["estimate_upper"] == want.upper
@@ -121,6 +121,69 @@ class TestEstimate:
         payload = json.loads(out)
         groups = [rec["group"] for rec in payload if "group" in rec]
         assert sorted(groups) == [-1.0, 1.0]
+
+    def test_folds_default_and_config_file(self, capsys, tmp_path, sample_csv):
+        _, _, path = sample_csv
+        code, default_out, _ = run_cli(capsys, "estimate", path)
+        assert code == 0
+        _, explicit_out, _ = run_cli(capsys, "estimate", path, "--folds", "5")
+        assert default_out == explicit_out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"folds": 3}))
+        code, file_out, _ = run_cli(capsys, "estimate", path, "--config", str(cfg))
+        assert code == 0
+        _, flag_out, _ = run_cli(capsys, "estimate", path, "--folds", "3")
+        assert file_out == flag_out
+        assert file_out != default_out
+
+    @pytest.mark.parametrize("case", ["missing", "row_count", "grid_header"])
+    def test_bad_nuisance_file_exits_2(self, capsys, tmp_path, sample_csv, case):
+        _, table, path = sample_csv
+        npath = tmp_path / "nuis.csv"
+        n_rows = table.n - 1 if case == "row_count" else table.n
+        level = "bad" if case == "grid_header" else "0.5"
+        if case != "missing":
+            npath.write_text(f"m,s0,s1,q_0_u{level}\n"
+                             + "0.5,0.4,0.6,0.0\n" * n_rows)
+        code, out, err = run_cli(capsys, "estimate", path, "--nuisance-file",
+                                 str(npath))
+        assert code == 2 and out == ""
+        rec = json.loads(err.splitlines()[-1])
+        assert rec["error"] == ("FileNotFoundError" if case == "missing"
+                                else "ValueError")
+
+    def test_nan_nuisance_exits_2(self, capsys, tmp_path, sample_csv):
+        config, table, path = sample_csv
+        npath = tmp_path / "nuis.csv"
+        write_nuisance_csv(str(npath), table, sb.oracle_nuisances(config)(table),
+                           u_grid=np.linspace(0.1, 0.9, 9))
+        lines = npath.read_text().splitlines()
+        assert lines[0].startswith("m,s0,")
+        fields = lines[8].split(",")   # data row 7
+        fields[1] = "nan"
+        lines[8] = ",".join(fields)
+        npath.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "estimate", path, "--nuisance-file",
+                                 str(npath), "--nuisance-oracle")
+        assert code == 2 and out == ""
+        assert "s0 is not finite at row 7" in json.loads(err.splitlines()[-1])["message"]
+
+    @pytest.mark.parametrize("column,rule", [("x", "finite covariates"),
+                                             ("weight", "finite weights")])
+    def test_non_finite_input_exits_2(self, capsys, tmp_path, sample_csv,
+                                      column, rule):
+        _, table, _ = sample_csv
+        x, w = table.x.copy(), table.weight.copy()
+        if column == "x":
+            x[5, 1] = np.inf
+        else:
+            w[5] = np.nan
+        path = tmp_path / "bad.csv"
+        sb.ObservationTable(table.y, table.s, table.d, x, w).to_csv(str(path))
+        code, out, err = run_cli(capsys, "estimate", str(path))
+        assert code == 2 and out == ""
+        rec = json.loads(err.splitlines()[-1])
+        assert rec["error"] == "ValidationFailed" and rule in rec["message"]
 
 
 class TestSimulate:

@@ -47,6 +47,21 @@ class TestValidate:
         report = sb.validate(sb.ObservationTable(t.y, t.s, d, t.x, t.weight))
         assert "treatment binary" in report.failures
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariate_fails(self, value):
+        t = make_table(all_selected=True)
+        x = t.x.copy()
+        x[2, 1] = value
+        report = sb.validate(sb.ObservationTable(t.y, t.s, t.d, x, t.weight))
+        assert report.failures == ("finite covariates",)
+
+    def test_nan_weight_is_named(self):
+        t = make_table(all_selected=True)
+        w = t.weight.copy()
+        w[4] = np.nan
+        report = sb.validate(sb.ObservationTable(t.y, t.s, t.d, t.x, w))
+        assert report.failures == ("finite weights",)
+
 
 class TestClassifyPartition:
     def test_exact_equality_is_indifferent(self):
@@ -118,6 +133,15 @@ class TestNuisanceBundle:
         assert sb.NuisanceBundle(*args, provenance="oracle").default_eps0() == 0.0
         assert sb.NuisanceBundle(*args, provenance="cross_fitted").default_eps0() > 0
 
+    @pytest.mark.parametrize("column", ["m", "s0", "s1"])
+    def test_non_finite_probability_raises(self, column):
+        cols = {"m": np.full(4, 0.5), "s0": np.full(4, 0.4), "s1": np.full(4, 0.6)}
+        cols[column][2] = np.nan
+        with pytest.raises(ValueError, match=f"nuisance {column} .* row 2"):
+            sb.NuisanceBundle(cols["m"], cols["s0"], cols["s1"],
+                              lambda r, d, u: np.zeros(len(r)),
+                              lambda r, j, d, u: np.zeros(len(r)))
+
 
 class TestSentinel:
     def test_unselected_outcome_never_read(self):
@@ -146,11 +170,3 @@ class TestCsv:
         assert np.isnan(t.y[0]) and t.y[1] == 2.5
         with pytest.raises(ValueError):
             sb.ObservationTable.from_csv(io.StringIO("y,s,weight\n1,1,1\n"))
-
-
-class TestSmoothingConfig:
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            sb.SmoothingConfig(h=0.0)
-        with pytest.raises(ValueError):
-            sb.SmoothingConfig(h=0.1, family="spline")

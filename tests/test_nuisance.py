@@ -204,8 +204,9 @@ class TestEmptyTails:
         assert len(caplog.records) == 1
         assert "4 rows" in caplog.records[0].getMessage()
 
-    def test_strict_error_order_follows_rows(self):
-        # cell (0, 0) has an empty lower tail; no row falls in cell (1, 1)
+    def test_strict_empty_tail_raises_next_to_unseen_cell(self):
+        # cell (0, 0) has an empty lower tail; no training row falls in
+        # cell (1, 1), whose rows use the arm-level surface
         x_train = np.array([[0.0, 0.0]] * 3 + [[0.0, 1.0], [1.0, 0.0]])
         t = ObservationTable(y=np.arange(1.0, 6.0), s=np.ones(5, int),
                              d=np.ones(5, int), x=x_train,
@@ -213,11 +214,57 @@ class TestEmptyTails:
         surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0, 1),
                                               lenient_tails=False))
         u = np.full(2, 1e-13)
-        for x, first in (([[0.0, 0.0], [1.0, 1.0]], EmptyTailError),
-                         ([[1.0, 1.0], [0.0, 0.0]], EmptyCellError)):
+        for x in ([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]]):
             got = outcome(surf.trunc_mean, np.array(x), 1, 1, u)
-            assert got[0] is first
+            assert got[0] is EmptyTailError
             assert got == outcome(reference_trunc_mean, surf, np.array(x), 1, 1, u)
+
+
+class TestUnseenCells:
+    """A held-out row whose cell no training row of the arm fell in is
+    evaluated on the arm-level surface."""
+
+    def test_arm_level_surface_for_unseen_cell(self, caplog):
+        # levels 0 and 1 are seen in both columns, but never together as (1, 1)
+        x_train = np.array([[0.0, 0.0]] * 3 + [[0.0, 1.0], [1.0, 0.0]])
+        t = ObservationTable(y=np.array([1.0, 2.0, 3.0, 7.0, 9.0]),
+                             s=np.ones(5, int), d=np.ones(5, int), x=x_train,
+                             weight=np.array([1.0, 2.0, 1.0, 1.0, 0.5]))
+        surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0, 1)))
+        pooled = CellOutcomeSurface(t, CellSpec())
+        x = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        u = np.array([0.3, 0.3, 0.8])
+        unseen = [0, 2]
+
+        def evaluate(surface, j, x, u):
+            if j is None:
+                return surface.quantile(x, 1, u)
+            return surface.trunc_mean(x, j, 1, u)
+
+        for j in (None, 0, 1):
+            with caplog.at_level(logging.WARNING, logger="strata_bounds"):
+                caplog.clear()
+                got = evaluate(surf, j, x, u)
+            assert len(caplog.records) == 1
+            assert "2 rows" in caplog.records[0].getMessage()
+            assert got[unseen].tobytes() == \
+                evaluate(pooled, j, x[unseen], u[unseen]).tobytes()
+            assert got[1] == evaluate(surf, j, x[[1]], u[[1]])[0]
+            want = reference_quantile(surf, x, 1, u) if j is None \
+                else reference_trunc_mean(surf, x, j, 1, u)
+            assert got.tobytes() == want.tobytes()
+
+    def test_crossfit_draw_with_unseen_held_out_cell(self):
+        # a held-out row of this draw falls in a cell (x1 = -1, lowest x2
+        # bin) that no selected treated row of the other folds occupies
+        config = sb.DgpConfig(n=2000, shares=sb.PANEL_SHARES["b"], base_seed=5,
+                              replications=1)
+        t = sb.dgp_sample(config, 124)
+        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=3),
+                           folds=5, seed=1)
+        est = sb.estimate_sharp(t, crossfit(t, spec))
+        assert np.isfinite([est.lower, est.upper, est.se_lower,
+                            est.se_upper]).all()
 
 
 class TestCellKeys:
@@ -253,7 +300,7 @@ class TestFolds:
 class TestCrossfit:
     def test_same_seed_identical_bundle(self):
         t = simple_table(seed=9)
-        spec = LearnerSpec(kind="builtin", folds=3, seed=5)
+        spec = LearnerSpec(folds=3, seed=5)
         b1 = crossfit(t, spec)
         b2 = crossfit(t, spec)
         np.testing.assert_array_equal(b1.s0, b2.s0)
@@ -269,7 +316,7 @@ class TestCrossfit:
         t = simple_table(n=60, seed=2)
         y = t.y.copy()
         idx = int(np.flatnonzero((t.s == 1) & (t.d == 1))[0])
-        spec = LearnerSpec(kind="builtin", folds=3, seed=7)
+        spec = LearnerSpec(folds=3, seed=7)
         base = crossfit(t, spec)
         y2 = y.copy()
         y2[idx] = 1e6
@@ -281,19 +328,9 @@ class TestCrossfit:
         own_after = pert.trunc_mean(rows, 1, 1, u)[0]
         assert own_after == pytest.approx(own_before)
 
-    def test_oracle_learner_bypasses_folding(self):
-        config = sb.DgpConfig(n=500, shares=(0.5, 0.0, 0.5), replications=1)
-        t = sb.dgp_sample(config, 0)
-        factory = sb.oracle_nuisances(config)
-        spec = LearnerSpec(kind="oracle", oracle_factory=factory, folds=4)
-        b1 = crossfit(t, spec)
-        b2 = factory(t)
-        np.testing.assert_array_equal(b1.s0, b2.s0)
-
     def test_known_propensity_constant(self):
         t = simple_table(seed=11)
-        spec = LearnerSpec(kind="builtin", folds=2, seed=1,
-                           propensity_known=0.5)
+        spec = LearnerSpec(folds=2, seed=1, propensity_known=0.5)
         b = crossfit(t, spec)
         assert (b.m == 0.5).all()
 

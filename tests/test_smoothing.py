@@ -26,6 +26,11 @@ class TestGFamily:
         assert g1 < min(z, 1.0)
         assert min(z, 1.0) - g1 <= 0.15 * LOG2 + 1e-15
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan])
+    def test_h_not_positive_raises(self, h):
+        with pytest.raises(ValueError, match="h must be positive"):
+            GFamily(h=h)
+
     def test_mirror_identities(self):
         fam = GFamily(h=0.2)
         z = np.linspace(-4, 4, 101)
