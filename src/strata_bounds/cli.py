@@ -151,6 +151,8 @@ def cmd_estimate(args) -> int:
             results = _grouped(args, table, bundle, cfg, support, results)
     except StrataBoundsError as exc:
         return _fail(EXIT_ESTIMATION, type(exc).__name__, str(exc))
+    except ValueError as exc:
+        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
 
     payload = [r.to_dict() if hasattr(r, "to_dict") else r for r in results]
     side = str(resolved["side"]).lower()

@@ -378,6 +378,28 @@ def _interp_rows(xp, fp, x):
 _GRID_COL = re.compile(r"^(q|b)_(\d)(?:_(\d))?_u(.+)$")
 
 
+def _data_lines(fh):
+    """The lines after the header; a blank one is an error, where
+    ``np.loadtxt`` would skip it and shift every later row."""
+    for i, line in enumerate(fh):
+        if not line.strip():
+            raise ValueError(f"nuisance file has a blank line at row {i}")
+        yield line
+
+
+def _read_nuisance_csv(path):
+    """Header names and the float matrix of a nuisance CSV, parsed by
+    numpy's C reader. A field that is not a number (quotes and surrounding
+    spaces are allowed), a ragged row or a blank line is a ``ValueError``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError("nuisance file is empty")
+        data = np.loadtxt(_data_lines(fh), delimiter=",", quotechar='"',
+                          comments=None, ndmin=2, dtype=float)
+    return header, data
+
+
 def load_external_nuisances(path, table: ObservationTable,
                             provenance: str = "external") -> NuisanceBundle:
     """Bundle from a CSV of per-row predictions, row-aligned with the data.
@@ -387,16 +409,19 @@ def load_external_nuisances(path, table: ObservationTable,
     piecewise-linear in the level between grid points and clamped at the
     grid ends. Grid values are used as supplied: a quantile grid that
     decreases in the level is not monotonized.
+
+    Every field must be numeric: an empty or ``NA`` field, a ragged row or
+    a blank line raises ``ValueError``, as does a non-finite ``m``, ``s0``
+    or ``s1`` and a NaN grid value. Grid values of ``inf``/``-inf`` are
+    allowed (end-of-grid quantiles of an unbounded outcome).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) if v.strip() not in ("", "NA") else np.nan for v in row]
-                for row in reader]
-    data = np.asarray(rows, dtype=float)
+    header, data = _read_nuisance_csv(path)
     if data.shape[0] != table.n:
         raise ValueError(f"nuisance file has {data.shape[0]} rows, "
                          f"data has {table.n}")
+    if data.shape[1] != len(header):
+        raise ValueError(f"nuisance file rows have {data.shape[1]} fields, "
+                         f"its header has {len(header)}")
     cols = {name: j for j, name in enumerate(header)}
     for required in ("m", "s0", "s1"):
         if required not in cols:
@@ -404,24 +429,28 @@ def load_external_nuisances(path, table: ObservationTable,
 
     q_grids = {0: {}, 1: {}}
     b_grids = {(j, d): {} for j in (0, 1) for d in (0, 1)}
+    nan_cols = np.isnan(data).any(axis=0)
     for name, jcol in cols.items():
         match = _GRID_COL.match(name)
         if not match:
             continue
+        if nan_cols[jcol]:
+            row = np.flatnonzero(np.isnan(data[:, jcol]))[0]
+            raise ValueError(f"nuisance {name} is NaN at row {row}")
         kind, first, second, level = match.groups()
         u = float(level)
         if kind == "q":
-            q_grids[int(first)][u] = data[:, jcol]
+            q_grids[int(first)][u] = jcol
         else:
             if second is None:
                 raise ValueError(f"bad truncated-mean column {name!r}")
-            b_grids[(int(first), int(second))][u] = data[:, jcol]
+            b_grids[(int(first), int(second))][u] = jcol
 
     def make_interp(grid):
         if not grid:
             return None
         levels = np.array(sorted(grid))
-        values = np.column_stack([grid[u] for u in levels])
+        values = data[:, [grid[u] for u in levels]]
 
         def interp(rows_idx, u):
             return _interp_rows(levels, values[rows_idx], u)

@@ -1,7 +1,9 @@
 """Shared test machinery: closed-form outcome mixtures, a discrete design
 with exact conditional-moment enumeration, a discrete-grid process for
 brute-force bound checks, and per-row reference loops for the vectorized
-nuisance surfaces."""
+nuisance surfaces and the nuisance CSV reader."""
+
+import csv
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -361,3 +363,14 @@ def reference_interp(levels, values, u):
     for i in range(len(values)):
         out[i] = np.interp(u[i], levels, values[i])
     return out
+
+
+def reference_read_nuisance_csv(path):
+    """A nuisance CSV parsed one cell at a time with ``csv.reader`` and
+    ``float`` (an empty or ``NA`` field gives NaN here)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(v) if v.strip() not in ("", "NA") else np.nan for v in row]
+                for row in reader]
+    return header, np.asarray(rows, dtype=float)

@@ -136,21 +136,36 @@ class TestEstimate:
         assert file_out == flag_out
         assert file_out != default_out
 
-    @pytest.mark.parametrize("case", ["missing", "row_count", "grid_header"])
+    # data row 10 of a valid file replaced, and the message it must give
+    MALFORMED_ROWS = {
+        "empty": ("0.5,0.4,0.6,", "could not convert string ''"),
+        "NA": ("0.5,0.4,0.6,NA", "could not convert string 'NA'"),
+        "ragged": ("0.5,0.4,0.6", "number of columns changed"),
+        "hash": ("#0.5,0.4,0.6,0.0", "could not convert string '#0.5'"),
+        "blank": ("\n0.5,0.4,0.6,0.0", "blank line at row 10"),
+        "nan_grid": ("0.5,0.4,0.6,nan", "q_0_u0.5 is NaN at row 10"),
+    }
+
+    @pytest.mark.parametrize("case", ["missing", "row_count", "grid_header",
+                                      *MALFORMED_ROWS])
     def test_bad_nuisance_file_exits_2(self, capsys, tmp_path, sample_csv, case):
         _, table, path = sample_csv
         npath = tmp_path / "nuis.csv"
         n_rows = table.n - 1 if case == "row_count" else table.n
         level = "bad" if case == "grid_header" else "0.5"
         if case != "missing":
-            npath.write_text(f"m,s0,s1,q_0_u{level}\n"
-                             + "0.5,0.4,0.6,0.0\n" * n_rows)
+            rows = ["0.5,0.4,0.6,0.0"] * n_rows
+            if case in self.MALFORMED_ROWS:
+                rows[10] = self.MALFORMED_ROWS[case][0]
+            npath.write_text(f"m,s0,s1,q_0_u{level}\n" + "\n".join(rows) + "\n")
         code, out, err = run_cli(capsys, "estimate", path, "--nuisance-file",
                                  str(npath))
         assert code == 2 and out == ""
         rec = json.loads(err.splitlines()[-1])
         assert rec["error"] == ("FileNotFoundError" if case == "missing"
                                 else "ValueError")
+        if case in self.MALFORMED_ROWS:
+            assert self.MALFORMED_ROWS[case][1] in rec["message"]
 
     def test_nan_nuisance_exits_2(self, capsys, tmp_path, sample_csv):
         config, table, path = sample_csv
@@ -167,6 +182,23 @@ class TestEstimate:
                                  str(npath), "--nuisance-oracle")
         assert code == 2 and out == ""
         assert "s0 is not finite at row 7" in json.loads(err.splitlines()[-1])["message"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--method", "switch", "--rho", "abc"), "could not convert"),
+        (("--method", "smooth", "--h", "0"), "h must be positive"),
+        (("--method", "sharp", "--nuisance-file"), "no quantile grid"),
+    ], ids=["rho_abc", "h_zero", "no_grid"])
+    def test_estimator_value_error_exits_2(self, capsys, tmp_path, sample_csv,
+                                           argv, message):
+        _, table, path = sample_csv
+        if argv[-1] == "--nuisance-file":
+            npath = tmp_path / "nuis.csv"
+            npath.write_text("m,s0,s1\n" + "0.5,0.4,0.6\n" * table.n)
+            argv = argv + (str(npath),)
+        code, out, err = run_cli(capsys, "estimate", path, "--folds", "2", *argv)
+        assert code == 2 and out == ""
+        rec = json.loads(err.splitlines()[-1])
+        assert rec["error"] == "ValueError" and message in rec["message"]
 
     @pytest.mark.parametrize("column,rule", [("x", "finite covariates"),
                                              ("weight", "finite weights")])

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 import strata_bounds as sb
-from helpers import reference_interp, reference_quantile, reference_trunc_mean
+from helpers import (reference_interp, reference_quantile,
+                     reference_read_nuisance_csv, reference_trunc_mean)
 from strata_bounds.data_model import ObservationTable
 from strata_bounds.errors import EmptyCellError, EmptyTailError, SeparationWarning
 from strata_bounds.nuisance import (CellOutcomeSurface, CellSpec, LearnerSpec,
                                     crossfit, fit_selection, fold_assignments,
                                     load_external_nuisances, _CellIndex,
-                                    _interp_rows, _weighted_quantile)
+                                    _interp_rows, _read_nuisance_csv,
+                                    _weighted_quantile)
 
 
 def simple_table(n=200, seed=0, p=1):
@@ -402,6 +404,97 @@ class TestExternal:
         path = self._write(tmp_path, t, "m,s0", [[0.5, 0.4]] * 2)
         with pytest.raises(ValueError):
             load_external_nuisances(path, t)
+
+    @staticmethod
+    def _table(n):
+        return ObservationTable(y=np.ones(n), s=np.ones(n, int),
+                                d=np.zeros(n, int), x=np.zeros((n, 1)),
+                                weight=np.ones(n))
+
+    @staticmethod
+    def _grid_csv(path, rng, n):
+        """A seeded nuisance CSV written in mixed number spellings: repr,
+        padded with spaces, quoted, and exponent forms; some grid values
+        are infinite."""
+        levels = (0.1, 0.5, 0.9)
+        header = ["m", "s0", "s1"] + [f"q_{d}_u{u}" for d in (1, 0)
+                                      for u in levels]
+        header += [f"b_{j}_{d}_u{u}" for j in (0, 1) for d in (0, 1)
+                   for u in levels]
+        grids = np.column_stack([
+            np.sort(rng.normal(size=(n, 2, 3)) * 10.0 ** rng.integers(
+                -8, 8, size=(n, 2, 1)), axis=2).reshape(n, 6),
+            rng.normal(size=(n, 12)) * 1e3])
+        grids[rng.random(grids.shape) < 0.05] = np.inf
+        grids[0, 0], grids[-1, 5] = -np.inf, np.inf
+        values = np.column_stack([rng.uniform(0.2, 0.8, size=(n, 3)), grids])
+        spellings = [repr, lambda v: f" {v!r} ", lambda v: f'"{v!r}"',
+                     lambda v: f'" {v!r}"', lambda v: f"{v:.17e}",
+                     lambda v: f"{v:.17E}", lambda v: f"{v:+.3g}"]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in values.tolist():
+                fh.write(",".join(spellings[rng.integers(len(spellings))](v)
+                                  for v in row) + "\n")
+        return levels
+
+    @pytest.mark.parametrize("n", [1, 57])
+    def test_reader_byte_identical_to_reference(self, tmp_path, n):
+        path = str(tmp_path / "nuis.csv")
+        levels = self._grid_csv(path, np.random.default_rng(n), n)
+        header, data = _read_nuisance_csv(path)
+        ref_header, ref = reference_read_nuisance_csv(path)
+        assert header == ref_header
+        assert data.shape == ref.shape == (n, 21)
+        assert data.tobytes() == ref.tobytes()
+        assert np.isinf(data).any()
+        b = load_external_nuisances(path, self._table(n))
+        for name in ("m", "s0", "s1"):
+            assert getattr(b, name).tobytes() == \
+                ref[:, header.index(name)].tobytes()
+        rows = np.arange(n)
+        for u in levels:
+            got = b.quantile(rows, 1, np.full(n, u))
+            assert got.tobytes() == ref[:, header.index(f"q_1_u{u}")].tobytes()
+
+    @pytest.mark.parametrize("line,message", [
+        ("0.5,0.4,0.8,,3.0", "could not convert string ''"),
+        ("0.5,0.4,0.8,NA,3.0", "could not convert string 'NA'"),
+        ("0.5,0.4,0.8,1.0", "number of columns changed"),
+        ("#0.5,0.4,0.8,1.0,3.0", "could not convert string '#0.5'"),
+        ("", "blank line at row 2"),
+        ("0.5,0.4,0.8,1.0,nan", "q_1_u0.75 is NaN at row 2"),
+    ], ids=["empty", "NA", "ragged", "hash", "blank", "nan_grid"])
+    def test_malformed_field_is_hard_error(self, tmp_path, line, message):
+        lines = ["m,s0,s1,q_1_u0.25,q_1_u0.75"] + ["0.5,0.4,0.8,1.0,3.0"] * 6
+        if line:
+            lines[3] = line
+        else:
+            lines.insert(3, line)   # the six data rows stay
+        path = tmp_path / "nuis.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_external_nuisances(str(path), self._table(6))
+        assert message in str(err.value)
+
+    def test_first_nan_grid_column_and_row_named(self, tmp_path):
+        n = 5
+        grid = np.tile([1.0, 2.0, 3.0], (n, 1))
+        grid[4, 0] = grid[3, 2] = grid[1, 2] = np.nan
+        path = self._write(tmp_path, None, "m,s0,s1,q_0_u0.9,b_1_1_u0.1,q_0_u0.5",
+                           [[0.5, 0.4, 0.8, *g] for g in grid])
+        with pytest.raises(ValueError, match=r"q_0_u0\.9 is NaN at row 4"):
+            load_external_nuisances(path, self._table(n))
+
+    def test_header_and_row_widths_must_agree(self, tmp_path):
+        path = self._write(tmp_path, None, "m,s0,s1",
+                           [[0.5, 0.4, 0.8, 1.0]] * 3)
+        with pytest.raises(ValueError, match="4 fields, its header has 3"):
+            load_external_nuisances(path, self._table(3))
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ValueError, match="empty"):
+            load_external_nuisances(str(empty), self._table(3))
 
 
 class TestOracleFidelity:
