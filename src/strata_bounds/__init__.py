@@ -9,8 +9,7 @@ deterministic Monte Carlo harness for benchmarking them.
 __version__ = "0.1.0"
 
 from .data_model import (BoundsEstimate, NuisanceBundle, ObservationTable,
-                         PartitionLabel, Side, Stratum, StratumSpec,
-                         ValidationReport, classify_partition,
+                         Side, Stratum, StratumSpec, ValidationReport,
                          partition_labels, validate)
 from .errors import (AllTrimmedError, DegenerateTrimError, EmptyCellError,
                      EmptyTailError, PartitionError, SeparationWarning,
@@ -20,9 +19,8 @@ from .estimation import (EstimationConfig, default_rho, estimate_inefficient,
                          estimate_trim, heterogeneous_bounds, im_critical_value,
                          imbens_manski_interval, moment_rows, ratio_estimate,
                          smooth_ratio_estimate)
-from .identification import (SupportBounds, conditional_dominance_bound,
-                             conditional_sharp_bound, stratum_weight,
-                             unconditional_sharp_bound)
+from .identification import (SupportBounds, conditional_sharp_bound,
+                             stratum_weight, unconditional_sharp_bound)
 from .influence import (InfluenceRows, SmoothInfluenceRows,
                         degenerate_at_moments, efficiency_bound,
                         efficiency_gap, eif_regular, eif_smooth)

@@ -79,21 +79,44 @@ def _echo_resolved(resolved: dict):
                                 default=str) + "\n")
 
 
+class _Failure(Exception):
+    """An error already classified: its args are ``_fail``'s (code, kind,
+    message). ``main`` reports it."""
+
+
+def _load_input(args, seed, folds):
+    """Read and validate the CSV at ``args.data`` and build its nuisance
+    bundle (from ``--nuisance-file`` or by cross-fitting).
+
+    Raises ``_Failure``: exit 2 for unreadable or invalid input, exit 3
+    when the nuisances cannot be estimated from a valid sample.
+    """
+    try:
+        table = ObservationTable.from_csv(args.data, weights_col=args.weights_col)
+    except (OSError, ValueError) as exc:
+        raise _Failure(EXIT_INPUT, "InvalidData", str(exc))
+    report = validate(table)
+    if not report.ok:
+        raise _Failure(EXIT_INPUT, "ValidationFailed", "; ".join(report.messages))
+    try:
+        if args.nuisance_file:
+            provenance = "external_oracle" if args.nuisance_oracle else "external"
+            return table, load_external_nuisances(args.nuisance_file, table,
+                                                  provenance=provenance)
+        cells = CellSpec(discrete_cols=tuple(int(c) - 1 for c in
+                                             (args.cells_discrete or "").split(",")
+                                             if c.strip() != ""),
+                         n_bins=args.cells_bins)
+        spec = LearnerSpec(cells=cells, folds=int(folds), seed=int(seed))
+        return table, crossfit(table, spec)
+    except (OSError, ValueError) as exc:
+        raise _Failure(EXIT_INPUT, type(exc).__name__, str(exc))
+    except StrataBoundsError as exc:
+        raise _Failure(EXIT_ESTIMATION, type(exc).__name__, str(exc))
+
+
 # ---------------------------------------------------------------------------
 # estimate
-
-def _build_bundle(table, args, seed, folds):
-    if args.nuisance_file:
-        return load_external_nuisances(
-            args.nuisance_file, table,
-            provenance="external_oracle" if args.nuisance_oracle else "external")
-    cells = CellSpec(discrete_cols=tuple(int(c) - 1 for c in
-                                         (args.cells_discrete or "").split(",")
-                                         if c.strip() != ""),
-                     n_bins=args.cells_bins)
-    spec = LearnerSpec(cells=cells, folds=folds, seed=seed)
-    return crossfit(table, spec)
-
 
 def cmd_estimate(args) -> int:
     try:
@@ -105,21 +128,7 @@ def cmd_estimate(args) -> int:
                 "seed": 0, "eps_trim": None, "dominance": False}
     resolved = _resolve(args, file_cfg, defaults)
     _echo_resolved(resolved)
-    try:
-        table = ObservationTable.from_csv(args.data, weights_col=args.weights_col)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, "InvalidData", str(exc))
-    report = validate(table)
-    if not report.ok:
-        return _fail(EXIT_INPUT, "ValidationFailed", "; ".join(report.messages))
-
-    try:
-        bundle = _build_bundle(table, args, int(resolved["seed"]),
-                               int(resolved["folds"]))
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
-    except StrataBoundsError as exc:
-        return _fail(EXIT_ESTIMATION, type(exc).__name__, str(exc))
+    table, bundle = _load_input(args, resolved["seed"], resolved["folds"])
     try:
         support = SupportBounds.from_table(table)
         cfg = EstimationConfig(stratum=Stratum.parse(resolved["stratum"]),
@@ -192,7 +201,7 @@ def _grouped(args, table, bundle, cfg, support, results):
     by_group = heterogeneous_bounds(lo, hi, groups, table.weight,
                                     alpha=cfg.alpha, stratum=cfg.stratum.value)
     grouped = [dict(est.to_dict(), group=float(g)) for g, est in by_group.items()]
-    return [r for r in results] + grouped
+    return results + grouped
 
 
 def _human_table(payload):
@@ -254,36 +263,34 @@ def cmd_simulate(args) -> int:
 # bounds-curve
 
 def cmd_bounds_curve(args) -> int:
-    hs = args.h
-    if not hs:
+    if not args.h:
         return _fail(EXIT_INPUT, "EmptyGrid", "provide at least one h")
     try:
-        if args.data:
-            table = ObservationTable.from_csv(args.data,
-                                              weights_col=args.weights_col)
-            report = validate(table)
-            if not report.ok:
-                return _fail(EXIT_INPUT, "ValidationFailed",
-                             "; ".join(report.messages))
-            bundle = _build_bundle(table, args, args.seed or 0, args.folds)
-        else:
+        families = [GFamily(h=float(h)) for h in args.h]
+    except ValueError as exc:
+        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+    seed = args.seed or 0
+    if args.data:
+        table, bundle = _load_input(args, seed, args.folds)
+    else:
+        try:
             config = DgpConfig(n=args.dgp_n, shares=PANEL_SHARES[args.panel],
-                               base_seed=args.seed or 0, replications=1)
+                               base_seed=seed, replications=1)
             table = dgp_sample(config, 0)
             bundle = oracle_nuisances(config)(table)
-    except (OSError, ValueError, StrataBoundsError) as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+        except ValueError as exc:
+            return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
 
     cfg = EstimationConfig(alpha=args.alpha)
     rows = ["h,lower,upper,ci_effect_lo,ci_effect_hi,error"]
-    for h in hs:
+    for family in families:
         try:
-            est = estimate_smooth(table, bundle, GFamily(h=float(h)), cfg)
-            rows.append(",".join([repr(float(h)), repr(est.lower), repr(est.upper),
+            est = estimate_smooth(table, bundle, family, cfg)
+            rows.append(",".join([repr(family.h), repr(est.lower), repr(est.upper),
                                   repr(est.ci_effect[0]), repr(est.ci_effect[1]),
                                   ""]))
         except StrataBoundsError as exc:
-            rows.append(f"{h!r},,,,,{type(exc).__name__}")
+            rows.append(f"{family.h!r},,,,,{type(exc).__name__}")
     sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -357,7 +364,10 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as exc:
+        return _fail(*exc.args)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,10 @@ ORACLE_OVERLAP_FLOOR = 1e-12
 #: Tolerance for classifying a row as selection-indifferent when the
 #: probabilities are estimated rather than exact.
 DEFAULT_EPS0_ESTIMATED = 1e-12
+#: A stratum share (denominator moment) at or below this is treated as zero.
+SHARE_FLOOR = 1e-12
+#: Provenances whose probabilities are exact rather than estimated.
+_EXACT_PROVENANCES = ("oracle", "external_oracle")
 
 
 class Stratum(enum.Enum):
@@ -74,6 +78,8 @@ class StratumSpec:
 class ObservationTable:
     """Estimation sample: outcome, selection, treatment, covariates, weights.
 
+    ``x`` holds one row per observation, shape (n, p).
+
     ``y`` is only defined on rows with ``s == 1``; unselected rows carry a
     quiet-NaN sentinel which downstream formulas never read (every outcome
     term is multiplied by ``s``).
@@ -90,8 +96,6 @@ class ObservationTable:
         s = np.asarray(self.s, dtype=np.int8)
         d = np.asarray(self.d, dtype=np.int8)
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if x.shape[0] != y.shape[0] and x.shape[1] == y.shape[0]:
-            x = x.T
         w = np.ones_like(y) if self.weight is None else np.asarray(self.weight, dtype=float)
         for name, arr in (("y", y), ("s", s), ("d", d), ("x", x), ("weight", w)):
             object.__setattr__(self, name, arr)
@@ -232,37 +236,9 @@ def validate(table: ObservationTable) -> ValidationReport:
     return ValidationReport(ok=not failures, failures=tuple(failures), messages=tuple(msgs))
 
 
-@dataclass(frozen=True)
-class PartitionLabel:
-    """Classification of a covariate point by the sign of s1 - s0."""
-
-    label: int
-    p0: float
-    eps0: float
-
-
-def classify_partition(s0: float, s1: float, eps0: float = 0.0) -> PartitionLabel:
-    """Classify one point: indifferent when ``|s1 - s0| <= eps0``.
-
-    The label depends only on the sign of ``s1 - s0`` relative to ``eps0``,
-    never on magnitudes beyond that.
-    """
-    if not (0.0 < s0 < 1.0 and 0.0 < s1 < 1.0):
-        raise ValueError("selection probabilities must lie strictly in (0, 1)")
-    if eps0 < 0:
-        raise ValueError("eps0 must be nonnegative")
-    diff = s1 - s0
-    if abs(diff) <= eps0:
-        label = XZERO
-    elif diff > 0:
-        label = XPLUS
-    else:
-        label = XMINUS
-    return PartitionLabel(label=label, p0=s0 / s1, eps0=eps0)
-
-
 def partition_labels(s0: np.ndarray, s1: np.ndarray, eps0: float = 0.0) -> np.ndarray:
-    """Vectorized partition classification; returns int8 labels in {-1, 0, +1}."""
+    """Partition labels in {-1, 0, +1} (int8) by the sign of ``s1 - s0``;
+    a point is indifferent (0) when ``|s1 - s0| <= eps0``."""
     diff = np.asarray(s1, dtype=float) - np.asarray(s0, dtype=float)
     labels = np.where(np.abs(diff) <= eps0, XZERO, np.where(diff > 0, XPLUS, XMINUS))
     return labels.astype(np.int8)
@@ -273,44 +249,33 @@ class NuisanceBundle:
 
     Holds the treatment propensity ``m``, the conditional selection
     probabilities ``s0``/``s1`` (clamped once at assembly to the overlap
-    floors), plus evaluators for the conditional quantile and truncated-mean
-    surfaces. ``quantile(d, u)`` and ``trunc_mean(j, d, u)`` accept a row
-    index array and per-row ``u`` values; ``j=1`` means the mean of the
-    outcome below its ``u``-quantile, ``j=0`` the mean above it.
+    floor of the provenance), plus evaluators for the conditional quantile
+    and truncated-mean surfaces. ``quantile(d, u)`` and
+    ``trunc_mean(j, d, u)`` accept a row index array and per-row ``u``
+    values; ``j=1`` means the mean of the outcome below its ``u``-quantile,
+    ``j=0`` the mean above it.
     """
 
     def __init__(self, m, s0, s1, quantile_fn: Callable, trunc_mean_fn: Callable,
-                 provenance: str = "oracle", m_floor: Optional[float] = None,
-                 s_floor: Optional[float] = None):
-        is_oracle = provenance in ("oracle", "external_oracle")
-        if m_floor is None:
-            m_floor = ORACLE_OVERLAP_FLOOR if is_oracle else DEFAULT_OVERLAP_FLOOR
-        if s_floor is None:
-            s_floor = ORACLE_OVERLAP_FLOOR if is_oracle else DEFAULT_OVERLAP_FLOOR
-        if not (0.0 < m_floor < 0.5 and 0.0 < s_floor < 0.5):
-            raise ValueError("overlap floors must lie in (0, 1/2)")
-        m = np.asarray(m, dtype=float)
-        s0 = np.asarray(s0, dtype=float)
-        s1 = np.asarray(s1, dtype=float)
+                 provenance: str = "oracle"):
+        floor = (ORACLE_OVERLAP_FLOOR if provenance in _EXACT_PROVENANCES
+                 else DEFAULT_OVERLAP_FLOOR)
+        m, s0, s1 = (np.asarray(arr, dtype=float) for arr in (m, s0, s1))
         for name, arr in (("m", m), ("s0", s0), ("s1", s1)):
             bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:
                 raise ValueError(f"nuisance {name} is not finite at row {bad[0]}")
-        clamped = int(((m < m_floor) | (m > 1 - m_floor)).sum()
-                      + ((s0 < s_floor) | (s0 > 1 - s_floor)).sum()
-                      + ((s1 < s_floor) | (s1 > 1 - s_floor)).sum())
+        clamped = int(sum(((arr < floor) | (arr > 1 - floor)).sum()
+                          for arr in (m, s0, s1)))
         if clamped:
             logger.info("clamped %d nuisance values to the overlap floors", clamped)
-        self.m = np.clip(m, m_floor, 1 - m_floor)
-        self.s0 = np.clip(s0, s_floor, 1 - s_floor)
-        self.s1 = np.clip(s1, s_floor, 1 - s_floor)
+        self.m, self.s0, self.s1 = (np.clip(arr, floor, 1 - floor)
+                                    for arr in (m, s0, s1))
         for arr in (self.m, self.s0, self.s1):
             arr.setflags(write=False)
         self._quantile_fn = quantile_fn
         self._trunc_mean_fn = trunc_mean_fn
         self.provenance = provenance
-        self.m_floor = m_floor
-        self.s_floor = s_floor
         self.n_clamped = clamped
 
     @property
@@ -322,14 +287,12 @@ class NuisanceBundle:
         return self.s0 / self.s1
 
     def default_eps0(self) -> float:
-        if self.provenance in ("oracle", "external_oracle"):
+        if self.provenance in _EXACT_PROVENANCES:
             return 0.0
         return DEFAULT_EPS0_ESTIMATED
 
-    def labels(self, eps0: Optional[float] = None) -> np.ndarray:
-        if eps0 is None:
-            eps0 = self.default_eps0()
-        return partition_labels(self.s0, self.s1, eps0)
+    def labels(self) -> np.ndarray:
+        return partition_labels(self.s0, self.s1, self.default_eps0())
 
     def quantile(self, rows: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
         """q_d(u_i, x_i) for each row index i, with u clipped to [0, 1]."""
@@ -349,7 +312,7 @@ class NuisanceBundle:
     def _derive(self, m, s0, s1, quantile_fn: Callable,
                 trunc_mean_fn: Callable) -> "NuisanceBundle":
         """Bundle with already clamped probabilities and new evaluators that
-        keeps this bundle's provenance, floors and clamp count."""
+        keeps this bundle's provenance and clamp count."""
         out = NuisanceBundle.__new__(NuisanceBundle)
         out.m, out.s0, out.s1 = m, s0, s1
         for arr in (m, s0, s1):
@@ -357,7 +320,6 @@ class NuisanceBundle:
         out._quantile_fn = quantile_fn
         out._trunc_mean_fn = trunc_mean_fn
         out.provenance = self.provenance
-        out.m_floor, out.s_floor = self.m_floor, self.s_floor
         out.n_clamped = self.n_clamped
         return out
 

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .data_model import (BoundsEstimate, NuisanceBundle, ObservationTable,
-                         Side, Stratum, StratumSpec, XZERO)
+from .data_model import (SHARE_FLOOR, BoundsEstimate, NuisanceBundle,
+                         ObservationTable, Side, Stratum, StratumSpec, XZERO)
 from .errors import AllTrimmedError, PartitionError, ZeroShareError
 from .identification import (SupportBounds, conditional_sharp_bound,
                              stratum_weight)
@@ -34,7 +34,7 @@ def default_rho(n: int) -> float:
     return n ** (-0.25) / math.log(n)
 
 
-def ratio_estimate(psi_b, psi_s, weights, share_floor: float = 1e-12):
+def ratio_estimate(psi_b, psi_s, weights):
     """Solve the linear moment equation; returns (estimate, standard error).
 
     The estimate is the ratio of weighted means; the standard error comes
@@ -46,7 +46,7 @@ def ratio_estimate(psi_b, psi_s, weights, share_floor: float = 1e-12):
     w = np.asarray(weights, dtype=float)
     wn = w / w.sum()
     den = float(np.dot(wn, psi_s))
-    if den <= share_floor:
+    if den <= SHARE_FLOOR:
         raise ZeroShareError(f"share moment mean {den:.3e} at or below floor")
     beta = float(np.dot(wn, psi_b)) / den
     resid = psi_b - beta * psi_s
@@ -54,8 +54,7 @@ def ratio_estimate(psi_b, psi_s, weights, share_floor: float = 1e-12):
     return beta, se
 
 
-def im_critical_value(delta: float, se: float, alpha: float = 0.05,
-                      tol: float = 1e-10) -> float:
+def im_critical_value(delta: float, se: float, alpha: float = 0.05) -> float:
     """Critical value interpolating one- and two-sided coverage.
 
     Solves ``Phi(C + delta/se) - Phi(-C) = 1 - alpha`` by bisection on
@@ -77,7 +76,7 @@ def im_critical_value(delta: float, se: float, alpha: float = 0.05,
         return 0.0
     if f(z_two) <= 0.0:  # point-identified limit: the root sits at the end
         return z_two
-    return float(brentq(f, 0.0, z_two, xtol=tol))
+    return float(brentq(f, 0.0, z_two, xtol=1e-10))
 
 
 def _effect_interval(lower, upper, se_lower, se_upper, alpha):
@@ -150,10 +149,8 @@ class EstimationConfig:
 
     stratum: Stratum = Stratum.AT
     alpha: float = 0.05
-    eps0: Optional[float] = None
     dominance: bool = False
     inefficient: bool = False
-    share_floor: float = 1e-12
 
     def spec(self, side: Side) -> StratumSpec:
         return StratumSpec(self.stratum, side, self.dominance)
@@ -166,7 +163,7 @@ def moment_rows(table: ObservationTable, bundle: NuisanceBundle, side,
     monotone partitions, the point-identified limit on indifferent rows."""
     if support is None:
         support = SupportBounds.from_table(table)
-    labels = bundle.labels(config.eps0)
+    labels = bundle.labels()
     mask = labels == XZERO
     return _regular_rows(table, bundle, labels, config.spec(Side.parse(side)),
                          support, config.inefficient, mask)
@@ -200,22 +197,18 @@ def estimate_sharp(table: ObservationTable, bundle: NuisanceBundle,
 
         def plug_in(side):
             beta_x = conditional_sharp_bound(bundle, config.spec(side), support)
-            return ratio_estimate(beta_x * w_nt, w_nt, table.weight,
-                                  config.share_floor)
+            return ratio_estimate(beta_x * w_nt, w_nt, table.weight)
 
         return _estimate(plug_in, "sharp", table.n, config,
                          diagnostics={"plug_in": True})
-    labels = bundle.labels(config.eps0)
-    mask = labels == XZERO
 
     def side_estimate(side):
-        rows = _regular_rows(table, bundle, labels, config.spec(side), support,
-                             config.inefficient, mask)
-        return ratio_estimate(rows.psi_b, rows.psi_s, table.weight,
-                              config.share_floor)
+        rows = moment_rows(table, bundle, side, config, support)
+        return ratio_estimate(rows.psi_b, rows.psi_s, table.weight)
 
     method = "inefficient_known_ps" if config.inefficient else "sharp"
-    diags = {"share_xzero": float(mask.mean()), "n_clamped": bundle.n_clamped}
+    diags = {"share_xzero": float((bundle.labels() == XZERO).mean()),
+             "n_clamped": bundle.n_clamped}
     return _estimate(side_estimate, method, table.n, config, diagnostics=diags)
 
 
@@ -245,7 +238,7 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
     """
     if support is None:
         support = SupportBounds.from_table(table)
-    labels = bundle.labels(config.eps0)
+    labels = bundle.labels()
     band = labels == XZERO
     if eps_trim is not None:
         band = band | (np.abs(bundle.p0 - 1.0) <= eps_trim)
@@ -264,8 +257,7 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
             rows = eif_regular(sub_table, sub_bundle, sub_labels,
                                config.spec(side), support,
                                inefficient=config.inefficient)
-            return ratio_estimate(rows.psi_b, rows.psi_s, sub_table.weight,
-                                  config.share_floor)
+            return ratio_estimate(rows.psi_b, rows.psi_s, sub_table.weight)
     elif variant == "retain":
         w = table.weight
         wn_all = w / w.sum()
@@ -276,7 +268,7 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
             rows = _regular_rows(table, bundle, labels, config.spec(side),
                                  support, config.inefficient, band)
             den = float(np.dot(wn_all, rows.psi_s))
-            if den <= config.share_floor:
+            if den <= SHARE_FLOOR:
                 raise ZeroShareError("share moment at or below floor")
             beta = float(np.dot(wn_all, rows.psi_b)) / den
             resid = rows.psi_b - beta * rows.psi_s
@@ -296,20 +288,19 @@ def estimate_switch(table: ObservationTable, bundle: NuisanceBundle,
     if rho == "auto":
         rho = default_rho(table.n)
     rho = float(rho)
-    labels = bundle.labels(config.eps0)
+    labels = bundle.labels()
     band = (labels == XZERO) | (np.abs(bundle.p0 - 1.0) <= rho)
 
     def side_estimate(side):
         rows = _regular_rows(table, bundle, labels, config.spec(side), support,
                              config.inefficient, band)
-        return ratio_estimate(rows.psi_b, rows.psi_s, table.weight,
-                              config.share_floor)
+        return ratio_estimate(rows.psi_b, rows.psi_s, table.weight)
 
     diags = {"rho": rho, "share_switched": float(band.mean())}
     return _estimate(side_estimate, "switch", table.n, config, diagnostics=diags)
 
 
-def smooth_ratio_estimate(rows, weights, share_floor: float = 1e-12):
+def smooth_ratio_estimate(rows, weights):
     """Sum of two moment ratios with the joint delta-method standard error.
 
     The four per-row components share observations, so the variance uses
@@ -319,7 +310,7 @@ def smooth_ratio_estimate(rows, weights, share_floor: float = 1e-12):
     wn = w / w.sum()
     den_p = float(np.dot(wn, rows.psi_s_plus))
     den_m = float(np.dot(wn, rows.psi_s_minus))
-    if min(den_p, den_m) <= share_floor:
+    if min(den_p, den_m) <= SHARE_FLOOR:
         raise ZeroShareError("smoothed share moment at or below floor")
     beta_p = float(np.dot(wn, rows.psi_b_plus)) / den_p
     beta_m = float(np.dot(wn, rows.psi_b_minus)) / den_m
@@ -339,19 +330,20 @@ def estimate_smooth(table: ObservationTable, bundle: NuisanceBundle,
 
     def side_estimate(side):
         return smooth_ratio_estimate(eif_smooth(table, bundle, family, side),
-                                     table.weight, config.share_floor)
+                                     table.weight)
 
     return _estimate(side_estimate, "smooth", table.n, config, h=family.h)
 
 
 def heterogeneous_bounds(lower_rows: InfluenceRows, upper_rows: InfluenceRows,
                          groups, weights, alpha: float = 0.05,
-                         method: str = "sharp", stratum: str = "at",
-                         share_floor: float = 1e-12) -> dict:
+                         stratum: str = "at") -> dict:
     """Subgroup bounds by aggregating moment rows within covariate groups.
 
     Group ratios recombine to the unconditional estimate with weights
-    proportional to each group's share-moment mass.
+    proportional to each group's share-moment mass. The rows are sharp
+    moments (see ``moment_rows``), so every group estimate is labelled
+    ``sharp``.
     """
     groups = np.asarray(groups)
     weights = np.asarray(weights, dtype=float)
@@ -361,10 +353,10 @@ def heterogeneous_bounds(lower_rows: InfluenceRows, upper_rows: InfluenceRows,
         if not mask.any():
             continue
         lo, se_lo = ratio_estimate(lower_rows.psi_b[mask], lower_rows.psi_s[mask],
-                                   weights[mask], share_floor)
+                                   weights[mask])
         hi, se_hi = ratio_estimate(upper_rows.psi_b[mask], upper_rows.psi_s[mask],
-                                   weights[mask], share_floor)
-        out[gval] = _package(lo, se_lo, hi, se_hi, method, int(mask.sum()),
+                                   weights[mask])
+        out[gval] = _package(lo, se_lo, hi, se_hi, "sharp", int(mask.sum()),
                              alpha, stratum, diagnostics={"group": gval})
     return out
 

@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import (NuisanceBundle, ObservationTable, Side, Stratum,
-                         StratumSpec)
+from .data_model import (SHARE_FLOOR, NuisanceBundle, ObservationTable, Side,
+                         Stratum, StratumSpec)
 from .errors import ZeroShareError
 
 
@@ -117,17 +117,16 @@ def _edge_trunc_mean(bundle, rows, j, d, u, support: SupportBounds):
 
 
 def conditional_sharp_bound(bundle: NuisanceBundle, spec: StratumSpec,
-                            support: SupportBounds, rows=None) -> np.ndarray:
-    """Per-row sharp (or mean-dominance) bound for the requested stratum.
+                            support: SupportBounds) -> np.ndarray:
+    """Per-row sharp bound for the requested stratum, refined by mean
+    dominance (intensive over extensive margin) when ``spec.dominance``.
 
     Results can be non-finite where they depend on infinite support limits;
     those rows are flagged by the value itself rather than an exception
     (zero-weight strata make the product well-defined downstream).
     """
-    if rows is None:
-        rows = bundle.all_rows()
-    rows = np.asarray(rows)
-    p0 = bundle.p0[rows]
+    rows = bundle.all_rows()
+    p0 = bundle.p0
     u1, r0 = _trim_levels(p0)   # treated-arm keep-mass, control-arm keep-mass
     st, side, dom = spec.stratum, spec.side, spec.dominance
 
@@ -164,16 +163,9 @@ def conditional_sharp_bound(bundle: NuisanceBundle, spec: StratumSpec,
     raise ValueError(st)
 
 
-def conditional_dominance_bound(bundle: NuisanceBundle, spec: StratumSpec,
-                                support: SupportBounds, rows=None) -> np.ndarray:
-    """Sharp bound refined by mean dominance (intensive over extensive margin)."""
-    spec = StratumSpec(spec.stratum, spec.side, dominance=True)
-    return conditional_sharp_bound(bundle, spec, support, rows=rows)
-
-
 def unconditional_sharp_bound(table: ObservationTable, bundle: NuisanceBundle,
-                              spec: StratumSpec, support: Optional[SupportBounds] = None,
-                              share_floor: float = 1e-12) -> float:
+                              spec: StratumSpec,
+                              support: Optional[SupportBounds] = None) -> float:
     """Weight-normalized aggregation of conditional bounds over the stratum.
 
     Rows with zero stratum weight contribute exactly zero even when their
@@ -186,7 +178,7 @@ def unconditional_sharp_bound(table: ObservationTable, bundle: NuisanceBundle,
     beta_x = conditional_sharp_bound(bundle, spec, support)
     num_terms = np.where(g > 0, beta_x * g, 0.0)
     denom = float((w * g).sum() / w.sum())
-    if denom <= share_floor:
+    if denom <= SHARE_FLOOR:
         raise ZeroShareError(
-            f"stratum share {denom:.3e} at or below floor {share_floor:.1e}")
+            f"stratum share {denom:.3e} at or below floor {SHARE_FLOOR:.1e}")
     return float((w * num_terms).sum() / w.sum()) / denom

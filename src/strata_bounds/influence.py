@@ -60,15 +60,6 @@ def _ipw_pieces(table: ObservationTable, bundle: NuisanceBundle):
     return yy, d, ipw1, ipw0, c0, c1
 
 
-def _check_labels(labels, allow_xzero: bool):
-    labels = np.asarray(labels)
-    if not allow_xzero and (labels == XZERO).any():
-        raise PartitionError(
-            "regular moments are undefined on selection-indifferent rows; "
-            "trim, switch, or smooth before evaluating")
-    return labels
-
-
 def _at_moments(table, bundle, labels, side: Side, inefficient: bool,
                 dominance: bool) -> InfluenceRows:
     yy, d, ipw1, ipw0, c0, c1 = _ipw_pieces(table, bundle)
@@ -227,7 +218,7 @@ def _cm_moments(table, bundle, labels, stratum: Stratum,
 
 def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
                 spec: StratumSpec, support: Optional[SupportBounds] = None,
-                inefficient: bool = False, allow_xzero: bool = False) -> InfluenceRows:
+                inefficient: bool = False) -> InfluenceRows:
     """Moment rows for a sharp bound on the requested stratum and side.
 
     Mirrored cases reduce to the directly assembled ones through outcome
@@ -235,7 +226,11 @@ def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
     compliers and defiers); both transforms are exact under a continuous
     outcome distribution.
     """
-    labels = _check_labels(labels, allow_xzero)
+    labels = np.asarray(labels)
+    if (labels == XZERO).any():
+        raise PartitionError(
+            "regular moments are undefined on selection-indifferent rows; "
+            "trim, switch, or smooth before evaluating")
     if support is None:
         support = SupportBounds.from_table(table)
     st, side = spec.stratum, spec.side
@@ -253,7 +248,7 @@ def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
             return _cm_moments(table, bundle, labels, st, support, spec.dominance)
         neg = eif_regular(table.with_negated_outcome(), bundle.with_negated_outcome(),
                           labels, StratumSpec(st, Side.L, spec.dominance),
-                          support.with_negated_outcome(), allow_xzero=allow_xzero)
+                          support.with_negated_outcome())
         return neg.negated_numerator()
     if st is Stratum.DEF:
         swapped = (table.with_swapped_arms(), bundle.with_swapped_arms(),

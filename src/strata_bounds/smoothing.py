@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .data_model import NuisanceBundle, Side
+from .data_model import SHARE_FLOOR, NuisanceBundle, Side
 from .errors import DegenerateTrimError, ZeroShareError
 
 LOG2 = float(np.log(2.0))
@@ -99,7 +99,7 @@ def _smooth_trim_levels(family: GFamily, p0: np.ndarray, strict: bool = True):
 
 
 def smooth_conditional_bound(bundle: NuisanceBundle, side, family: GFamily,
-                             rows=None, strict: bool = True) -> np.ndarray:
+                             strict: bool = True) -> np.ndarray:
     """Per-row smoothed conditional bound for the always-taker effect.
 
     The lower side trims each arm slightly deeper than the sharp bound
@@ -107,11 +107,8 @@ def smooth_conditional_bound(bundle: NuisanceBundle, side, family: GFamily,
     conditional bound from outside for every h.
     """
     side = Side.parse(side)
-    if rows is None:
-        rows = bundle.all_rows()
-    rows = np.asarray(rows)
-    p0 = bundle.p0[rows]
-    u1, u0 = _smooth_trim_levels(family, p0, strict=strict)
+    rows = bundle.all_rows()
+    u1, u0 = _smooth_trim_levels(family, bundle.p0, strict=strict)
     if side is Side.L:
         b1 = bundle.trunc_mean(rows, 1, 1, u1)
         b0 = bundle.trunc_mean(rows, 0, 0, 1.0 - u0)
@@ -122,7 +119,7 @@ def smooth_conditional_bound(bundle: NuisanceBundle, side, family: GFamily,
 
 
 def smooth_unconditional_bound(table, bundle: NuisanceBundle, side,
-                               family: GFamily, share_floor: float = 1e-12) -> float:
+                               family: GFamily) -> float:
     """Weight-normalized smoothed outer bound for the always-taker effect.
 
     Plug-in evaluation of the population formula; the orthogonalized
@@ -137,7 +134,7 @@ def smooth_unconditional_bound(table, bundle: NuisanceBundle, side,
     g = family.g
     den_a = float((w * g(3, p0) * s1).sum() / wsum)
     den_b = float((w * g(1, p0) * s1).sum() / wsum)
-    if min(den_a, den_b) <= share_floor:
+    if min(den_a, den_b) <= SHARE_FLOOR:
         raise ZeroShareError("smoothed share denominator at or below floor")
     if side is Side.L:
         num_a = float((w * g(4, beta_h) * g(1, p0) * s1).sum() / wsum)
@@ -156,8 +153,4 @@ def approximation_error_curve(design, side, h_grid: Sequence[float]):
     """
     side = Side.parse(side)
     sharp = design.sharp_bound(side)
-    out = []
-    for h in h_grid:
-        smooth = design.smooth_bound(side, h)
-        out.append((float(h), abs(smooth - sharp)))
-    return out
+    return [(float(h), abs(design.smooth_bound(side, h) - sharp)) for h in h_grid]

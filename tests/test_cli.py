@@ -288,6 +288,56 @@ class TestBoundsCurve:
         assert code == 2
         assert json.loads(err.splitlines()[-1])["error"] == "EmptyGrid"
 
+    def test_invalid_h_exits_2_before_any_row(self, capsys):
+        code, out, err = run_cli(capsys, "bounds-curve", "--dgp-n", "400",
+                                 "--h", "0.05,0")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[-1])["error"] == "ValueError"
+
+    def test_data_file_matches_estimate(self, capsys, sample_csv):
+        config, table, path = sample_csv
+        flags = ("--h", "0.05", "--seed", "11", "--folds", "3")
+        code, out, _ = run_cli(capsys, "bounds-curve", "--data", path, *flags)
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        code, est_out, _ = run_cli(capsys, "estimate", path, "--method",
+                                   "smooth", *flags)
+        assert code == 0
+        rec = json.loads(est_out)[0]
+        assert float(row[1]) == rec["estimate_lower"]
+        assert float(row[2]) == rec["estimate_upper"]
+        assert row[5] == ""
+
+
+def _no_control_rows(table, path):
+    sb.ObservationTable(table.y, table.s, np.ones(table.n, int), table.x,
+                        table.weight).to_csv(str(path))
+
+
+def _unparsable_y(table, path):
+    table.to_csv(str(path))
+    lines = path.read_text().splitlines()
+    i = next(k for k in range(1, len(lines)) if lines[k].split(",")[0] != "")
+    lines[i] = "abc" + lines[i][lines[i].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", ["estimate", "bounds-curve"])
+@pytest.mark.parametrize("write, code, kind", [
+    (_no_control_rows, 3, "EmptyCellError"),
+    (_unparsable_y, 2, "InvalidData"),
+], ids=["no_control_rows", "unparsable_y"])
+def test_bad_input_same_for_both_commands(capsys, tmp_path, sample_csv,
+                                          command, write, code, kind):
+    config, table, _ = sample_csv
+    path = tmp_path / "bad.csv"
+    write(table, path)
+    data = [str(path)] if command == "estimate" else ["--data", str(path)]
+    got, _, err = run_cli(capsys, command, *data, "--h", "0.05", "--folds", "3")
+    assert got == code
+    assert json.loads(err.splitlines()[-1])["error"] == kind
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import strata_bounds as sb
-from strata_bounds.data_model import (XMINUS, XPLUS, XZERO, classify_partition,
-                                      partition_labels)
+from strata_bounds.data_model import XMINUS, XPLUS, XZERO, partition_labels
 
 
 def make_table(n=12, seed=0, all_selected=False):
@@ -16,6 +15,14 @@ def make_table(n=12, seed=0, all_selected=False):
     y = np.where(s == 1, rng.normal(size=n), np.nan)
     x = rng.normal(size=(n, 2))
     return sb.ObservationTable(y=y, s=s, d=d, x=x, weight=np.ones(n))
+
+
+class TestObservationTable:
+    def test_covariates_laid_out_by_column_are_rejected(self):
+        # x must be (n, p); a (p, n) array is not transposed behind the caller
+        t = make_table()
+        with pytest.raises(ValueError, match="column lengths differ"):
+            sb.ObservationTable(t.y, t.s, t.d, t.x.T, t.weight)
 
 
 class TestValidate:
@@ -64,36 +71,31 @@ class TestValidate:
 
 
 class TestClassifyPartition:
+    """Partition classification through ``partition_labels``."""
+
     def test_exact_equality_is_indifferent(self):
-        lab = classify_partition(0.5, 0.5, 0.0)
-        assert lab.label == XZERO and lab.p0 == 1.0
+        assert partition_labels([0.5], [0.5], 0.0)[0] == XZERO
 
     def test_benchmark_point_is_positive(self):
         from scipy.special import ndtr
-        lab = classify_partition(float(ndtr(0.3)), float(ndtr(1.3)), 1e-12)
-        assert lab.label == XPLUS
+        assert partition_labels([ndtr(0.3)], [ndtr(1.3)], 1e-12)[0] == XPLUS
 
     def test_within_tolerance_is_indifferent(self):
-        assert classify_partition(0.6, 0.5999999, 1e-6).label == XZERO
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            classify_partition(0.0, 0.5)
-        with pytest.raises(ValueError):
-            classify_partition(0.5, 0.5, eps0=-1.0)
+        assert partition_labels([0.6], [0.5999999], 1e-6)[0] == XZERO
 
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
-           st.floats(0.0, 0.1), st.floats(0.1, 10.0))
+           st.floats(0.0, 0.1), st.sampled_from((0.25, 0.5, 2.0, 4.0)))
     def test_scale_consistency(self, s0, s1, eps0, scale):
-        # the label depends only on sign(s1 - s0) relative to eps0
-        lab = classify_partition(s0, s1, eps0)
+        # the label depends only on sign(s1 - s0) relative to eps0; a
+        # power-of-two rescaling of all three is exact, so it keeps the label
+        label = partition_labels([s0], [s1], eps0)[0]
         if abs(s1 - s0) <= eps0:
-            assert lab.label == XZERO
+            assert label == XZERO
         elif s1 > s0:
-            assert lab.label == XPLUS
+            assert label == XPLUS
         else:
-            assert lab.label == XMINUS
-        assert lab.p0 > 0
+            assert label == XMINUS
+        assert partition_labels([scale * s0], [scale * s1], scale * eps0)[0] == label
 
     def test_labels_partition_the_sample(self):
         rng = np.random.default_rng(1)

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 import strata_bounds as sb
-from strata_bounds.data_model import NuisanceBundle, ObservationTable
+from strata_bounds.data_model import (SHARE_FLOOR, NuisanceBundle,
+                                      ObservationTable)
 from strata_bounds.errors import (AllTrimmedError, PartitionError,
                                   ZeroShareError)
 from strata_bounds.estimation import (EstimationConfig, default_rho,
@@ -12,8 +13,9 @@ from strata_bounds.estimation import (EstimationConfig, default_rho,
                                       estimate_smooth, estimate_switch,
                                       estimate_trim, heterogeneous_bounds,
                                       im_critical_value, imbens_manski_interval,
-                                      ratio_estimate)
-from strata_bounds.influence import eif_regular
+                                      ratio_estimate, smooth_ratio_estimate)
+from strata_bounds.influence import (InfluenceRows, SmoothInfluenceRows,
+                                     eif_regular)
 from strata_bounds.smoothing import GFamily
 
 from helpers import Pieces
@@ -97,6 +99,78 @@ def oracle_setup(shares=(0.5, 0.0, 0.5), n=4000, seed=8):
     bundle = sb.oracle_nuisances(config)(table)
     support = sb.oracle_support(config, table)
     return config, table, bundle, support
+
+
+def _unselected_sample(n=4):
+    """Nobody is ever selected: the selection probabilities clamp to the
+    oracle overlap floor, so every stratum share but the never-takers' is
+    zero up to that floor."""
+    table = ObservationTable(y=np.full(n, np.nan), s=np.zeros(n, int),
+                             d=np.arange(n) % 2, x=np.zeros((n, 1)),
+                             weight=np.ones(n))
+    bundle = NuisanceBundle(np.full(n, 0.5), np.zeros(n), np.zeros(n),
+                            lambda r, d, u: np.zeros(len(r)),
+                            lambda r, j, d, u: np.zeros(len(r)),
+                            provenance="oracle")
+    return table, bundle
+
+
+def _ratio_at(share):
+    # two rows with weight 1/2 each: the share mean is exactly ``share``
+    return ratio_estimate(np.ones(2), np.full(2, share), np.ones(2))
+
+
+def _smooth_ratio_at(share):
+    psi_s = np.full(2, share)
+    rows = SmoothInfluenceRows(np.ones(2), psi_s, np.ones(2), psi_s)
+    return smooth_ratio_estimate(rows, np.ones(2))
+
+
+def _trim_retain_zero_share():
+    # every row on the negative partition: no complier mass anywhere, and
+    # no selection-indifferent row, so nothing is trimmed
+    config, table, bundle, support = oracle_setup(shares=(0.0, 0.0, 1.0),
+                                                  n=200)
+    estimate_trim(table, bundle, EstimationConfig(stratum=sb.Stratum.C),
+                  variant="retain", support=support)
+
+
+def _heterogeneous_zero_share():
+    rows = InfluenceRows(psi_b=np.ones(4), psi_s=np.zeros(4))
+    heterogeneous_bounds(rows, rows, np.zeros(4), np.ones(4))
+
+
+def _unconditional_zero_share():
+    table, bundle = _unselected_sample()
+    sb.unconditional_sharp_bound(table, bundle, sb.StratumSpec("at", "l"))
+
+
+def _smooth_unconditional_zero_share():
+    table, bundle = _unselected_sample()
+    sb.smooth_unconditional_bound(table, bundle, "l", GFamily(h=0.05))
+
+
+# entry point -> (call, whether it takes the share mean as an argument)
+_SHARE_FLOOR_CASES = {
+    "ratio_estimate": (_ratio_at, True),
+    "smooth_ratio_estimate": (_smooth_ratio_at, True),
+    "estimate_trim_retain": (_trim_retain_zero_share, False),
+    "heterogeneous_bounds": (_heterogeneous_zero_share, False),
+    "unconditional_sharp_bound": (_unconditional_zero_share, False),
+    "smooth_unconditional_bound": (_smooth_unconditional_zero_share, False),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SHARE_FLOOR_CASES))
+def test_share_floor(entry):
+    call, takes_share = _SHARE_FLOOR_CASES[entry]
+    if takes_share:
+        with pytest.raises(ZeroShareError):
+            call(SHARE_FLOOR)
+        call(2 * SHARE_FLOOR)
+    else:
+        with pytest.raises(ZeroShareError):
+            call()
 
 
 class TestEstimators:

@@ -105,16 +105,19 @@ class TestDominance:
         b = point_bundle(0.5, 0.5, self.dist1, self.dist0)
         for side in ("l", "u"):
             sharp = sb.conditional_sharp_bound(b, StratumSpec("at", side), self.sup)
-            dom = sb.conditional_dominance_bound(b, StratumSpec("at", side), self.sup)
+            dom = sb.conditional_sharp_bound(
+                b, StratumSpec("at", side, dominance=True), self.sup)
             assert dom[0] == pytest.approx(sharp[0], rel=1e-10)
 
     def test_refines_on_positive_partition(self):
         b = point_bundle(0.5, 0.8, self.dist1, self.dist0)
         sharp_l = sb.conditional_sharp_bound(b, StratumSpec("at", "l"), self.sup)
-        dom_l = sb.conditional_dominance_bound(b, StratumSpec("at", "l"), self.sup)
+        dom_l = sb.conditional_sharp_bound(
+            b, StratumSpec("at", "l", dominance=True), self.sup)
         assert dom_l[0] >= sharp_l[0]
         sharp_u = sb.conditional_sharp_bound(b, StratumSpec("at", "u"), self.sup)
-        dom_u = sb.conditional_dominance_bound(b, StratumSpec("at", "u"), self.sup)
+        dom_u = sb.conditional_sharp_bound(
+            b, StratumSpec("at", "u", dominance=True), self.sup)
         assert dom_u[0] <= sharp_u[0] + 1e-12
 
     def test_benchmark_closed_form_full_mean(self):
@@ -126,7 +129,7 @@ class TestDominance:
         dist0 = Pieces([1.0], [0.0], [1e-12])
         b = point_bundle(s0, s1, dist1, dist0)
         sup = SupportBounds(y1_lower=0, y1_upper=2, y0_lower=0, y0_upper=0)
-        got = sb.conditional_dominance_bound(b, StratumSpec("at", "l"), sup)
+        got = sb.conditional_sharp_bound(b, StratumSpec("at", "l", dominance=True), sup)
         want = p0 * 0.5 + (1 - p0) * (0.5 + gamma)
         assert got[0] == pytest.approx(want, abs=1e-9)
 
@@ -134,7 +137,7 @@ class TestDominance:
         b = point_bundle(0.5, 0.8, self.dist1, self.dist0)
         inf_sup = SupportBounds()
         sharp = sb.conditional_sharp_bound(b, StratumSpec("c", "l"), inf_sup)
-        dom = sb.conditional_dominance_bound(b, StratumSpec("c", "l"), inf_sup)
+        dom = sb.conditional_sharp_bound(b, StratumSpec("c", "l", dominance=True), inf_sup)
         assert np.isneginf(sharp[0]) and np.isfinite(dom[0])
 
 
