@@ -128,6 +128,15 @@ def cmd_estimate(args) -> int:
                 "seed": 0, "eps_trim": None, "dominance": False}
     resolved = _resolve(args, file_cfg, defaults)
     _echo_resolved(resolved)
+    methods = [m.strip() for m in str(resolved["method"]).split(",")]
+    # never-taker bounds are support constants and the smoothed moments
+    # have no dominance variant: there the flag would change nothing
+    if resolved["dominance"] and str(resolved["stratum"]).lower() == "nt":
+        return _fail(EXIT_INPUT, "InvalidConfig",
+                     "dominance is not used by the never-taker stratum")
+    if resolved["dominance"] and all(m == "smooth" for m in methods):
+        return _fail(EXIT_INPUT, "InvalidConfig",
+                     "dominance is not used by method smooth")
     table, bundle = _load_input(args, resolved["seed"], resolved["folds"])
     try:
         support = SupportBounds.from_table(table)
@@ -135,8 +144,7 @@ def cmd_estimate(args) -> int:
                                alpha=float(resolved["alpha"]),
                                dominance=bool(resolved["dominance"]))
         results = []
-        for method in str(resolved["method"]).split(","):
-            method = method.strip()
+        for method in methods:
             if method == "sharp":
                 results.append(estimate_sharp(table, bundle, cfg, support))
             elif method == "trim":

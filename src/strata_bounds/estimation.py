@@ -252,10 +252,11 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
         sub_table = table.select(survivors)
         sub_bundle = bundle.select(survivors)
         sub_labels = labels[survivors]
+        sub_support = support.select(survivors)
 
         def side_estimate(side):
             rows = eif_regular(sub_table, sub_bundle, sub_labels,
-                               config.spec(side), support,
+                               config.spec(side), sub_support,
                                inefficient=config.inefficient)
             return ratio_estimate(rows.psi_b, rows.psi_s, sub_table.weight)
     elif variant == "retain":

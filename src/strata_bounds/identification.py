@@ -57,7 +57,18 @@ class SupportBounds:
         arr = np.asarray(v, dtype=float)
         if arr.ndim == 0 or rows is None:
             return arr
-        return arr[np.asarray(rows)]
+        rows = np.asarray(rows)
+        if arr.shape[0] != rows.shape[0]:
+            raise ValueError(f"per-row support has {arr.shape[0]} rows but "
+                             f"{rows.shape[0]} rows are evaluated; select it "
+                             "with the table")
+        return arr[rows]
+
+    def select(self, idx) -> "SupportBounds":
+        """Support for ``ObservationTable.select(idx)``; scalars are kept."""
+        return SupportBounds(*(np.asarray(v, dtype=float)[idx] if np.ndim(v) else v
+                               for v in (self.y1_lower, self.y1_upper,
+                                         self.y0_lower, self.y0_upper)))
 
     def with_negated_outcome(self) -> "SupportBounds":
         return SupportBounds(y1_lower=-np.asarray(self.y1_upper, dtype=float),

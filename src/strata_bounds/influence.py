@@ -23,7 +23,8 @@ import numpy as np
 from .data_model import (NuisanceBundle, ObservationTable, Side, Stratum,
                          StratumSpec, XMINUS, XPLUS, XZERO)
 from .errors import PartitionError
-from .identification import SupportBounds
+from .identification import (SupportBounds, conditional_sharp_bound,
+                             stratum_weight, unconditional_sharp_bound)
 from .smoothing import GFamily, _smooth_trim_levels
 
 
@@ -348,64 +349,59 @@ def eif_smooth(table: ObservationTable, bundle: NuisanceBundle,
 
 
 # ---------------------------------------------------------------------------
-# closed-form variance functionals for oracle designs
+# variance functionals for oracle designs, on the design's covariate atoms
 
-def efficiency_bound(design, side=Side.L) -> float:
+def efficiency_bound(design) -> float:
     """Semiparametric variance bound for the always-taker lower bound.
 
-    Evaluates every variance and cross-moment summand by quadrature over
-    the design's covariate law and divides by the squared always-taker
-    share. Valid on designs with no selection-indifferent mass.
+    Averages every variance and cross-moment summand over the atoms of
+    ``design.atoms()`` (a weighted covariate sample with the true nuisances
+    and the censored outcome variances) and divides by the squared
+    always-taker share. Valid on designs with no selection-indifferent mass.
     """
-    side = Side.parse(side)
-    if side is not Side.L:
-        raise ValueError("the variance bound is evaluated for the lower bound")
-    beta = design.sharp_bound(Side.L)
+    atoms = design.atoms()
+    bundle, w = atoms.bundle, atoms.table.weight
+    spec = StratumSpec(Stratum.AT, Side.L)
+    beta = unconditional_sharp_bound(atoms.table, bundle, spec, atoms.support)
+    bx = conditional_sharp_bound(bundle, spec, atoms.support)
+    m, s0, s1, p0 = bundle.m, bundle.s0, bundle.s1, bundle.p0
+    rows = bundle.all_rows()
+    t1 = np.minimum(p0, 1.0)
+    r0 = np.minimum(1.0 / p0, 1.0)
 
-    def integrand(pt):
-        m, s0, s1 = pt.m, pt.s0, pt.s1
-        p0 = s0 / s1
-        total = s1 * pt.sigma1_sq / m + s0 * pt.sigma0_sq / (1.0 - m)
-        if pt.label == XPLUS:
-            q1 = pt.q1(min(p0, 1.0))
-            b1 = pt.b11(min(p0, 1.0))
-            bx = pt.beta_x
-            total += (bx - beta) ** 2 * s0 * (1.0 - s0 * m) / (1.0 - m)
-            total += s1 * q1 ** 2 * p0 * (1.0 - p0) / m
-            total += (q1 - b1) ** 2 * (s0 * (1.0 - s0) / (1.0 - m)
-                                       + p0 ** 2 * s1 * (1.0 - s1) / m)
-            total += -2.0 * q1 * b1 * s1 * p0 * (1.0 - p0) / m
-            total += 2.0 * (bx - beta) * (q1 - b1) * s0 * (1.0 - s0) / (1.0 - m)
-        elif pt.label == XMINUS:
-            r = 1.0 / p0
-            q0 = pt.q0(1.0 - r)
-            b0 = pt.b00(1.0 - r)
-            bx = pt.beta_x
-            total += (bx - beta) ** 2 * s1 * (1.0 - s1 + s1 * m) / m
-            total += s0 * q0 ** 2 * r * (1.0 - r) / (1.0 - m)
-            total += (q0 - b0) ** 2 * (r ** 2 * s0 * (1.0 - s0) / (1.0 - m)
-                                       + s1 * (1.0 - s1) / m)
-            total += -2.0 * q0 * b0 * s0 * r * (1.0 - r) / (1.0 - m)
-            total += -2.0 * (bx - beta) * (q0 - b0) * s1 * (1.0 - s1) / m
-        return total
+    def trimmed(m, s_keep, s_trim, p, q, b, dev):
+        # the treated arm trimmed to mass p; the negative partition is the
+        # arm-swapped mirror (m -> 1 - m, s0 <-> s1, p0 -> 1/p0, dev -> -dev)
+        return (dev ** 2 * s_keep * (1.0 - s_keep * m) / (1.0 - m)
+                + s_trim * q ** 2 * p * (1.0 - p) / m
+                + (q - b) ** 2 * (s_keep * (1.0 - s_keep) / (1.0 - m)
+                                  + p ** 2 * s_trim * (1.0 - s_trim) / m)
+                - 2.0 * q * b * s_trim * p * (1.0 - p) / m
+                + 2.0 * dev * (q - b) * s_keep * (1.0 - s_keep) / (1.0 - m))
 
-    denom = design.expectation(lambda pt: min(pt.s0, pt.s1))
-    return design.expectation(integrand) / denom ** 2
+    plus = trimmed(m, s0, s1, p0, bundle.quantile(rows, 1, t1),
+                   bundle.trunc_mean(rows, 1, 1, t1), bx - beta)
+    minus = trimmed(1.0 - m, s1, s0, r0, bundle.quantile(rows, 0, 1.0 - r0),
+                    bundle.trunc_mean(rows, 0, 0, 1.0 - r0), beta - bx)
+    labels = bundle.labels()
+    total = s1 * atoms.sigma1_sq / m + s0 * atoms.sigma0_sq / (1.0 - m) \
+        + np.where(labels == XPLUS, plus, np.where(labels == XMINUS, minus, 0.0))
+    share = stratum_weight(s0, s1, Stratum.AT)
+    return np.average(total, weights=w) / np.average(share, weights=w) ** 2
 
 
 def efficiency_gap(design) -> float:
-    """Excess asymptotic variance of the known-propensity moment estimator."""
-
-    def integrand(pt):
-        m, s0, s1 = pt.m, pt.s0, pt.s1
-        p0 = s0 / s1
-        w1 = np.sqrt((1.0 - m) / m)
-        w0 = np.sqrt(m / (1.0 - m))
-        if pt.label == XPLUS:
-            return s0 ** 2 * (pt.b11(min(p0, 1.0)) * w1 - pt.b00(0.0) * w0) ** 2
-        if pt.label == XMINUS:
-            return s1 ** 2 * (pt.b11(1.0) * w1 - pt.b00(1.0 - 1.0 / p0) * w0) ** 2
-        return 0.0
-
-    denom = design.expectation(lambda pt: min(pt.s0, pt.s1))
-    return design.expectation(integrand) / denom ** 2
+    """Excess asymptotic variance of the known-propensity moment estimator,
+    averaged over the atoms of ``design.atoms()``."""
+    atoms = design.atoms()
+    bundle, w = atoms.bundle, atoms.table.weight
+    m, s0, s1, p0 = bundle.m, bundle.s0, bundle.s1, bundle.p0
+    rows = bundle.all_rows()
+    # the always-taker lower-bound trimming levels: the treated arm is
+    # trimmed on the positive partition, the control arm on the negative
+    b1 = bundle.trunc_mean(rows, 1, 1, np.minimum(p0, 1.0))
+    b0 = bundle.trunc_mean(rows, 0, 0, 1.0 - np.minimum(1.0 / p0, 1.0))
+    share = stratum_weight(s0, s1, Stratum.AT)
+    vals = share ** 2 * (b1 * np.sqrt((1.0 - m) / m) - b0 * np.sqrt(m / (1.0 - m))) ** 2
+    vals = np.where(bundle.labels() == XZERO, 0.0, vals)
+    return np.average(vals, weights=w) / np.average(share, weights=w) ** 2

@@ -18,15 +18,18 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .data_model import NuisanceBundle, ObservationTable, Side, Stratum
+from .data_model import (XPLUS, NuisanceBundle, ObservationTable, Side, Stratum,
+                         StratumSpec)
 from .errors import StrataBoundsError
 from .estimation import (EstimationConfig, estimate_sharp, estimate_smooth,
                          estimate_switch, estimate_trim)
-from .identification import SupportBounds
-from .smoothing import GFamily
+from .identification import (SupportBounds, stratum_weight,
+                             unconditional_sharp_bound)
+from .smoothing import GFamily, smooth_unconditional_components
 
 TRUNC_LO, TRUNC_HI = -4.0, 4.0
 _TRUNC_MASN = float(ndtr(TRUNC_HI) - ndtr(TRUNC_LO))
@@ -236,11 +239,12 @@ def _benchmark_bundle(config: DgpConfig, table: ObservationTable) -> NuisanceBun
 def oracle_support(config: DgpConfig, table: ObservationTable) -> SupportBounds:
     if config.dgp_id == "single_index":
         return SupportBounds()  # unbounded outcome
+    # only the treated upper limit varies by row; the constant limits stay
+    # scalars, so they also serve any row subset of the table
     x1 = table.x[:, 0]
-    return SupportBounds(y1_lower=np.zeros(table.n),
+    return SupportBounds(y1_lower=0.0,
                          y1_upper=np.where(x1 == 1.0, 1.0 + config.gamma, 0.0),
-                         y0_lower=np.zeros(table.n),
-                         y0_upper=np.zeros(table.n))
+                         y0_lower=0.0, y0_upper=0.0)
 
 
 # -- the single-index demonstration process --------------------------------
@@ -306,139 +310,110 @@ def _single_index_bundle(config: DgpConfig, table: ObservationTable) -> Nuisance
 
 
 # ---------------------------------------------------------------------------
-# closed-form design functionals via quadrature
+# population targets: the package's plug-ins on the design's covariate atoms
 
-@dataclass
-class PointValues:
-    """Everything the variance/bound functionals need at one covariate point."""
+#: Gauss–Legendre nodes per x2 panel of the covariate atoms.
+_ATOM_NODES = 64
 
-    m: float
-    s0: float
-    s1: float
-    label: int
-    beta_x: float
-    q1: Callable[[float], float]
-    q0: Callable[[float], float]
-    b11: Callable[[float], float]
-    b00: Callable[[float], float]
-    b01: Callable[[float], float]
-    b10: Callable[[float], float]
-    sigma1_sq: float
-    sigma0_sq: float
+
+@dataclass(frozen=True)
+class DesignAtoms:
+    """A design's covariate law as a weighted sample: one ``table`` row per
+    atom, weighted by its probability, the true ``bundle`` and ``support``
+    there, and the per-atom censored outcome variances no bundle carries."""
+
+    table: ObservationTable
+    bundle: NuisanceBundle
+    support: SupportBounds
+    sigma1_sq: np.ndarray
+    sigma0_sq: np.ndarray
 
 
 class BenchmarkDesign:
-    """Quadrature access to the primary benchmark design's population values."""
+    """Population values of the primary benchmark design as the package's
+    weighted plug-ins on covariate atoms: x1 in {1, 0, -1} (zero shares
+    skipped) times Gauss–Legendre nodes in x2, weighted by share x
+    truncated-normal density x node weight. The x2 panels split at the
+    integrand's kinks, so the rule is exact to rounding. One atom sample
+    per ``h`` (``None`` for the sharp targets) is built and cached."""
 
     def __init__(self, config: DgpConfig):
         if config.dgp_id != "benchmark":
             raise ValueError("closed-form design functionals exist for the "
                              "primary benchmark process only")
         self.config = config
+        self._atoms = {}
 
-    def _pdf(self, x2):
-        return math.exp(-0.5 * x2 * x2) / math.sqrt(2.0 * math.pi) / _TRUNC_MASN
+    def atoms(self, h: Optional[float] = None) -> DesignAtoms:
+        """Atom sample for the sharp targets (``h=None``) or the smoothed
+        targets at ``h``."""
+        if h not in self._atoms:
+            self._atoms[h] = self._build_atoms(h)
+        return self._atoms[h]
 
-    def expectation(self, fn) -> float:
-        total = 0.0
-        for x1, share in zip((1.0, 0.0, -1.0), self.config.shares):
-            if share == 0.0:
-                continue
-            val, _ = quad(lambda x2: fn(self.point(x1, x2)) * self._pdf(x2),
-                          TRUNC_LO, TRUNC_HI, epsabs=1e-11, epsrel=1e-11,
-                          limit=300)
-            total += share * val
-        return total
+    def _build_atoms(self, h) -> DesignAtoms:
+        nodes, node_w = leggauss(_ATOM_NODES)
+        ends = self._panel_ends(h)
+        half = 0.5 * np.diff(ends)[:, None]
+        x2 = (half * nodes + 0.5 * (ends[1:] + ends[:-1])[:, None]).ravel()
+        w2 = (half * node_w).ravel() * np.exp(-0.5 * x2 * x2) \
+            / math.sqrt(2.0 * math.pi) / _TRUNC_MASN
+        shares = np.array(self.config.shares)
+        keep = shares != 0.0
+        x1 = np.repeat(np.array([1.0, 0.0, -1.0])[keep], x2.size)
+        n = x1.size
+        table = ObservationTable(y=np.full(n, np.nan), s=np.zeros(n), d=np.zeros(n),
+                                 x=np.column_stack([x1, np.tile(x2, keep.sum())]),
+                                 weight=np.outer(shares[keep], w2).ravel())
+        bundle = _benchmark_bundle(self.config, table)
+        p0 = bundle.p0
+        sigma1 = np.where(x1 == 1.0, _mix_censored_var(p0, self.config.gamma,
+                                                       np.minimum(p0, 1.0)), 0.0)
+        return DesignAtoms(table, bundle, oracle_support(self.config, table),
+                           sigma1, np.zeros(n))
 
-    def point(self, x1: float, x2: float) -> PointValues:
+    def _panel_ends(self, h) -> np.ndarray:
+        """The truncation limits plus each x2 where a trimming level read on
+        the x1 = 1 atoms (p0 and 1 - p0 for the sharp targets, g1(p0) and
+        1 - g1(p0) for the smoothed ones) crosses a branch point of
+        ``_mix_ppf`` or a clip edge of [0, 1]."""
         gamma = self.config.gamma
-        s0 = float(ndtr(x2))
-        s1 = float(ndtr(x1 + x2))
-        p0 = s0 / s1
-        zero = lambda u: 0.0
-        if x1 == 1.0:
-            q1 = lambda u: float(_mix_ppf(p0, gamma, u))
-            b11 = lambda u: float(_mix_trunc_below(p0, gamma, u))
-            b01 = lambda u: float(_mix_trunc_above(p0, gamma, u))
-            sigma1 = float(_mix_censored_var(p0, gamma, min(p0, 1.0)))
-            beta_x = b11(min(p0, 1.0))
-            label = 1
-        else:
-            q1, b11, b01 = zero, zero, zero
-            sigma1 = 0.0
-            beta_x = 0.0
-            label = 0 if x1 == 0.0 else -1
-        return PointValues(m=0.5, s0=s0, s1=s1, label=label, beta_x=beta_x,
-                           q1=q1, q0=zero, b11=b11, b00=zero, b01=b01,
-                           b10=zero, sigma1_sq=sigma1, sigma0_sq=0.0)
+        family = None if h is None else GFamily(h=h)
 
-    # -- population bounds ---------------------------------------------------
+        def gaps(x2):
+            p0 = ndtr(x2) / ndtr(1.0 + x2)
+            level = p0 if family is None else family.g(1, p0)
+            points = [p0] if gamma >= 1.0 else [gamma * p0,
+                                                p0 + (1.0 - p0) * (1.0 - gamma)]
+            points += [np.zeros_like(p0), np.ones_like(p0)]
+            return np.array([lv - pt for lv in (level, 1.0 - level) for pt in points])
 
-    def _cond_bound(self, pt: PointValues, stratum: Stratum, side: Side,
-                    dominance: bool) -> float:
-        p0 = pt.s0 / pt.s1
-        t1 = min(p0, 1.0)
-        r0 = min(1.0 / p0, 1.0)
-        if stratum is Stratum.AT:
-            if side is Side.L:
-                return (pt.b11(1.0) if dominance else pt.b11(t1)) - pt.b00(1.0 - r0)
-            return pt.b01(1.0 - t1) - (pt.b10(1.0) if dominance else pt.b10(r0))
-        if stratum in (Stratum.C, Stratum.EM):
-            # both strata carry zero outcome mass off the positive region here
-            if side is Side.L:
-                return pt.b11(1.0 - t1) - (pt.b00(0.0) if dominance else 0.0)
-            return (pt.b01(0.0) if dominance else pt.b01(t1)) - pt.b10(1.0 - r0)
-        raise ValueError(stratum)
-
-    def _weight(self, pt: PointValues, stratum: Stratum) -> float:
-        if stratum is Stratum.AT:
-            return min(pt.s0, pt.s1)
-        if stratum is Stratum.C:
-            return max(0.0, pt.s1 - pt.s0)
-        if stratum is Stratum.EM:
-            return abs(pt.s1 - pt.s0)
-        raise ValueError(stratum)
+        # each gap is monotone, concave or convex in p0, which rises with
+        # x2, so it has at most two roots; only a pair closer than one
+        # bracket (1/8 in x2) would go unsplit
+        grid = np.linspace(TRUNC_LO, TRUNC_HI, 65)
+        sign = np.sign(gaps(grid))
+        kinks = [brentq(lambda x2: gaps(x2)[k], grid[i], grid[i + 1])
+                 for k, i in zip(*np.nonzero(sign[:, :-1] != sign[:, 1:]))]
+        return np.unique([TRUNC_LO, TRUNC_HI, *kinks])
 
     def sharp_bound(self, side, stratum=Stratum.AT, dominance: bool = False) -> float:
-        side = Side.parse(side)
-        stratum = Stratum.parse(stratum)
-        num = self.expectation(
-            lambda pt: self._cond_bound(pt, stratum, side, dominance)
-            * self._weight(pt, stratum))
-        den = self.expectation(lambda pt: self._weight(pt, stratum))
-        return num / den
+        atoms = self.atoms()
+        return unconditional_sharp_bound(atoms.table, atoms.bundle,
+                                         StratumSpec(stratum, side, dominance),
+                                         atoms.support)
 
     def smooth_bound(self, side, h: float) -> float:
-        """Population smoothed outer bound: since ``g5(z) = -g2(-z)`` and
-        ``g6(z) = -g4(-z)`` it is the sum of the two component targets."""
+        """Population smoothed outer bound: the sum of the two component
+        targets."""
         plus, minus = self.smooth_component_targets(side, h)
         return plus + minus
 
     def smooth_component_targets(self, side, h: float) -> tuple:
         """(plus, minus) population values of the two smoothed ratio pieces."""
-        side = Side.parse(side)
-        fam = GFamily(h=float(h))
-        g = fam.g
-
-        def beta_h(pt):
-            p0 = pt.s0 / pt.s1
-            if side is Side.L:
-                return pt.b11(float(g(1, p0))) - pt.b00(1.0 - float(g(1, 1.0 / p0)))
-            return pt.b01(1.0 - float(g(1, p0))) - pt.b10(float(g(1, 1.0 / p0)))
-
-        den1 = self.expectation(lambda pt: float(g(1, pt.s0 / pt.s1)) * pt.s1)
-        den3 = self.expectation(lambda pt: float(g(3, pt.s0 / pt.s1)) * pt.s1)
-        if side is Side.L:
-            plus = self.expectation(lambda pt: float(g(4, beta_h(pt)))
-                                    * float(g(1, pt.s0 / pt.s1)) * pt.s1) / den3
-            minus = self.expectation(lambda pt: float(g(5, beta_h(pt)))
-                                     * float(g(3, pt.s0 / pt.s1)) * pt.s1) / den1
-        else:
-            plus = self.expectation(lambda pt: float(g(2, beta_h(pt)))
-                                    * float(g(3, pt.s0 / pt.s1)) * pt.s1) / den1
-            minus = self.expectation(lambda pt: float(g(6, beta_h(pt)))
-                                     * float(g(1, pt.s0 / pt.s1)) * pt.s1) / den3
-        return plus, minus
+        atoms = self.atoms(float(h))
+        return smooth_unconditional_components(atoms.table, atoms.bundle, side,
+                                               GFamily(h=float(h)))
 
 
 @dataclass(frozen=True)
@@ -452,16 +427,17 @@ class OracleTarget:
 
 
 def oracle_target(config: DgpConfig) -> OracleTarget:
-    """True always-taker effect and sharp set ends by quadrature.
+    """True always-taker effect and sharp set ends on the design's atoms.
 
     Under full separation of the outcome components the effect coincides
     with the lower end of the identified set; otherwise both are reported.
     """
     design = BenchmarkDesign(config)
-    num = design.expectation(
-        lambda pt: (0.5 if pt.label == 1 else 0.0) * min(pt.s0, pt.s1))
-    den = design.expectation(lambda pt: min(pt.s0, pt.s1))
-    return OracleTarget(target=num / den,
+    atoms = design.atoms()
+    w = atoms.table.weight
+    share = stratum_weight(atoms.bundle.s0, atoms.bundle.s1, Stratum.AT)
+    effect = np.where(atoms.bundle.labels() == XPLUS, 0.5, 0.0)
+    return OracleTarget(target=float(np.dot(w, effect * share) / np.dot(w, share)),
                         lower=design.sharp_bound(Side.L),
                         upper=design.sharp_bound(Side.U),
                         separated=config.separated)

@@ -118,13 +118,11 @@ def smooth_conditional_bound(bundle: NuisanceBundle, side, family: GFamily,
     return b1 - b0
 
 
-def smooth_unconditional_bound(table, bundle: NuisanceBundle, side,
-                               family: GFamily) -> float:
-    """Weight-normalized smoothed outer bound for the always-taker effect.
-
-    Plug-in evaluation of the population formula; the orthogonalized
-    estimator lives in :mod:`strata_bounds.estimation`.
-    """
+def smooth_unconditional_components(table, bundle: NuisanceBundle, side,
+                                    family: GFamily) -> tuple:
+    """(plus, minus) ratio pieces of the weight-normalized smoothed outer
+    bound for the always-taker effect, by plug-in; the orthogonalized
+    estimator lives in :mod:`strata_bounds.estimation`."""
     side = Side.parse(side)
     w = table.weight
     wsum = w.sum()
@@ -139,17 +137,25 @@ def smooth_unconditional_bound(table, bundle: NuisanceBundle, side,
     if side is Side.L:
         num_a = float((w * g(4, beta_h) * g(1, p0) * s1).sum() / wsum)
         num_b = float((w * g(2, -beta_h) * g(3, p0) * s1).sum() / wsum)
-        return num_a / den_a - num_b / den_b
+        return num_a / den_a, -(num_b / den_b)
     num_a = float((w * g(2, beta_h) * g(3, p0) * s1).sum() / wsum)
     num_b = float((w * g(4, -beta_h) * g(1, p0) * s1).sum() / wsum)
-    return num_a / den_b - num_b / den_a
+    return num_a / den_b, -(num_b / den_a)
+
+
+def smooth_unconditional_bound(table, bundle: NuisanceBundle, side,
+                               family: GFamily) -> float:
+    """Weight-normalized smoothed outer bound for the always-taker effect."""
+    plus, minus = smooth_unconditional_components(table, bundle, side, family)
+    return plus + minus
 
 
 def approximation_error_curve(design, side, h_grid: Sequence[float]):
     """|smoothed - sharp| unconditional bound per h on a closed-form design.
 
-    ``design`` must expose ``sharp_bound(side)`` and ``smooth_bound(side, h)``
-    evaluated by quadrature against the true nuisances.
+    ``design`` must expose the population values ``sharp_bound(side)`` and
+    ``smooth_bound(side, h)``, as ``BenchmarkDesign`` does with the
+    package's plug-ins on its covariate atoms.
     """
     side = Side.parse(side)
     sharp = design.sharp_bound(side)

@@ -1,16 +1,28 @@
 """Shared test machinery: closed-form outcome mixtures, a discrete design
 with exact conditional-moment enumeration, a discrete-grid process for
-brute-force bound checks, and per-row reference loops for the vectorized
-nuisance surfaces and the nuisance CSV reader."""
+brute-force bound checks, per-row reference loops for the vectorized
+nuisance surfaces and the nuisance CSV reader, and a scalar quadrature
+reference for the benchmark design's population targets."""
 
 import csv
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
+from scipy.special import ndtr
 
-from strata_bounds.data_model import NuisanceBundle, ObservationTable
+from strata_bounds.data_model import (XMINUS, XPLUS, NuisanceBundle,
+                                      ObservationTable, Side, Stratum)
 from strata_bounds.errors import EmptyTailError
 from strata_bounds.identification import SupportBounds
+from strata_bounds.simulation import (TRUNC_HI, TRUNC_LO, _TRUNC_MASN,
+                                      DesignAtoms, DgpConfig,
+                                      _mix_censored_var, _mix_ppf,
+                                      _mix_trunc_above, _mix_trunc_below)
+from strata_bounds.smoothing import GFamily
 
 
 class Pieces:
@@ -250,6 +262,36 @@ def grid_bundle_and_table(points):
     return bundle, table, support
 
 
+def dpoint_atoms(points, sigma1_sq, sigma0_sq) -> DesignAtoms:
+    """A discrete design as covariate atoms: one row per ``DPoint`` with its
+    ``prob`` as weight, surfaces and supports from the points' outcome
+    laws, and the given per-point censored outcome variances."""
+    n = len(points)
+
+    def qfn(rows, d, u):
+        return np.array([points[r].dist[d].ppf(ui)
+                         for r, ui in zip(np.atleast_1d(rows), u)])
+
+    def bfn(rows, j, d, u):
+        out = []
+        for r, ui in zip(np.atleast_1d(rows), u):
+            dist = points[r].dist[d]
+            out.append(dist.trunc_below(ui) if j == 1 else dist.trunc_above(ui))
+        return np.array(out)
+
+    bundle = NuisanceBundle(np.array([p.m for p in points]),
+                            np.array([p.s0 for p in points]),
+                            np.array([p.s1 for p in points]), qfn, bfn,
+                            provenance="oracle")
+    table = ObservationTable(y=np.ones(n), s=np.ones(n, int),
+                             d=np.zeros(n, int), x=np.arange(n)[:, None],
+                             weight=np.array([p.prob for p in points]))
+    limits = np.array([[*p.dist[1].support, *p.dist[0].support] for p in points])
+    support = SupportBounds(*limits.T)
+    return DesignAtoms(table, bundle, support, np.asarray(sigma1_sq, float),
+                       np.asarray(sigma0_sq, float))
+
+
 def direct_grid_bound(points, stratum, side, dominance):
     """From-scratch enumeration of the trimmed-mean bound formulas."""
     lo, hi = points[0]["support"]
@@ -374,3 +416,202 @@ def reference_read_nuisance_csv(path):
         rows = [[float(v) if v.strip() not in ("", "NA") else np.nan for v in row]
                 for row in reader]
     return header, np.asarray(rows, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# scalar quadrature reference for the benchmark design's population targets:
+# per-point closures integrated by adaptive ``quad``, independent of the
+# package's plug-ins and of the atoms' kink placement
+
+@dataclass
+class PointValues:
+    """Everything the variance/bound functionals need at one covariate point."""
+
+    m: float
+    s0: float
+    s1: float
+    label: int
+    beta_x: float
+    q1: Callable[[float], float]
+    q0: Callable[[float], float]
+    b11: Callable[[float], float]
+    b00: Callable[[float], float]
+    b01: Callable[[float], float]
+    b10: Callable[[float], float]
+    sigma1_sq: float
+    sigma0_sq: float
+
+
+class QuadratureDesign:
+    """Quadrature access to the primary benchmark design's population values."""
+
+    def __init__(self, config: DgpConfig):
+        if config.dgp_id != "benchmark":
+            raise ValueError("closed-form design functionals exist for the "
+                             "primary benchmark process only")
+        self.config = config
+
+    def _pdf(self, x2):
+        return math.exp(-0.5 * x2 * x2) / math.sqrt(2.0 * math.pi) / _TRUNC_MASN
+
+    def expectation(self, fn) -> float:
+        total = 0.0
+        for x1, share in zip((1.0, 0.0, -1.0), self.config.shares):
+            if share == 0.0:
+                continue
+            val, _ = quad(lambda x2: fn(self.point(x1, x2)) * self._pdf(x2),
+                          TRUNC_LO, TRUNC_HI, epsabs=1e-11, epsrel=1e-11,
+                          limit=300)
+            total += share * val
+        return total
+
+    def point(self, x1: float, x2: float) -> PointValues:
+        gamma = self.config.gamma
+        s0 = float(ndtr(x2))
+        s1 = float(ndtr(x1 + x2))
+        p0 = s0 / s1
+        zero = lambda u: 0.0
+        if x1 == 1.0:
+            q1 = lambda u: float(_mix_ppf(p0, gamma, u))
+            b11 = lambda u: float(_mix_trunc_below(p0, gamma, u))
+            b01 = lambda u: float(_mix_trunc_above(p0, gamma, u))
+            sigma1 = float(_mix_censored_var(p0, gamma, min(p0, 1.0)))
+            beta_x = b11(min(p0, 1.0))
+            label = 1
+        else:
+            q1, b11, b01 = zero, zero, zero
+            sigma1 = 0.0
+            beta_x = 0.0
+            label = 0 if x1 == 0.0 else -1
+        return PointValues(m=0.5, s0=s0, s1=s1, label=label, beta_x=beta_x,
+                           q1=q1, q0=zero, b11=b11, b00=zero, b01=b01,
+                           b10=zero, sigma1_sq=sigma1, sigma0_sq=0.0)
+
+    # -- population bounds ---------------------------------------------------
+
+    def _cond_bound(self, pt: PointValues, stratum: Stratum, side: Side,
+                    dominance: bool) -> float:
+        p0 = pt.s0 / pt.s1
+        t1 = min(p0, 1.0)
+        r0 = min(1.0 / p0, 1.0)
+        if stratum is Stratum.AT:
+            if side is Side.L:
+                return (pt.b11(1.0) if dominance else pt.b11(t1)) - pt.b00(1.0 - r0)
+            return pt.b01(1.0 - t1) - (pt.b10(1.0) if dominance else pt.b10(r0))
+        if stratum in (Stratum.C, Stratum.EM):
+            # both strata carry zero outcome mass off the positive region here
+            if side is Side.L:
+                return pt.b11(1.0 - t1) - (pt.b00(0.0) if dominance else 0.0)
+            return (pt.b01(0.0) if dominance else pt.b01(t1)) - pt.b10(1.0 - r0)
+        raise ValueError(stratum)
+
+    def _weight(self, pt: PointValues, stratum: Stratum) -> float:
+        if stratum is Stratum.AT:
+            return min(pt.s0, pt.s1)
+        if stratum is Stratum.C:
+            return max(0.0, pt.s1 - pt.s0)
+        if stratum is Stratum.EM:
+            return abs(pt.s1 - pt.s0)
+        raise ValueError(stratum)
+
+    def sharp_bound(self, side, stratum=Stratum.AT, dominance: bool = False) -> float:
+        side = Side.parse(side)
+        stratum = Stratum.parse(stratum)
+        num = self.expectation(
+            lambda pt: self._cond_bound(pt, stratum, side, dominance)
+            * self._weight(pt, stratum))
+        den = self.expectation(lambda pt: self._weight(pt, stratum))
+        return num / den
+
+    def smooth_bound(self, side, h: float) -> float:
+        """Population smoothed outer bound: since ``g5(z) = -g2(-z)`` and
+        ``g6(z) = -g4(-z)`` it is the sum of the two component targets."""
+        plus, minus = self.smooth_component_targets(side, h)
+        return plus + minus
+
+    def smooth_component_targets(self, side, h: float) -> tuple:
+        """(plus, minus) population values of the two smoothed ratio pieces."""
+        side = Side.parse(side)
+        fam = GFamily(h=float(h))
+        g = fam.g
+
+        def beta_h(pt):
+            p0 = pt.s0 / pt.s1
+            if side is Side.L:
+                return pt.b11(float(g(1, p0))) - pt.b00(1.0 - float(g(1, 1.0 / p0)))
+            return pt.b01(1.0 - float(g(1, p0))) - pt.b10(float(g(1, 1.0 / p0)))
+
+        den1 = self.expectation(lambda pt: float(g(1, pt.s0 / pt.s1)) * pt.s1)
+        den3 = self.expectation(lambda pt: float(g(3, pt.s0 / pt.s1)) * pt.s1)
+        if side is Side.L:
+            plus = self.expectation(lambda pt: float(g(4, beta_h(pt)))
+                                    * float(g(1, pt.s0 / pt.s1)) * pt.s1) / den3
+            minus = self.expectation(lambda pt: float(g(5, beta_h(pt)))
+                                     * float(g(3, pt.s0 / pt.s1)) * pt.s1) / den1
+        else:
+            plus = self.expectation(lambda pt: float(g(2, beta_h(pt)))
+                                    * float(g(3, pt.s0 / pt.s1)) * pt.s1) / den1
+            minus = self.expectation(lambda pt: float(g(6, beta_h(pt)))
+                                     * float(g(1, pt.s0 / pt.s1)) * pt.s1) / den3
+        return plus, minus
+
+
+def quadrature_efficiency_bound(design, side=Side.L) -> float:
+    """Semiparametric variance bound for the always-taker lower bound.
+
+    Evaluates every variance and cross-moment summand by quadrature over
+    the design's covariate law and divides by the squared always-taker
+    share. Valid on designs with no selection-indifferent mass.
+    """
+    side = Side.parse(side)
+    if side is not Side.L:
+        raise ValueError("the variance bound is evaluated for the lower bound")
+    beta = design.sharp_bound(Side.L)
+
+    def integrand(pt):
+        m, s0, s1 = pt.m, pt.s0, pt.s1
+        p0 = s0 / s1
+        total = s1 * pt.sigma1_sq / m + s0 * pt.sigma0_sq / (1.0 - m)
+        if pt.label == XPLUS:
+            q1 = pt.q1(min(p0, 1.0))
+            b1 = pt.b11(min(p0, 1.0))
+            bx = pt.beta_x
+            total += (bx - beta) ** 2 * s0 * (1.0 - s0 * m) / (1.0 - m)
+            total += s1 * q1 ** 2 * p0 * (1.0 - p0) / m
+            total += (q1 - b1) ** 2 * (s0 * (1.0 - s0) / (1.0 - m)
+                                       + p0 ** 2 * s1 * (1.0 - s1) / m)
+            total += -2.0 * q1 * b1 * s1 * p0 * (1.0 - p0) / m
+            total += 2.0 * (bx - beta) * (q1 - b1) * s0 * (1.0 - s0) / (1.0 - m)
+        elif pt.label == XMINUS:
+            r = 1.0 / p0
+            q0 = pt.q0(1.0 - r)
+            b0 = pt.b00(1.0 - r)
+            bx = pt.beta_x
+            total += (bx - beta) ** 2 * s1 * (1.0 - s1 + s1 * m) / m
+            total += s0 * q0 ** 2 * r * (1.0 - r) / (1.0 - m)
+            total += (q0 - b0) ** 2 * (r ** 2 * s0 * (1.0 - s0) / (1.0 - m)
+                                       + s1 * (1.0 - s1) / m)
+            total += -2.0 * q0 * b0 * s0 * r * (1.0 - r) / (1.0 - m)
+            total += -2.0 * (bx - beta) * (q0 - b0) * s1 * (1.0 - s1) / m
+        return total
+
+    denom = design.expectation(lambda pt: min(pt.s0, pt.s1))
+    return design.expectation(integrand) / denom ** 2
+
+
+def quadrature_efficiency_gap(design) -> float:
+    """Excess asymptotic variance of the known-propensity moment estimator."""
+
+    def integrand(pt):
+        m, s0, s1 = pt.m, pt.s0, pt.s1
+        p0 = s0 / s1
+        w1 = np.sqrt((1.0 - m) / m)
+        w0 = np.sqrt(m / (1.0 - m))
+        if pt.label == XPLUS:
+            return s0 ** 2 * (pt.b11(min(p0, 1.0)) * w1 - pt.b00(0.0) * w0) ** 2
+        if pt.label == XMINUS:
+            return s1 ** 2 * (pt.b11(1.0) * w1 - pt.b00(1.0 - 1.0 / p0) * w0) ** 2
+        return 0.0
+
+    denom = design.expectation(lambda pt: min(pt.s0, pt.s1))
+    return design.expectation(integrand) / denom ** 2

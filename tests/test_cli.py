@@ -200,6 +200,35 @@ class TestEstimate:
         rec = json.loads(err.splitlines()[-1])
         assert rec["error"] == "ValueError" and message in rec["message"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--method", "smooth", "--dominance"), "method smooth"),
+        (("--method", "smooth", "--config", "dominance.json"), "method smooth"),
+        (("--method", "sharp,trim", "--stratum", "nt", "--dominance"),
+         "never-taker stratum"),
+    ], ids=["smooth", "smooth_config_file", "nt"])
+    def test_unused_dominance_exits_2(self, capsys, tmp_path, sample_csv,
+                                      argv, message):
+        _, _, path = sample_csv
+        cfg = tmp_path / "dominance.json"
+        cfg.write_text(json.dumps({"dominance": True}))
+        argv = [str(cfg) if a == "dominance.json" else a for a in argv]
+        code, out, err = run_cli(capsys, "estimate", path, "--folds", "2", *argv)
+        assert code == 2 and out == ""
+        rec = json.loads(err.splitlines()[-1])
+        assert rec["error"] == "InvalidConfig"
+        assert "dominance" in rec["message"] and message in rec["message"]
+
+    def test_dominance_kept_when_a_listed_method_uses_it(self, capsys,
+                                                        sample_csv):
+        _, _, path = sample_csv
+        argv = ("estimate", path, "--folds", "2", "--method", "sharp,smooth")
+        code, out, _ = run_cli(capsys, *argv, "--dominance")
+        assert code == 0
+        _, plain_out, _ = run_cli(capsys, *argv)
+        dom, plain = json.loads(out), json.loads(plain_out)
+        assert dom[0]["estimate_lower"] != plain[0]["estimate_lower"]
+        assert dom[1] == plain[1]
+
     @pytest.mark.parametrize("column,rule", [("x", "finite covariates"),
                                              ("weight", "finite weights")])
     def test_non_finite_input_exits_2(self, capsys, tmp_path, sample_csv,
@@ -344,3 +373,13 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "strata_bounds.cli",
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # population targets are plug-ins on covariate atoms; no adaptive
+        # quadrature is paid for at import
+        code = ("import sys, strata_bounds, strata_bounds.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -198,6 +198,7 @@ class TestEstimators:
         config, table, bundle, support = oracle_setup()
         away = np.abs(bundle.p0 - 1.0) > 2 * default_rho(table.n)
         table, bundle = table.select(away), bundle.select(away)
+        support = support.select(away)
         assert (np.abs(bundle.p0 - 1.0) > default_rho(table.n)).all()
         cfg = EstimationConfig()
         trim = estimate_trim(table, bundle, cfg, support=support)
@@ -212,6 +213,23 @@ class TestEstimators:
                                                       n=200)
         with pytest.raises(AllTrimmedError):
             estimate_trim(table, bundle, EstimationConfig(), support=support)
+
+    @pytest.mark.parametrize("stratum", [sb.Stratum.C, sb.Stratum.EM])
+    def test_trim_drop_reads_per_row_support_at_the_survivors(self, stratum):
+        # the dropped rows' support limits must not shift onto the survivors
+        config, table, bundle, support = oracle_setup(shares=(0.4, 0.2, 0.4),
+                                                      n=3000)
+        assert np.ndim(support.y1_upper) == 1
+        cfg = EstimationConfig(stratum=stratum)
+        keep = bundle.labels() != 0
+        restricted = sb.SupportBounds(support.y1_lower,
+                                      np.asarray(support.y1_upper)[keep],
+                                      support.y0_lower, support.y0_upper)
+        want = estimate_sharp(table.select(keep), bundle.select(keep), cfg,
+                              restricted)
+        got = estimate_trim(table, bundle, cfg, variant="drop", support=support)
+        assert got.upper == pytest.approx(want.upper, rel=1e-12)
+        assert got.lower == pytest.approx(want.lower, rel=1e-12)
 
     def test_trim_retain_keeps_full_sample_point_estimate(self):
         config, table, bundle, support = oracle_setup(shares=(0.4, 0.2, 0.4))

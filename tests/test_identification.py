@@ -43,6 +43,20 @@ def point_bundle(s0, s1, dist1: Pieces, dist0: Pieces, n=1, m=0.5):
                           qfn, bfn, provenance="oracle")
 
 
+class TestSupportBounds:
+    def test_per_row_limits_must_match_the_evaluated_rows(self):
+        sup = SupportBounds(y1_lower=0.0, y1_upper=np.arange(5.0))
+        np.testing.assert_array_equal(sup.upper(1, np.arange(5)), np.arange(5.0))
+        with pytest.raises(ValueError, match="per-row support"):
+            sup.upper(1, np.arange(4))
+
+    def test_select_subsets_per_row_limits_and_keeps_scalars(self):
+        sup = SupportBounds(y1_lower=0.0, y1_upper=np.arange(5.0)).select(
+            np.array([True, False, True, False, True]))
+        assert sup.y1_lower == 0.0
+        np.testing.assert_array_equal(sup.upper(1, np.arange(3)), [0.0, 2.0, 4.0])
+
+
 class TestConditionalSharpBound:
     def test_indifference_point_reduces_to_mean_difference(self):
         dist1 = Pieces([1.0], [0.0], [2.0])

@@ -9,7 +9,7 @@ from strata_bounds.influence import (degenerate_at_moments, efficiency_bound,
                                      efficiency_gap, eif_regular, eif_smooth)
 from strata_bounds.smoothing import GFamily
 
-from helpers import DPoint, Pieces, standard_points
+from helpers import DPoint, Pieces, dpoint_atoms, standard_points
 
 TOL = 1e-8
 
@@ -317,33 +317,25 @@ def _hahn_design():
                   dist1=Pieces([1.0], [0.0], [2.4]),
                   dist0=Pieces([1.0], [0.1], [0.9]))]
 
-    class Design:
-        def expectation(self, fn):
-            return sum(pt.prob * fn(self._pv(pt)) for pt in pts)
-
-        @staticmethod
-        def _pv(pt):
-            from strata_bounds.simulation import PointValues
-            return PointValues(
-                m=pt.m, s0=pt.s0, s1=pt.s1, label=pt.label,
-                beta_x=pt.dist[1].trunc_below(min(pt.p0, 1.0))
-                - pt.dist[0].trunc_above(1 - min(1 / pt.p0, 1.0)),
-                q1=pt.dist[1].ppf, q0=pt.dist[0].ppf,
-                b11=pt.dist[1].trunc_below, b00=pt.dist[0].trunc_above,
-                b01=pt.dist[1].trunc_above, b10=pt.dist[0].trunc_below,
-                sigma1_sq=pt.dist[1].censored_var_below(min(pt.p0, 1.0)),
-                sigma0_sq=pt.dist[0].mean() ** 0 * _upper_censored_var(pt))
-
-        def sharp_bound(self, side):
-            num = sum(pt.prob * self._pv(pt).beta_x * min(pt.s0, pt.s1)
-                      for pt in pts)
-            den = sum(pt.prob * min(pt.s0, pt.s1) for pt in pts)
-            return num / den
+    def beta_x(pt):
+        return pt.dist[1].trunc_below(min(pt.p0, 1.0)) \
+            - pt.dist[0].trunc_above(1 - min(1 / pt.p0, 1.0))
 
     def _upper_censored_var(pt):
         # Var[Y 1{Y >= lower-support}] = plain variance at full selection
         d = pt.dist[0]
         return d.partial(d.support[1], 2) - d.mean() ** 2
+
+    class Design:
+        def atoms(self):
+            return dpoint_atoms(
+                pts, [pt.dist[1].censored_var_below(min(pt.p0, 1.0)) for pt in pts],
+                [_upper_censored_var(pt) for pt in pts])
+
+        def sharp_bound(self, side):
+            num = sum(pt.prob * beta_x(pt) * min(pt.s0, pt.s1) for pt in pts)
+            den = sum(pt.prob * min(pt.s0, pt.s1) for pt in pts)
+            return num / den
 
     return pts, Design()
 
@@ -384,17 +376,8 @@ class TestEfficiencyFunctionals:
                             dist0=Pieces([1.0], [-0.5], [0.5]))
 
         class Design:
-            def expectation(self, fn):
-                from strata_bounds.simulation import PointValues
-                p = pt_shifted
-                pv = PointValues(m=p.m, s0=p.s0, s1=p.s1, label=1,
-                                 beta_x=0.0, q1=p.dist[1].ppf, q0=p.dist[0].ppf,
-                                 b11=p.dist[1].trunc_below,
-                                 b00=p.dist[0].trunc_above,
-                                 b01=p.dist[1].trunc_above,
-                                 b10=p.dist[0].trunc_below,
-                                 sigma1_sq=0.0, sigma0_sq=0.0)
-                return fn(pv)
+            def atoms(self):
+                return dpoint_atoms([pt_shifted], [0.0], [0.0])
 
         # b11(p0) == b00(0): the squared difference inside the gap vanishes
         assert efficiency_gap(Design()) == pytest.approx(0.0, abs=1e-10)

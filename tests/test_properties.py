@@ -59,9 +59,7 @@ def test_row_permutation_leaves_estimates_unchanged(shares, seed):
     table, bundle, support = _draw(shares, seed)
     perm = np.random.default_rng(seed).permutation(table.n)
     ptable, pbundle = table.select(perm), bundle.select(perm)
-    psupport = sb.SupportBounds(*(np.asarray(v)[perm] for v in
-                                  (support.y1_lower, support.y1_upper,
-                                   support.y0_lower, support.y0_upper)))
+    psupport = support.select(perm)
     cfg = EstimationConfig()
     want = sb.estimate_sharp(table, bundle, cfg, support)
     got = sb.estimate_sharp(ptable, pbundle, cfg, psupport)

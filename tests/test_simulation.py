@@ -8,6 +8,9 @@ from strata_bounds.simulation import (_mix_ppf, _mix_trunc_above,
                                       oracle_target, run_experiment,
                                       write_metrics_csv, write_power_csv)
 
+from helpers import (QuadratureDesign, quadrature_efficiency_bound,
+                     quadrature_efficiency_gap)
+
 
 class TestDgpConfig:
     def test_share_validation(self):
@@ -120,6 +123,47 @@ class TestOracleTarget:
         se = float(np.std(0.5 * (x1 == 1) * w - mc * w) / np.sqrt(t.n)
                    / np.mean(w))
         assert abs(mc - tgt.target) <= 3 * se
+
+
+#: (gamma, panel): the sharp targets have two kinks in x2 for gamma < 1 and
+#: one for gamma >= 1; every panel puts mass on the positive-monotone category
+REFERENCE_CASES = [(0.5, "b"), (1.0, "a"), (2.0, "c")]
+REFERENCE_TOL = 1e-11
+
+
+@pytest.mark.parametrize("gamma,panel", REFERENCE_CASES,
+                         ids=[f"gamma{g:g}-{p}" for g, p in REFERENCE_CASES])
+class TestTargetsMatchQuadratureReference:
+    """The atom plug-ins against adaptive quadrature of per-point closures."""
+
+    @staticmethod
+    def _designs(gamma, panel):
+        config = sb.DgpConfig(shares=sb.PANEL_SHARES[panel], gamma=gamma)
+        return sb.BenchmarkDesign(config), QuadratureDesign(config)
+
+    def test_sharp_bounds(self, gamma, panel):
+        atoms, ref = self._designs(gamma, panel)
+        for stratum in ("at", "c", "em"):
+            for side in ("l", "u"):
+                for dominance in (False, True):
+                    assert atoms.sharp_bound(side, stratum, dominance) \
+                        == pytest.approx(ref.sharp_bound(side, stratum, dominance),
+                                         abs=REFERENCE_TOL), (stratum, side, dominance)
+
+    # h = 0.5 drives g1(p0) below 0 on the x1 = 1 atoms: the clip-edge kink
+    @pytest.mark.parametrize("h", [0.5, 0.05])
+    def test_smooth_components(self, gamma, panel, h):
+        atoms, ref = self._designs(gamma, panel)
+        for side in ("l", "u"):
+            assert atoms.smooth_component_targets(side, h) == pytest.approx(
+                ref.smooth_component_targets(side, h), abs=REFERENCE_TOL)
+
+    def test_efficiency_functionals(self, gamma, panel):
+        atoms, ref = self._designs(gamma, panel)
+        assert sb.efficiency_bound(atoms) == pytest.approx(
+            quadrature_efficiency_bound(ref), abs=REFERENCE_TOL)
+        assert sb.efficiency_gap(atoms) == pytest.approx(
+            quadrature_efficiency_gap(ref), abs=REFERENCE_TOL)
 
 
 class TestSingleIndex:
