@@ -33,6 +33,10 @@ from .smoothing import GFamily
 
 EXIT_OK, EXIT_INPUT, EXIT_ESTIMATION = 0, 2, 3
 
+#: The ``estimate`` methods, each with the per-method knob it reads.
+METHOD_KNOBS = {"sharp": None, "trim": "eps_trim", "switch": "rho",
+                "smooth": "h", "inefficient": None}
+
 
 def _fail(code: int, kind: str, message: str) -> int:
     json.dump({"error": kind, "message": message}, sys.stderr)
@@ -129,6 +133,17 @@ def cmd_estimate(args) -> int:
     resolved = _resolve(args, file_cfg, defaults)
     _echo_resolved(resolved)
     methods = [m.strip() for m in str(resolved["method"]).split(",")]
+    for method in methods:
+        if method not in METHOD_KNOBS:
+            return _fail(EXIT_INPUT, "UnknownMethod", method)
+    # a knob set explicitly (flag or config file) that no listed method
+    # reads would change nothing
+    for method, knob in METHOD_KNOBS.items():
+        if knob is None or method in methods:
+            continue
+        if getattr(args, knob) is not None or file_cfg.get(knob) is not None:
+            return _fail(EXIT_INPUT, "InvalidConfig",
+                         f"{knob} is only used by method {method}")
     # never-taker bounds are support constants and the smoothed moments
     # have no dominance variant: there the flag would change nothing
     if resolved["dominance"] and str(resolved["stratum"]).lower() == "nt":
@@ -160,10 +175,8 @@ def cmd_estimate(args) -> int:
                 for h in resolved["h"]:
                     results.append(estimate_smooth(table, bundle,
                                                    GFamily(h=float(h)), cfg))
-            elif method == "inefficient":
-                results.append(estimate_inefficient(table, bundle, cfg, support))
             else:
-                return _fail(EXIT_INPUT, "UnknownMethod", method)
+                results.append(estimate_inefficient(table, bundle, cfg, support))
         if args.group_col:
             results = _grouped(args, table, bundle, cfg, support, results)
     except StrataBoundsError as exc:

@@ -11,6 +11,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,14 +112,16 @@ class ObservationTable:
     def p(self) -> int:
         return self.x.shape[1]
 
-    @property
+    @cached_property
     def y_filled(self) -> np.ndarray:
-        """Outcome with the unselected sentinel replaced by 0.
+        """Outcome with the unselected sentinel replaced by 0 (computed
+        once, read-only).
 
         Safe because every formula multiplies outcome terms by ``s``; the
         sentinel value itself is provably never read.
         """
-        return np.where(self.s == 1, np.where(np.isnan(self.y), 0.0, self.y), 0.0)
+        return _read_only(np.where(self.s == 1,
+                                   np.where(np.isnan(self.y), 0.0, self.y), 0.0))
 
     def select(self, idx) -> "ObservationTable":
         return ObservationTable(self.y[idx], self.s[idx], self.d[idx],
@@ -236,6 +239,11 @@ def validate(table: ObservationTable) -> ValidationReport:
     return ValidationReport(ok=not failures, failures=tuple(failures), messages=tuple(msgs))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def partition_labels(s0: np.ndarray, s1: np.ndarray, eps0: float = 0.0) -> np.ndarray:
     """Partition labels in {-1, 0, +1} (int8) by the sign of ``s1 - s0``;
     a point is indifferent (0) when ``|s1 - s0| <= eps0``."""
@@ -254,6 +262,10 @@ class NuisanceBundle:
     ``trunc_mean(j, d, u)`` accept a row index array and per-row ``u``
     values; ``j=1`` means the mean of the outcome below its ``u``-quantile,
     ``j=0`` the mean above it.
+
+    ``p0`` and ``labels()`` are computed once per bundle, and
+    ``per_table`` keeps what is built from one (table, bundle) pair; every
+    cached array is read-only.
     """
 
     def __init__(self, m, s0, s1, quantile_fn: Callable, trunc_mean_fn: Callable,
@@ -277,14 +289,15 @@ class NuisanceBundle:
         self._trunc_mean_fn = trunc_mean_fn
         self.provenance = provenance
         self.n_clamped = clamped
+        self._table_slot = None
 
     @property
     def n(self) -> int:
         return self.m.shape[0]
 
-    @property
+    @cached_property
     def p0(self) -> np.ndarray:
-        return self.s0 / self.s1
+        return _read_only(self.s0 / self.s1)
 
     def default_eps0(self) -> float:
         if self.provenance in _EXACT_PROVENANCES:
@@ -292,7 +305,26 @@ class NuisanceBundle:
         return DEFAULT_EPS0_ESTIMATED
 
     def labels(self) -> np.ndarray:
-        return partition_labels(self.s0, self.s1, self.default_eps0())
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        return _read_only(partition_labels(self.s0, self.s1, self.default_eps0()))
+
+    def per_table(self, table: ObservationTable, key, build: Callable):
+        """``build()``, computed once per (``table``, this bundle, ``key``).
+
+        The results live in a one-entry slot keyed by the identity of
+        ``table``: a different table, derived ones included, starts a new
+        slot and never sees these results.
+        """
+        slot = self._table_slot
+        if slot is None or slot[0] is not table:
+            slot = self._table_slot = (table, {})
+        memo = slot[1]
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def quantile(self, rows: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
         """q_d(u_i, x_i) for each row index i, with u clipped to [0, 1]."""
@@ -321,6 +353,7 @@ class NuisanceBundle:
         out._trunc_mean_fn = trunc_mean_fn
         out.provenance = self.provenance
         out.n_clamped = self.n_clamped
+        out._table_slot = None
         return out
 
     def with_negated_outcome(self) -> "NuisanceBundle":

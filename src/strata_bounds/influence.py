@@ -50,6 +50,12 @@ class SmoothInfluenceRows:
 
 
 def _ipw_pieces(table: ObservationTable, bundle: NuisanceBundle):
+    """Outcome, treatment, inverse-probability weights and selection
+    corrections per row; built once per (table, bundle), read-only."""
+    return bundle.per_table(table, "ipw", lambda: _build_ipw_pieces(table, bundle))
+
+
+def _build_ipw_pieces(table, bundle):
     s = table.s.astype(float)
     d = table.d.astype(float)
     yy = table.y_filled
@@ -58,6 +64,8 @@ def _ipw_pieces(table: ObservationTable, bundle: NuisanceBundle):
     ipw0 = s * (1.0 - d) / (1.0 - m)
     c0 = (1.0 - d) / (1.0 - m) * (s - s0)
     c1 = d / m * (s - s1)
+    for arr in (d, ipw1, ipw0, c0, c1):
+        arr.setflags(write=False)
     return yy, d, ipw1, ipw0, c0, c1
 
 
@@ -139,7 +147,14 @@ def degenerate_at_moments(table, bundle, inefficient: bool = False) -> Influence
     The trimming thresholds collapse, leaving an augmented IPW contrast of
     the untruncated conditional means; the share plug-in is the smaller of
     the two selection probabilities with the matching-arm correction.
+    Computed once per (table, bundle, ``inefficient``); read-only.
     """
+    return bundle.per_table(
+        table, ("degenerate", inefficient),
+        lambda: _build_degenerate_at_moments(table, bundle, inefficient))
+
+
+def _build_degenerate_at_moments(table, bundle, inefficient):
     yy, d, ipw1, ipw0, c0, c1 = _ipw_pieces(table, bundle)
     m, s0, s1 = bundle.m, bundle.s0, bundle.s1
     rows = bundle.all_rows()
@@ -150,6 +165,8 @@ def degenerate_at_moments(table, bundle, inefficient: bool = False) -> Influence
         b1 = bundle.trunc_mean(rows, 1, 1, np.ones(bundle.n))
         b0 = bundle.trunc_mean(rows, 0, 0, np.zeros(bundle.n))
         psi_b = psi_b + _augmentation(sbar, b1, b0, d, m)
+    for arr in (psi_b, psi_s):
+        arr.setflags(write=False)
     return InfluenceRows(psi_b=psi_b, psi_s=psi_s)
 
 

@@ -13,6 +13,7 @@ import logging
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -106,6 +107,14 @@ class CellSpec:
     lenient_tails: bool = True
 
 
+#: Cell key of a row with a discrete level that the arm's training rows
+#: never showed; evaluating the row raises ``EmptyCellError``.
+_UNSEEN_LEVEL = -2
+#: Cell key of the arm-level surface, which serves the rows of a cell that
+#: holds no training rows of the arm.
+_ARM_LEVEL = -1
+
+
 class _CellIndex:
     """Maps covariate rows to training-defined cells."""
 
@@ -122,28 +131,45 @@ class _CellIndex:
                 qs = np.linspace(0, 1, spec.n_bins + 1)[1:-1]
                 self.edges[j] = _weighted_quantile(x_train[:, j], w_train, qs)
 
+    def _level_index(self, j, col):
+        """Index of each value of discrete column ``j`` among its training
+        levels, and whether the value is one of them."""
+        lv = self.levels[j]
+        idx = np.clip(np.searchsorted(lv, col), 0, len(lv) - 1)
+        return idx, np.isclose(lv[idx], col)
+
     def keys(self, x) -> np.ndarray:
-        """Non-negative cell ids: the row-major flat index of each row's
-        per-column level/bin indices (distinct cells, distinct ids)."""
+        """Cell ids: the row-major flat index of each row's per-column
+        level/bin indices (distinct cells, distinct non-negative ids), or
+        ``_UNSEEN_LEVEL`` for a row with a discrete level never seen in
+        training."""
         x = np.atleast_2d(x)
         parts, dims = [], []
+        unseen = np.zeros(x.shape[0], dtype=bool)
         for j in self.spec.discrete_cols:
-            lv = self.levels[j]
-            idx = np.searchsorted(lv, x[:, j])
-            idx = np.clip(idx, 0, len(lv) - 1)
-            ok = np.isclose(lv[idx], x[:, j])
-            if not ok.all():
-                raise EmptyCellError(
-                    f"unseen level in discrete column {j}: "
-                    f"{np.unique(x[~ok, j])[:5]}")
+            idx, ok = self._level_index(j, x[:, j])
+            unseen |= ~ok
             parts.append(idx)
-            dims.append(len(lv))
+            dims.append(len(self.levels[j]))
         for j in self.cont_cols:
             parts.append(np.searchsorted(self.edges[j], x[:, j]))
             dims.append(len(self.edges[j]) + 1)
         if not parts:
             return np.zeros(x.shape[0], dtype=np.int64)
-        return np.ravel_multi_index(parts, dims).astype(np.int64)
+        keys = np.ravel_multi_index(parts, dims).astype(np.int64)
+        keys[unseen] = _UNSEEN_LEVEL
+        return keys
+
+    def unseen_level_error(self, x) -> EmptyCellError:
+        """The error for rows ``x``, some of which hold a discrete level never
+        seen in training: it names the first such column and its unseen
+        values."""
+        x = np.atleast_2d(x)
+        for j in self.spec.discrete_cols:
+            _, ok = self._level_index(j, x[:, j])
+            if not ok.all():
+                return EmptyCellError(f"unseen level in discrete column {j}: "
+                                      f"{np.unique(x[~ok, j])[:5]}")
 
 
 def _weighted_quantile(values, weights, qs):
@@ -168,6 +194,93 @@ def _sorted_cell(y, w):
     order = np.argsort(y, kind="stable")
     yv, wv = y[order], w[order]
     return yv, np.cumsum(wv), np.cumsum(wv * yv)
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The rows of an evaluation plan that one cell of arm ``d`` serves.
+
+    ``cell`` is the cell's ``_sorted_cell`` triple, or ``None`` when
+    evaluating the rows raises ``EmptyCellError``: through ``index`` for
+    an unseen discrete level, or because the arm had no training rows
+    (``index`` is ``None``).
+    """
+
+    d: int
+    key: int
+    cell: Optional[tuple]
+    index: Optional[_CellIndex]
+    lenient: bool
+
+
+class _Plan:
+    """Rows grouped by training cell: row ``i`` of ``x`` belongs to
+    ``groups[gid[i]]``. Groups are in evaluation order, so errors and
+    warnings come in the order of the groups a query reads."""
+
+    def __init__(self, gid: np.ndarray, groups: list, x: np.ndarray):
+        self.gid = gid
+        self.groups = groups
+        self.x = x
+
+    def evaluate(self, rows, u, kernel) -> np.ndarray:
+        """``kernel(group, u)`` on the queried ``rows`` of each non-empty
+        group, with ``u`` holding one level per queried row."""
+        gid = self.gid[rows]
+        order = np.argsort(gid, kind="stable")
+        counts = np.bincount(gid, minlength=len(self.groups))
+        ends = np.cumsum(counts)
+        out = np.empty(len(rows))
+        for g in np.flatnonzero(counts).tolist():
+            group = self.groups[g]
+            sel = order[ends[g] - counts[g]:ends[g]]
+            if group.cell is None:
+                if group.index is None:
+                    raise EmptyCellError(
+                        f"no selected training rows in arm {group.d}")
+                raise group.index.unseen_level_error(self.x[rows[sel]])
+            if group.key == _ARM_LEVEL:
+                logger.warning("%d rows in arm %d fall in cells with no "
+                               "training rows; using the arm-level surface",
+                               len(sel), group.d)
+            out[sel] = kernel(group, u[sel])
+        return out
+
+
+def _quantile_cell(group: _Group, u) -> np.ndarray:
+    """Left-continuous quantiles of one cell at levels ``u``."""
+    yv, cw, _ = group.cell
+    return yv[_quantile_pos(cw, u)]
+
+
+def _trunc_mean_cell(j: int, group: _Group, u) -> np.ndarray:
+    """Truncated means of one cell at levels ``u``, below (``j=1``) or above
+    (``j=0``) the ``u``-quantile, every tied observation at the threshold
+    included. An empty truncation region takes the cell mean (with a log
+    entry), or raises ``EmptyTailError`` when the cell spec is strict."""
+    yv, cw, cy = group.cell
+    q = yv[_quantile_pos(cw, u)]
+    total_w, total_y = cw[-1], cy[-1]
+    if j == 1:
+        hi = np.searchsorted(yv, q, side="right") - 1
+        num, den = cy[hi], cw[hi]
+        full = u >= 1.0
+    else:
+        lo = np.searchsorted(yv, q, side="left")
+        num = total_y - np.where(lo > 0, cy[lo - 1], 0.0)
+        den = total_w - np.where(lo > 0, cw[lo - 1], 0.0)
+        full = u <= 0.0
+    empty = ~full & (den <= 0)
+    if empty.any():
+        what = f"arm {group.d} {'lower' if j == 1 else 'upper'} tail"
+        if not group.lenient:
+            raise EmptyTailError(f"no observation in truncation region ({what})")
+        logger.warning("empty truncation region (%s) in cell %d for %d rows; "
+                       "using the cell mean", what, group.key, int(empty.sum()))
+    ok = ~(full | empty)
+    out = np.full(len(u), total_y / total_w)
+    out[ok] = num[ok] / den[ok]
+    return out
 
 
 class CellOutcomeSurface:
@@ -203,75 +316,43 @@ class CellOutcomeSurface:
             keys = cidx.keys(xi)
             cells = {int(key): _sorted_cell(yi[keys == key], wi[keys == key])
                      for key in np.unique(keys)}
-            cells[-1] = _sorted_cell(yi, wi)
+            cells[_ARM_LEVEL] = _sorted_cell(yi, wi)
             self.index[d] = cidx
             self.cells[d] = cells
 
-    def _keys(self, d, x):
-        if self.index[d] is None:
-            raise EmptyCellError(f"no selected training rows in arm {d}")
-        return self.index[d].keys(x)
-
-    def _groups(self, d, x):
-        """Split the rows of ``x`` by training cell of arm ``d`` into
-        ``(key, cell, rows)`` triples with ``rows`` ascending; rows of an
-        unseen cell go to the arm-level surface (key -1)."""
-        keys = self._keys(d, x)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        seen = np.array([key in self.cells[d] for key in uniq.tolist()])[inverse]
+    def plan(self, d, x) -> _Plan:
+        """Group the rows of ``x`` by training cell of arm ``d``, in cell-key
+        order: rows with an unseen discrete level (key -2, which raises),
+        rows of a cell with no training rows of the arm (the arm-level
+        surface, key -1), then the cells in ascending key order."""
+        x = np.atleast_2d(x)
+        lenient = self.spec.lenient_tails
+        index = self.index[d]
+        if index is None:
+            return _Plan(np.zeros(x.shape[0], dtype=np.int64),
+                         [_Group(d, _UNSEEN_LEVEL, None, None, lenient)], x)
+        cells = self.cells[d]
+        keys = index.keys(x)
+        uniq, gid = np.unique(keys, return_inverse=True)
+        seen = np.array([key in cells or key == _UNSEEN_LEVEL
+                         for key in uniq.tolist()])
         if not seen.all():
-            logger.warning("%d rows in arm %d fall in cells with no training "
-                           "rows; using the arm-level surface",
-                           int((~seen).sum()), d)
-            uniq, inverse = np.unique(np.where(seen, keys, -1),
-                                      return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.cumsum(np.bincount(inverse))[:-1]
-        return [(key, self.cells[d][key], rows)
-                for key, rows in zip(uniq.tolist(), np.split(order, bounds))]
+            uniq, gid = np.unique(np.where(seen[gid], keys, _ARM_LEVEL),
+                                  return_inverse=True)
+        groups = [_Group(d, key, cells.get(key), index, lenient)
+                  for key in uniq.tolist()]
+        return _Plan(gid, groups, x)
 
     def quantile(self, x, d, u) -> np.ndarray:
-        x = np.atleast_2d(x)
-        u = np.asarray(u, dtype=float)
-        out = np.empty(x.shape[0])
-        for _, (yv, cw, _), rows in self._groups(d, x):
-            out[rows] = yv[_quantile_pos(cw, u[rows])]
-        return out
+        plan = self.plan(d, x)
+        return plan.evaluate(np.arange(len(plan.gid)),
+                             np.asarray(u, dtype=float), _quantile_cell)
 
     def trunc_mean(self, x, j, d, u) -> np.ndarray:
-        x = np.atleast_2d(x)
-        u = np.asarray(u, dtype=float)
-        what = f"arm {d} {'lower' if j == 1 else 'upper'} tail"
-        out = np.empty(x.shape[0])
-        for key, (yv, cw, cy), rows in self._groups(d, x):
-            uc = u[rows]
-            q = yv[_quantile_pos(cw, uc)]
-            total_w, total_y = cw[-1], cy[-1]
-            # include every tied observation at the threshold
-            if j == 1:
-                hi = np.searchsorted(yv, q, side="right") - 1
-                num, den = cy[hi], cw[hi]
-                full = uc >= 1.0
-            else:
-                lo = np.searchsorted(yv, q, side="left")
-                num = total_y - np.where(lo > 0, cy[lo - 1], 0.0)
-                den = total_w - np.where(lo > 0, cw[lo - 1], 0.0)
-                full = uc <= 0.0
-            empty = ~full & (den <= 0)
-            if empty.any():
-                # the cell mean stands in for an empty truncation region
-                if not self.spec.lenient_tails:
-                    raise EmptyTailError(
-                        f"no observation in truncation region ({what})")
-                else:
-                    logger.warning("empty truncation region (%s) in cell %d "
-                                   "for %d rows; using the cell mean",
-                                   what, key, int(empty.sum()))
-            ok = ~(full | empty)
-            out[rows[ok]] = num[ok] / den[ok]
-            if not ok.all():
-                out[rows[~ok]] = total_y / total_w
-        return out
+        plan = self.plan(d, x)
+        return plan.evaluate(np.arange(len(plan.gid)),
+                             np.asarray(u, dtype=float),
+                             partial(_trunc_mean_cell, j))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +382,21 @@ def fold_assignments(n: int, k: int, seed: int) -> np.ndarray:
 def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
     """Cross-fitted nuisance bundle: each row is scored by models trained on
     the complementary folds; truncated-mean surfaces reuse the quantile
-    surface fitted on the same training folds."""
+    surface fitted on the same training folds.
+
+    The outcome surfaces are evaluated through one plan per arm, built on
+    the first call for the arm: every row's group over (fold, training
+    cell of that fold), with rows of an unseen cell on that fold's
+    arm-level surface. A call then sorts its rows by group once and runs
+    the per-cell kernel once per group it reads, in (fold, cell) order.
+    """
     n = table.n
     folds = fold_assignments(n, spec.folds, spec.seed)
     m = np.empty(n)
     s0 = np.empty(n)
     s1 = np.empty(n)
-    surfaces = {}
+    held_out = []
+    surfaces = []
     for k in range(spec.folds):
         hold = folds == k
         train = table.select(~hold)
@@ -320,25 +409,26 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
         else:
             prop = fit_propensity(train)
             m[hold] = prop(table.x[hold])
-        surfaces[k] = CellOutcomeSurface(train, spec.cells)
+        held_out.append(np.flatnonzero(hold))
+        surfaces.append(CellOutcomeSurface(train, spec.cells))
+    plans = {}
+
+    def plan(d):
+        if d not in plans:
+            gid = np.empty(n, dtype=np.int64)
+            groups = []
+            for hold, surface in zip(held_out, surfaces):
+                fold_plan = surface.plan(d, table.x[hold])
+                gid[hold] = fold_plan.gid + len(groups)
+                groups += fold_plan.groups
+            plans[d] = _Plan(gid, groups, table.x)
+        return plans[d]
 
     def quantile_fn(rows, d, u):
-        f, x = folds[rows], table.x[rows]
-        out = np.empty(len(rows))
-        for k in range(spec.folds):
-            here = f == k
-            if here.any():
-                out[here] = surfaces[k].quantile(x[here], d, u[here])
-        return out
+        return plan(d).evaluate(rows, u, _quantile_cell)
 
     def trunc_mean_fn(rows, j, d, u):
-        f, x = folds[rows], table.x[rows]
-        out = np.empty(len(rows))
-        for k in range(spec.folds):
-            here = f == k
-            if here.any():
-                out[here] = surfaces[k].trunc_mean(x[here], j, d, u[here])
-        return out
+        return plan(d).evaluate(rows, u, partial(_trunc_mean_cell, j))
 
     return NuisanceBundle(m, s0, s1, quantile_fn, trunc_mean_fn,
                           provenance="cross_fitted")

@@ -1,10 +1,12 @@
 """Shared test machinery: closed-form outcome mixtures, a discrete design
 with exact conditional-moment enumeration, a discrete-grid process for
-brute-force bound checks, per-row reference loops for the vectorized
-nuisance surfaces and the nuisance CSV reader, and a scalar quadrature
-reference for the benchmark design's population targets."""
+brute-force bound checks, reference loops for the cell outcome surfaces
+(per row, and the per-fold cross-fitted loop) and the nuisance CSV
+reader, and a scalar quadrature reference for the benchmark design's
+population targets."""
 
 import csv
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -16,8 +18,10 @@ from scipy.special import ndtr
 
 from strata_bounds.data_model import (XMINUS, XPLUS, NuisanceBundle,
                                       ObservationTable, Side, Stratum)
-from strata_bounds.errors import EmptyTailError
+from strata_bounds.errors import EmptyCellError, EmptyTailError
 from strata_bounds.identification import SupportBounds
+from strata_bounds.nuisance import (CellOutcomeSurface, _quantile_pos,
+                                    fold_assignments)
 from strata_bounds.simulation import (TRUNC_HI, TRUNC_LO, _TRUNC_MASN,
                                       DesignAtoms, DgpConfig,
                                       _mix_censored_var, _mix_ppf,
@@ -335,7 +339,34 @@ def direct_grid_bound(points, stratum, side, dominance):
 
 
 # ---------------------------------------------------------------------------
-# per-row reference loops for the vectorized nuisance surfaces
+# reference evaluations of the cell outcome surfaces: per-row loops, and
+# the per-fold cross-fitted loop that groups each fold's rows per call
+
+def reference_keys(surface, d, x):
+    """Cell keys of the rows of ``x`` in arm ``d``, recomputed column by
+    column; ``EmptyCellError`` when the arm has no training rows or a row
+    holds a discrete level that the arm never showed."""
+    index = surface.index[d]
+    if index is None:
+        raise EmptyCellError(f"no selected training rows in arm {d}")
+    x = np.atleast_2d(x)
+    parts, dims = [], []
+    for j in index.spec.discrete_cols:
+        lv = index.levels[j]
+        idx = np.clip(np.searchsorted(lv, x[:, j]), 0, len(lv) - 1)
+        ok = np.isclose(lv[idx], x[:, j])
+        if not ok.all():
+            raise EmptyCellError(f"unseen level in discrete column {j}: "
+                                 f"{np.unique(x[~ok, j])[:5]}")
+        parts.append(idx)
+        dims.append(len(lv))
+    for j in index.cont_cols:
+        parts.append(np.searchsorted(index.edges[j], x[:, j]))
+        dims.append(len(index.edges[j]) + 1)
+    if not parts:
+        return np.zeros(x.shape[0], dtype=np.int64)
+    return np.ravel_multi_index(parts, dims).astype(np.int64)
+
 
 def _reference_cell(surface, d, key):
     """The row's training cell, or the arm-level surface when none."""
@@ -346,7 +377,7 @@ def reference_quantile(surface, x, d, u):
     """``CellOutcomeSurface.quantile`` evaluated one row at a time."""
     x = np.atleast_2d(x)
     u = np.asarray(u, dtype=float)
-    keys = surface._keys(d, x)
+    keys = reference_keys(surface, d, x)
     out = np.empty(len(keys))
     for i, key in enumerate(keys):
         yv, cw, _ = _reference_cell(surface, d, key)
@@ -362,7 +393,7 @@ def reference_trunc_mean(surface, x, j, d, u):
     surface's spec is strict)."""
     x = np.atleast_2d(x)
     u = np.asarray(u, dtype=float)
-    keys = surface._keys(d, x)
+    keys = reference_keys(surface, d, x)
     out = np.empty(len(keys))
 
     def lenient(cy, cw, what):
@@ -396,6 +427,97 @@ def reference_trunc_mean(surface, x, j, d, u):
             else:
                 out[i] = y_above / w_above
     return out
+
+
+def _grouped(surface, d, x):
+    """The rows of ``x`` split by training cell of arm ``d`` into ``(key,
+    cell, rows)`` triples, keys ascending; rows of a cell with no training
+    rows go to the arm-level surface (key -1) with one warning."""
+    keys = reference_keys(surface, d, x)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    seen = np.array([key in surface.cells[d] for key in uniq.tolist()])[inverse]
+    if not seen.all():
+        logging.getLogger("strata_bounds").warning(
+            "%d rows in arm %d fall in cells with no training rows; using "
+            "the arm-level surface", int((~seen).sum()), d)
+        uniq, inverse = np.unique(np.where(seen, keys, -1), return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse))[:-1]
+    return [(key, surface.cells[d][key], rows)
+            for key, rows in zip(uniq.tolist(), np.split(order, bounds))]
+
+
+def grouped_quantile(surface, x, d, u):
+    """``CellOutcomeSurface.quantile`` with the rows grouped per call."""
+    x = np.atleast_2d(x)
+    out = np.empty(x.shape[0])
+    for _, (yv, cw, _), rows in _grouped(surface, d, x):
+        out[rows] = yv[_quantile_pos(cw, u[rows])]
+    return out
+
+
+def grouped_trunc_mean(surface, x, j, d, u):
+    """``CellOutcomeSurface.trunc_mean`` with the rows grouped per call."""
+    x = np.atleast_2d(x)
+    what = f"arm {d} {'lower' if j == 1 else 'upper'} tail"
+    out = np.empty(x.shape[0])
+    for key, (yv, cw, cy), rows in _grouped(surface, d, x):
+        uc = u[rows]
+        q = yv[_quantile_pos(cw, uc)]
+        total_w, total_y = cw[-1], cy[-1]
+        if j == 1:
+            hi = np.searchsorted(yv, q, side="right") - 1
+            num, den = cy[hi], cw[hi]
+            full = uc >= 1.0
+        else:
+            lo = np.searchsorted(yv, q, side="left")
+            num = total_y - np.where(lo > 0, cy[lo - 1], 0.0)
+            den = total_w - np.where(lo > 0, cw[lo - 1], 0.0)
+            full = uc <= 0.0
+        empty = ~full & (den <= 0)
+        if empty.any():
+            if not surface.spec.lenient_tails:
+                raise EmptyTailError(
+                    f"no observation in truncation region ({what})")
+            logging.getLogger("strata_bounds").warning(
+                "empty truncation region (%s) in cell %d for %d rows; using "
+                "the cell mean", what, key, int(empty.sum()))
+        ok = ~(full | empty)
+        out[rows[ok]] = num[ok] / den[ok]
+        if not ok.all():
+            out[rows[~ok]] = total_y / total_w
+    return out
+
+
+def crossfit_surfaces(table, spec):
+    """The fold ids and the per-fold outcome surfaces of ``crossfit``."""
+    folds = fold_assignments(table.n, spec.folds, spec.seed)
+    return folds, [CellOutcomeSurface(table.select(folds != k), spec.cells)
+                   for k in range(spec.folds)]
+
+
+def reference_crossfit(table, spec, bundle) -> NuisanceBundle:
+    """``bundle = crossfit(table, spec)`` with its outcome surfaces
+    evaluated fold by fold: each call masks the rows of every fold and
+    groups them by cell on that fold's surface."""
+    folds, surfaces = crossfit_surfaces(table, spec)
+
+    def per_fold(evaluate):
+        def fn(rows, *args):
+            *head, u = args
+            f, x = folds[rows], table.x[rows]
+            out = np.empty(len(rows))
+            for k in range(spec.folds):
+                here = f == k
+                if here.any():
+                    out[here] = evaluate(surfaces[k], x[here], *head, u[here])
+            return out
+        return fn
+
+    return NuisanceBundle(bundle.m, bundle.s0, bundle.s1,
+                          per_fold(grouped_quantile),
+                          per_fold(grouped_trunc_mean),
+                          provenance=bundle.provenance)
 
 
 def reference_interp(levels, values, u):

@@ -229,6 +229,36 @@ class TestEstimate:
         assert dom[0]["estimate_lower"] != plain[0]["estimate_lower"]
         assert dom[1] == plain[1]
 
+    @pytest.mark.parametrize("argv,knob", [
+        (("--h", "0.05"), "h"),
+        (("--eps-trim", "0.2"), "eps_trim"),
+        (("--rho", "0.3"), "rho"),
+        (("--method", "sharp,trim", "--rho", "auto"), "rho"),
+        (("--config", "knobs.json"), "eps_trim"),
+    ], ids=["h", "eps_trim", "rho", "rho_auto_with_trim", "config_file"])
+    def test_unused_knob_exits_2(self, capsys, tmp_path, sample_csv, argv,
+                                 knob):
+        _, _, path = sample_csv
+        cfg = tmp_path / "knobs.json"
+        cfg.write_text(json.dumps({"eps_trim": 0.2}))
+        argv = [str(cfg) if a == "knobs.json" else a for a in argv]
+        code, out, err = run_cli(capsys, "estimate", path, "--folds", "2",
+                                 *argv)
+        assert code == 2 and out == ""
+        rec = json.loads(err.splitlines()[-1])
+        assert rec["error"] == "InvalidConfig"
+        assert rec["message"].startswith(f"{knob} ")
+
+    @pytest.mark.parametrize("methods", ["bogus", "sharp,bogus"])
+    def test_unknown_method_exits_2_before_reading_data(self, capsys,
+                                                        tmp_path, methods):
+        code, out, err = run_cli(capsys, "estimate",
+                                 str(tmp_path / "missing.csv"),
+                                 "--method", methods)
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[-1]) == {"error": "UnknownMethod",
+                                                    "message": "bogus"}
+
     @pytest.mark.parametrize("column,rule", [("x", "finite covariates"),
                                              ("weight", "finite weights")])
     def test_non_finite_input_exits_2(self, capsys, tmp_path, sample_csv,
@@ -362,7 +392,8 @@ def test_bad_input_same_for_both_commands(capsys, tmp_path, sample_csv,
     config, table, _ = sample_csv
     path = tmp_path / "bad.csv"
     write(table, path)
-    data = [str(path)] if command == "estimate" else ["--data", str(path)]
+    data = [str(path), "--method", "smooth"] if command == "estimate" \
+        else ["--data", str(path)]
     got, _, err = run_cli(capsys, command, *data, "--h", "0.05", "--folds", "3")
     assert got == code
     assert json.loads(err.splitlines()[-1])["error"] == kind

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ import strata_bounds as sb
 from strata_bounds.data_model import (ObservationTable, Side, Stratum,
                                       StratumSpec)
 from strata_bounds.errors import PartitionError
-from strata_bounds.influence import (degenerate_at_moments, efficiency_bound,
+from strata_bounds.influence import (_build_ipw_pieces, _ipw_pieces,
+                                     degenerate_at_moments, efficiency_bound,
                                      efficiency_gap, eif_regular, eif_smooth)
+from strata_bounds.simulation import _replication_worker
 from strata_bounds.smoothing import GFamily
 
 from helpers import DPoint, Pieces, dpoint_atoms, standard_points
@@ -248,6 +252,74 @@ class TestStructure:
                   + (smo.psi_b_minus - bm * smo.psi_s_minus)
                   / np.dot(w, smo.psi_s_minus))
         np.testing.assert_allclose(smo_if[keep], reg_if[keep], atol=1e-4)
+
+
+def pieces_bytes(pieces):
+    return [arr.tobytes() for arr in pieces]
+
+
+class TestPerTableCaches:
+    """What is built once per (table, bundle) is read-only and never
+    reaches another table."""
+
+    @pytest.fixture()
+    def panel_b(self):
+        config = sb.DgpConfig(n=600, shares=sb.PANEL_SHARES["b"],
+                              replications=1, base_seed=8)
+        table = sb.dgp_sample(config, 0)
+        return config, table, sb.oracle_nuisances(config)(table)
+
+    def test_cached_arrays_are_read_only(self, panel_b):
+        _, table, bundle = panel_b
+        deg = degenerate_at_moments(table, bundle)
+        cached = [table.y_filled, bundle.p0, bundle.labels(),
+                  *_ipw_pieces(table, bundle), deg.psi_b, deg.psi_s]
+        for arr in cached:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert table.y_filled is table.y_filled
+        assert bundle.p0 is bundle.p0 and bundle.labels() is bundle.labels()
+        assert _ipw_pieces(table, bundle) is _ipw_pieces(table, bundle)
+
+    def test_derived_tables_get_their_own_pieces(self, panel_b):
+        _, table, bundle = panel_b
+        base = _ipw_pieces(table, bundle)
+        survivors = np.flatnonzero(bundle.labels() != 0)
+        derived = [(table.with_negated_outcome(), bundle),
+                   (table.with_swapped_arms(), bundle),
+                   (table.with_negated_outcome(), bundle.with_negated_outcome()),
+                   (table.with_swapped_arms(), bundle.with_swapped_arms()),
+                   (table.select(survivors), bundle.select(survivors))]
+        for t2, b2 in derived:
+            got = _ipw_pieces(t2, b2)
+            assert got is not base
+            assert pieces_bytes(got) == pieces_bytes(_build_ipw_pieces(t2, b2))
+            assert pieces_bytes(got) != pieces_bytes(base)
+        # the base pair rebuilds its pieces after a derived table took the slot
+        assert pieces_bytes(_ipw_pieces(table, bundle)) == pieces_bytes(base)
+
+    def test_degenerate_moments_per_inefficient_flag(self, panel_b):
+        _, table, bundle = panel_b
+        eff = degenerate_at_moments(table, bundle)
+        known = degenerate_at_moments(table, bundle, inefficient=True)
+        assert eff.psi_b.tobytes() != known.psi_b.tobytes()
+        assert degenerate_at_moments(table, bundle) is eff
+        assert degenerate_at_moments(table, bundle, inefficient=True) is known
+        neg = degenerate_at_moments(table.with_negated_outcome(), bundle)
+        assert neg is not eff and neg.psi_b.tobytes() != eff.psi_b.tobytes()
+
+    def test_replication_records_do_not_depend_on_roster_order(self, panel_b):
+        config = panel_b[0]
+        full = _replication_worker(config, 3)
+        reverse = dataclasses.replace(
+            config, estimators=tuple(reversed(config.estimators)))
+        assert repr(_replication_worker(reverse, 3)) == \
+            repr(dict(reversed(list(full.items()))))
+        for est in config.estimators:
+            alone = dataclasses.replace(config, estimators=(est,))
+            assert repr(_replication_worker(alone, 3)) == \
+                repr({est.name: full[est.name]})
 
 
 class TestMeanZeroMonteCarlo:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import strata_bounds as sb
-from helpers import (reference_interp, reference_quantile,
+from helpers import (crossfit_surfaces, reference_crossfit, reference_interp,
+                     reference_keys, reference_quantile,
                      reference_read_nuisance_csv, reference_trunc_mean)
 from strata_bounds.data_model import ObservationTable
 from strata_bounds.errors import EmptyCellError, EmptyTailError, SeparationWarning
@@ -335,6 +336,146 @@ class TestCrossfit:
         spec = LearnerSpec(folds=2, seed=1, propensity_known=0.5)
         b = crossfit(t, spec)
         assert (b.m == 0.5).all()
+
+
+def panel_b_draw(rep_index):
+    config = sb.DgpConfig(n=2000, shares=sb.PANEL_SHARES["b"], base_seed=5,
+                          replications=1)
+    return sb.dgp_sample(config, rep_index)
+
+
+PLAN_SPEC = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=3),
+                        folds=5, seed=1)
+
+
+def evaluations(bundle, rows, u):
+    """Every surface call on ``rows`` at levels ``u``, as bytes or the
+    error it raises."""
+    out = []
+    for d in (0, 1):
+        out.append(outcome(bundle.quantile, rows, d, u))
+        for j in (0, 1):
+            out.append(outcome(bundle.trunc_mean, rows, j, d, u))
+    return out
+
+
+def levels(rng, size):
+    return np.concatenate([EDGE_LEVELS, rng.integers(0, 21, 40) / 20.0,
+                           rng.random(size - 46)])
+
+
+def warnings_of(caplog, fn):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="strata_bounds"):
+        fn()
+    return [rec.getMessage() for rec in caplog.records]
+
+
+class TestCrossfitPlan:
+    """The per-arm (fold, cell) plan against the per-fold loop that
+    groups each fold's rows on every call."""
+
+    @pytest.mark.parametrize("rep", [0, 124])   # draw 124 has an unseen cell
+    def test_full_rows_byte_identical(self, rep):
+        t = panel_b_draw(rep)
+        bundle = crossfit(t, PLAN_SPEC)
+        ref = reference_crossfit(t, PLAN_SPEC, bundle)
+        u = levels(np.random.default_rng(rep), t.n)
+        rows = bundle.all_rows()
+        assert evaluations(bundle, rows, u) == evaluations(ref, rows, u)
+
+    def test_survivor_subset_byte_identical(self):
+        # the rows that trim's drop variant queries
+        t = panel_b_draw(124)
+        bundle = crossfit(t, PLAN_SPEC)
+        ref = reference_crossfit(t, PLAN_SPEC, bundle)
+        survivors = np.abs(bundle.p0 - 1.0) > 0.1
+        sub, ref_sub = bundle.select(survivors), ref.select(survivors)
+        u = levels(np.random.default_rng(3), sub.n)
+        rows = sub.all_rows()
+        assert evaluations(sub, rows, u) == evaluations(ref_sub, rows, u)
+
+    def test_unsorted_rows_with_repeats_byte_identical(self):
+        t = panel_b_draw(124)
+        bundle = crossfit(t, PLAN_SPEC)
+        ref = reference_crossfit(t, PLAN_SPEC, bundle)
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, t.n, 3000)
+        assert len(np.unique(rows)) < len(rows)
+        u = levels(rng, len(rows))
+        assert evaluations(bundle, rows, u) == evaluations(ref, rows, u)
+
+    def test_unseen_cell_warning_on_every_call_that_reads_it(self, caplog):
+        t = panel_b_draw(124)
+        bundle = crossfit(t, PLAN_SPEC)
+        ref = reference_crossfit(t, PLAN_SPEC, bundle)
+        folds, surfaces = crossfit_surfaces(t, PLAN_SPEC)
+        unseen = [i for i in range(t.n) if int(reference_keys(
+            surfaces[folds[i]], 1, t.x[i])[0]) not in surfaces[folds[i]].cells[1]]
+        assert unseen
+        rows = bundle.all_rows()
+        u = np.full(t.n, 0.5)
+        for _ in range(2):
+            for call in (lambda b: b.quantile(rows, 1, u),
+                         lambda b: b.trunc_mean(rows, 1, 1, u)):
+                got = warnings_of(caplog, lambda: call(bundle))
+                assert got == warnings_of(caplog, lambda: call(ref))
+                assert any(f"{len(unseen)} rows in arm 1" in msg for msg in got)
+        others = np.setdiff1d(rows, unseen)
+        assert warnings_of(caplog, lambda: bundle.quantile(
+            others, 1, u[others])) == []
+
+    def test_unseen_discrete_level_raises_only_where_queried(self):
+        # levels 7 and 9 each sit on one selected treated row, so the
+        # surfaces of that row's fold never saw them in either arm
+        t = tied_cell_table(2, n=400)
+        x = t.x.copy()
+        picked = np.flatnonzero(t.d == 1)[[3, 40]]
+        x[picked, 0] = [7.0, 9.0]
+        t = ObservationTable(y=t.y, s=t.s, d=t.d, x=x, weight=t.weight)
+        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=2),
+                           folds=3, seed=2)
+        bundle = crossfit(t, spec)
+        ref = reference_crossfit(t, spec, bundle)
+        u = levels(np.random.default_rng(5), t.n)
+        rows = bundle.all_rows()
+        got = evaluations(bundle, rows, u)
+        assert got == evaluations(ref, rows, u)
+        assert all(g[0] is EmptyCellError and "unseen level" in g[1]
+                   for g in got)
+        for one in picked:
+            got = evaluations(bundle, np.array([one]), u[:1])
+            assert got == evaluations(ref, np.array([one]), u[:1])
+            assert got[0][0] is EmptyCellError
+        clean = np.setdiff1d(rows, picked)
+        got = evaluations(bundle, clean, u[clean])
+        assert got == evaluations(ref, clean, u[clean])
+        assert all(isinstance(g, bytes) for g in got)
+
+    @pytest.mark.parametrize("lenient", [True, False])
+    def test_empty_tails_match(self, caplog, lenient):
+        # the zero-weight rows hold the lowest outcomes, so lower tails at
+        # tiny levels are empty
+        t = tied_cell_table(3, n=400)
+        y = np.where(t.weight == 0, -100.0, t.y)
+        t = ObservationTable(y=y, s=t.s, d=t.d, x=t.x, weight=t.weight)
+        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=2,
+                                          lenient_tails=lenient),
+                           folds=3, seed=4)
+        bundle = crossfit(t, spec)
+        ref = reference_crossfit(t, spec, bundle)
+        rows = bundle.all_rows()
+        u = np.full(t.n, 1e-13)
+        got = warnings_of(caplog, lambda: evaluations(bundle, rows, u))
+        assert got == warnings_of(caplog, lambda: evaluations(ref, rows, u))
+        assert evaluations(bundle, rows, u) == evaluations(ref, rows, u)
+        lower = outcome(bundle.trunc_mean, rows, 1, 1, u)
+        if lenient:
+            assert any("empty truncation region" in msg for msg in got)
+        else:
+            assert lower == (EmptyTailError,
+                             "no observation in truncation region "
+                             "(arm 1 lower tail)")
 
 
 class TestExternal:
