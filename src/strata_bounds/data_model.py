@@ -138,6 +138,11 @@ class ObservationTable:
 
     @classmethod
     def from_csv(cls, path_or_buffer, weights_col: str = "weight") -> "ObservationTable":
+        """Table from a CSV with the header above. A blank line, a row whose
+        field count differs from the header's, or a field that does not
+        parse (``s`` and ``d`` as 8-bit integers, the rest as floats) raises
+        ``ValueError`` naming the data row (counted from 1 below the header)
+        and, for a field, its column."""
         close = False
         if isinstance(path_or_buffer, (str, bytes)):
             fh = open(path_or_buffer, "r", encoding="utf-8", newline="")
@@ -146,7 +151,9 @@ class ObservationTable:
             fh = path_or_buffer
         try:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("data file is empty")
             cols = {name: j for j, name in enumerate(header)}
             for required in ("y", "s", "d"):
                 if required not in cols:
@@ -163,16 +170,24 @@ class ObservationTable:
         d = np.zeros(n, dtype=np.int8)
         w = np.ones(n)
         x = np.zeros((n, len(xcols)))
+        width = len(header)
         for i, row in enumerate(rows):
-            raw_y = row[cols["y"]].strip()
-            if raw_y not in ("", "NA"):
-                y[i] = float(raw_y)
-            s[i] = int(row[cols["s"]])
-            d[i] = int(row[cols["d"]])
-            if weights_col in cols and row[cols[weights_col]].strip() != "":
-                w[i] = float(row[cols[weights_col]])
-            for j, c in enumerate(xcols):
-                x[i, j] = float(row[cols[c]])
+            if len(row) != width:
+                raise ValueError(f"data row {i + 1} is blank" if not row else
+                                 f"data row {i + 1} has {len(row)} fields, "
+                                 f"the header has {width}")
+            try:
+                raw_y = row[cols["y"]].strip()
+                if raw_y not in ("", "NA"):
+                    y[i] = float(raw_y)
+                s[i] = int(row[cols["s"]])
+                d[i] = int(row[cols["d"]])
+                if weights_col in cols and row[cols[weights_col]].strip() != "":
+                    w[i] = float(row[cols[weights_col]])
+                for j, c in enumerate(xcols):
+                    x[i, j] = float(row[cols[c]])
+            except (ValueError, OverflowError):
+                raise _field_error(i, row, cols, weights_col, xcols) from None
         return cls(y, s, d, x, w)
 
     def to_csv(self, path_or_buffer) -> None:
@@ -193,6 +208,22 @@ class ObservationTable:
         finally:
             if close:
                 fh.close()
+
+
+def _field_error(i, row, cols, weights_col, xcols) -> ValueError:
+    """The error for data row ``i`` of ``ObservationTable.from_csv``: the
+    first field, in the order the row is read, that does not parse."""
+    parsers = [("y", lambda v: v.strip() in ("", "NA") or float(v)),
+               ("s", lambda v: np.int8(int(v))),
+               ("d", lambda v: np.int8(int(v)))]
+    if weights_col in cols:
+        parsers.append((weights_col, lambda v: v.strip() == "" or float(v)))
+    parsers += [(c, float) for c in xcols]
+    for name, parse in parsers:
+        try:
+            parse(row[cols[name]])
+        except (ValueError, OverflowError) as exc:
+            return ValueError(f"data row {i + 1}, column {name!r}: {exc}")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ import csv
 import logging
 import re
 import warnings
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -196,11 +195,69 @@ def _sorted_cell(y, w):
     return yv, np.cumsum(wv), np.cumsum(wv * yv)
 
 
+#: The one-row segment that ends every ``_Cells``. The rows of a group that
+#: raises ``EmptyCellError`` read it, so a call can evaluate all its rows
+#: before it walks the groups.
+_PLACEHOLDER = (np.zeros(1), np.ones(1), np.zeros(1))
+
+
+class _Cells:
+    """Sorted cells laid end to end in flat arrays.
+
+    Segment ``k`` holds one cell's ``_sorted_cell`` triple at flat indices
+    ``start[k]`` to ``start[k] + length[k] - 1`` of ``y``, ``cw`` and
+    ``cy``. ``first[i]`` and ``last[i]`` are the flat indices where the run
+    of outcomes tied with ``y[i]`` begins and ends; a run never leaves its
+    segment, so they are ``np.searchsorted(yv, yv[i], "left")`` and
+    ``np.searchsorted(yv, yv[i], "right") - 1`` within the cell (NaNs tie
+    with each other, as in numpy's sort order). The last segment is always
+    ``_PLACEHOLDER``.
+    """
+
+    def __init__(self, y, cw, cy, start, length, first, last):
+        self.y, self.cw, self.cy = y, cw, cy
+        self.start, self.length = start, length
+        self.first, self.last = first, last
+
+    @classmethod
+    def of(cls, cells) -> "_Cells":
+        """The ``_sorted_cell`` triples ``cells`` in order, then the
+        placeholder."""
+        y, cw, cy = (np.concatenate(col) for col in zip(*cells, _PLACEHOLDER))
+        length = np.array([len(cell[0]) for cell in cells] + [1])
+        start = np.cumsum(length) - length
+        new = np.ones(len(y), dtype=bool)
+        new[1:] = (y[1:] != y[:-1]) & ~(np.isnan(y[1:]) & np.isnan(y[:-1]))
+        new[start] = True
+        idx = np.arange(len(y))
+        first = np.maximum.accumulate(np.where(new, idx, 0))
+        ends = np.append(new[1:], True)
+        last = np.minimum.accumulate(np.where(ends, idx, len(y))[::-1])[::-1]
+        return cls(y, cw, cy, start, length, first, last)
+
+    @classmethod
+    def concat(cls, parts) -> tuple:
+        """``parts`` end to end, and the index of each part's first segment."""
+        flat = np.cumsum([0] + [len(p.y) for p in parts])
+        segs = np.cumsum([0] + [len(p.start) for p in parts])
+
+        def join(name):
+            return np.concatenate([getattr(p, name) for p in parts])
+
+        def shifted(name):
+            return np.concatenate([getattr(p, name) + flat[k]
+                                   for k, p in enumerate(parts)])
+
+        return (cls(join("y"), join("cw"), join("cy"), shifted("start"),
+                    join("length"), shifted("first"), shifted("last")),
+                segs[:-1].tolist())
+
+
 @dataclass(frozen=True)
 class _Group:
     """The rows of an evaluation plan that one cell of arm ``d`` serves.
 
-    ``cell`` is the cell's ``_sorted_cell`` triple, or ``None`` when
+    ``seg`` is the cell's segment in the plan's ``_Cells``, or ``None`` when
     evaluating the rows raises ``EmptyCellError``: through ``index`` for
     an unseen discrete level, or because the arm had no training rows
     (``index`` is ``None``).
@@ -208,79 +265,133 @@ class _Group:
 
     d: int
     key: int
-    cell: Optional[tuple]
+    seg: Optional[int]
     index: Optional[_CellIndex]
     lenient: bool
 
 
 class _Plan:
     """Rows grouped by training cell: row ``i`` of ``x`` belongs to
-    ``groups[gid[i]]``. Groups are in evaluation order, so errors and
-    warnings come in the order of the groups a query reads."""
+    ``groups[gid[i]]``, whose outcomes are a segment of ``cells``.
 
-    def __init__(self, gid: np.ndarray, groups: list, x: np.ndarray):
+    A call evaluates all its rows in one vectorized pass: a binary search
+    that runs in every row's segment at once finds the quantile positions,
+    and the tie runs give the truncation boundaries. It then walks the
+    groups it read in their order, which is evaluation order, to log the
+    arm-level surface and empty tails and to raise the first error. Rows
+    whose group raises read the placeholder segment until then.
+    """
+
+    def __init__(self, gid: np.ndarray, groups: list, x: np.ndarray,
+                 cells: _Cells):
         self.gid = gid
         self.groups = groups
         self.x = x
+        self.cells = cells
+        placeholder = len(cells.start) - 1
+        seg = np.array([placeholder if g.seg is None else g.seg
+                        for g in groups], dtype=np.int64)
+        self.start = cells.start[seg]
+        self.length = cells.length[seg]
+        end = self.start + self.length - 1
+        self.total_w = cells.cw[end]
+        self.total_y = cells.cy[end]
+        self.noisy = np.array([g.seg is None or g.key == _ARM_LEVEL
+                               for g in groups])
 
-    def evaluate(self, rows, u, kernel) -> np.ndarray:
-        """``kernel(group, u)`` on the queried ``rows`` of each non-empty
-        group, with ``u`` holding one level per queried row."""
-        gid = self.gid[rows]
-        order = np.argsort(gid, kind="stable")
-        counts = np.bincount(gid, minlength=len(self.groups))
-        ends = np.cumsum(counts)
-        out = np.empty(len(rows))
-        for g in np.flatnonzero(counts).tolist():
-            group = self.groups[g]
-            sel = order[ends[g] - counts[g]:ends[g]]
-            if group.cell is None:
+    def _locate(self, rows, u):
+        """The group of each queried row and the flat index of its
+        left-continuous quantile at level ``u``: the row's cell position
+        ``np.searchsorted(cw, u * total - 1e-12 * total, side="left")``,
+        capped at the cell's last index.
+
+        The search halves every row's window ``[base, base + n]`` in step
+        until ``n`` is 1, keeping the first cumulative weight not below the
+        target inside it. Cumulative weights never decrease (weights are
+        non-negative), so with numpy's comparison, which puts NaN above
+        every number, it lands where ``np.searchsorted`` does."""
+        g = self.gid[rows]
+        start, length, total = self.start[g], self.length[g], self.total_w[g]
+        v = u * total - 1e-12 * total
+        nan = np.isnan(v)
+        nan = nan if nan.any() else None
+        cw = self.cells.cw
+
+        def below(idx):
+            probe = cw.take(idx)
+            if nan is None:
+                return probe < v
+            return (probe < v) | (nan & ~np.isnan(probe))
+
+        base, n = start, length
+        for _ in range(int(length.max(initial=1) - 1).bit_length()):
+            mid = base + (n >> 1)
+            base = np.where(below(mid), mid, base)
+            n = n - (n >> 1)
+        return g, np.minimum(base + below(base), start + length - 1)
+
+    def _walk(self, rows, g, j=None, empty=None):
+        """Log or raise for the groups that the rows read, in group order:
+        ``EmptyCellError`` for a group without a cell, one warning for each
+        arm-level group, and for truncated means (``j``) with ``empty``
+        rows an ``EmptyTailError`` when the group is strict or a warning."""
+        counts = np.bincount(g, minlength=len(self.groups))
+        flagged = counts * self.noisy
+        if empty is not None:
+            n_empty = np.bincount(g[empty], minlength=len(self.groups))
+            flagged = flagged + n_empty
+        for k in np.flatnonzero(flagged).tolist():
+            group = self.groups[k]
+            if group.seg is None:
                 if group.index is None:
                     raise EmptyCellError(
                         f"no selected training rows in arm {group.d}")
-                raise group.index.unseen_level_error(self.x[rows[sel]])
+                raise group.index.unseen_level_error(self.x[rows[g == k]])
             if group.key == _ARM_LEVEL:
                 logger.warning("%d rows in arm %d fall in cells with no "
                                "training rows; using the arm-level surface",
-                               len(sel), group.d)
-            out[sel] = kernel(group, u[sel])
+                               int(counts[k]), group.d)
+            if empty is not None and n_empty[k]:
+                what = f"arm {group.d} {'lower' if j == 1 else 'upper'} tail"
+                if not group.lenient:
+                    raise EmptyTailError(
+                        f"no observation in truncation region ({what})")
+                logger.warning("empty truncation region (%s) in cell %d for "
+                               "%d rows; using the cell mean", what, group.key,
+                               int(n_empty[k]))
+
+    def quantile(self, rows, u) -> np.ndarray:
+        """Left-continuous quantiles of the queried rows' cells at levels
+        ``u``, one level per row."""
+        g, pos = self._locate(rows, u)
+        self._walk(rows, g)
+        return self.cells.y[pos]
+
+    def trunc_mean(self, rows, j: int, u) -> np.ndarray:
+        """Truncated means of the queried rows' cells at levels ``u``, below
+        (``j=1``) or above (``j=0``) the ``u``-quantile, every tied
+        observation at the threshold included. An empty truncation region
+        takes the cell mean (with a log entry), or raises ``EmptyTailError``
+        when the cell spec is strict."""
+        g, pos = self._locate(rows, u)
+        cells = self.cells
+        total_w, total_y = self.total_w[g], self.total_y[g]
+        if j == 1:
+            hi = cells.last[pos]
+            num, den = cells.cy[hi], cells.cw[hi]
+            full = u >= 1.0
+        else:
+            lo = cells.first[pos]
+            below = lo > self.start[g]
+            num = total_y - np.where(below, cells.cy[lo - 1], 0.0)
+            den = total_w - np.where(below, cells.cw[lo - 1], 0.0)
+            full = u <= 0.0
+        empty = ~full & (den <= 0)
+        self._walk(rows, g, j, empty)
+        ok = ~(full | empty)
+        out = total_y / total_w
+        out[ok] = num[ok] / den[ok]
         return out
-
-
-def _quantile_cell(group: _Group, u) -> np.ndarray:
-    """Left-continuous quantiles of one cell at levels ``u``."""
-    yv, cw, _ = group.cell
-    return yv[_quantile_pos(cw, u)]
-
-
-def _trunc_mean_cell(j: int, group: _Group, u) -> np.ndarray:
-    """Truncated means of one cell at levels ``u``, below (``j=1``) or above
-    (``j=0``) the ``u``-quantile, every tied observation at the threshold
-    included. An empty truncation region takes the cell mean (with a log
-    entry), or raises ``EmptyTailError`` when the cell spec is strict."""
-    yv, cw, cy = group.cell
-    q = yv[_quantile_pos(cw, u)]
-    total_w, total_y = cw[-1], cy[-1]
-    if j == 1:
-        hi = np.searchsorted(yv, q, side="right") - 1
-        num, den = cy[hi], cw[hi]
-        full = u >= 1.0
-    else:
-        lo = np.searchsorted(yv, q, side="left")
-        num = total_y - np.where(lo > 0, cy[lo - 1], 0.0)
-        den = total_w - np.where(lo > 0, cw[lo - 1], 0.0)
-        full = u <= 0.0
-    empty = ~full & (den <= 0)
-    if empty.any():
-        what = f"arm {group.d} {'lower' if j == 1 else 'upper'} tail"
-        if not group.lenient:
-            raise EmptyTailError(f"no observation in truncation region ({what})")
-        logger.warning("empty truncation region (%s) in cell %d for %d rows; "
-                       "using the cell mean", what, group.key, int(empty.sum()))
-    ok = ~(full | empty)
-    out = np.full(len(u), total_y / total_w)
-    out[ok] = num[ok] / den[ok]
-    return out
 
 
 class CellOutcomeSurface:
@@ -293,7 +404,12 @@ class CellOutcomeSurface:
     training rows of the arm (its levels and bins were each seen, but not
     together) is evaluated on the arm-level surface, stored under cell key
     -1, with one warning per call; a discrete level never seen in the arm
-    raises ``EmptyCellError``.
+    raises ``EmptyCellError``. Training rows count only in a cell or arm
+    that holds positive weight: a cell whose rows all weigh zero is left
+    out like an empty one, and so is an arm, whose rows then raise.
+
+    Each arm's cells are laid out once, at construction, in one ``_Cells``;
+    a call groups its rows by cell and evaluates them in one pass.
     """
 
     def __init__(self, table: ObservationTable, spec: CellSpec):
@@ -301,13 +417,17 @@ class CellOutcomeSurface:
         sel = table.s == 1
         self.index = {}
         self.cells = {}
+        self.flat = {}
+        self.segs = {}
         for d in (0, 1):
             mask = sel & (table.d == d)
-            if not mask.any():
+            if not (table.weight[mask] > 0).any():
                 # error deferred to evaluation time: half-sample fits may
                 # legitimately never be asked about the missing arm
                 self.index[d] = None
                 self.cells[d] = None
+                self.flat[d] = _Cells.of([])
+                self.segs[d] = {}
                 continue
             xi = table.x[mask]
             wi = table.weight[mask]
@@ -315,44 +435,51 @@ class CellOutcomeSurface:
             cidx = _CellIndex(xi, wi, spec)
             keys = cidx.keys(xi)
             cells = {int(key): _sorted_cell(yi[keys == key], wi[keys == key])
-                     for key in np.unique(keys)}
+                     for key in np.unique(keys) if (wi[keys == key] > 0).any()}
             cells[_ARM_LEVEL] = _sorted_cell(yi, wi)
             self.index[d] = cidx
             self.cells[d] = cells
+            self.flat[d] = _Cells.of(list(cells.values()))
+            self.segs[d] = {key: k for k, key in enumerate(cells)}
 
-    def plan(self, d, x) -> _Plan:
-        """Group the rows of ``x`` by training cell of arm ``d``, in cell-key
-        order: rows with an unseen discrete level (key -2, which raises),
-        rows of a cell with no training rows of the arm (the arm-level
-        surface, key -1), then the cells in ascending key order."""
+    def groups(self, d, x) -> tuple:
+        """Each row's group id, and the groups of the rows of ``x`` by
+        training cell of arm ``d``, in cell-key order: rows with an unseen
+        discrete level (key -2, which raises), rows of a cell with no
+        training rows of the arm (the arm-level surface, key -1), then the
+        cells in ascending key order."""
         x = np.atleast_2d(x)
         lenient = self.spec.lenient_tails
         index = self.index[d]
         if index is None:
-            return _Plan(np.zeros(x.shape[0], dtype=np.int64),
-                         [_Group(d, _UNSEEN_LEVEL, None, None, lenient)], x)
-        cells = self.cells[d]
+            return (np.zeros(x.shape[0], dtype=np.int64),
+                    [_Group(d, _UNSEEN_LEVEL, None, None, lenient)])
+        segs = self.segs[d]
         keys = index.keys(x)
         uniq, gid = np.unique(keys, return_inverse=True)
-        seen = np.array([key in cells or key == _UNSEEN_LEVEL
+        seen = np.array([key in segs or key == _UNSEEN_LEVEL
                          for key in uniq.tolist()])
         if not seen.all():
             uniq, gid = np.unique(np.where(seen[gid], keys, _ARM_LEVEL),
                                   return_inverse=True)
-        groups = [_Group(d, key, cells.get(key), index, lenient)
-                  for key in uniq.tolist()]
-        return _Plan(gid, groups, x)
+        return gid, [_Group(d, key, segs.get(key), index, lenient)
+                     for key in uniq.tolist()]
+
+    def plan(self, d, x) -> _Plan:
+        """The rows of ``x`` grouped as ``groups`` does, on arm ``d``'s
+        cells."""
+        x = np.atleast_2d(x)
+        return _Plan(*self.groups(d, x), x, self.flat[d])
 
     def quantile(self, x, d, u) -> np.ndarray:
         plan = self.plan(d, x)
-        return plan.evaluate(np.arange(len(plan.gid)),
-                             np.asarray(u, dtype=float), _quantile_cell)
+        return plan.quantile(np.arange(len(plan.gid)),
+                             np.asarray(u, dtype=float))
 
     def trunc_mean(self, x, j, d, u) -> np.ndarray:
         plan = self.plan(d, x)
-        return plan.evaluate(np.arange(len(plan.gid)),
-                             np.asarray(u, dtype=float),
-                             partial(_trunc_mean_cell, j))
+        return plan.trunc_mean(np.arange(len(plan.gid)), j,
+                               np.asarray(u, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +514,9 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
     The outcome surfaces are evaluated through one plan per arm, built on
     the first call for the arm: every row's group over (fold, training
     cell of that fold), with rows of an unseen cell on that fold's
-    arm-level surface. A call then sorts its rows by group once and runs
-    the per-cell kernel once per group it reads, in (fold, cell) order.
+    arm-level surface, and the folds' flat cell arrays joined end to end.
+    A call then evaluates all its rows in one vectorized pass and reports
+    the groups it read in (fold, cell) order.
     """
     n = table.n
     folds = fold_assignments(n, spec.folds, spec.seed)
@@ -415,20 +543,22 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
 
     def plan(d):
         if d not in plans:
+            cells, offsets = _Cells.concat([s.flat[d] for s in surfaces])
             gid = np.empty(n, dtype=np.int64)
             groups = []
-            for hold, surface in zip(held_out, surfaces):
-                fold_plan = surface.plan(d, table.x[hold])
-                gid[hold] = fold_plan.gid + len(groups)
-                groups += fold_plan.groups
-            plans[d] = _Plan(gid, groups, table.x)
+            for hold, surface, offset in zip(held_out, surfaces, offsets):
+                fold_gid, fold_groups = surface.groups(d, table.x[hold])
+                gid[hold] = fold_gid + len(groups)
+                groups += [g if g.seg is None else replace(g, seg=g.seg + offset)
+                           for g in fold_groups]
+            plans[d] = _Plan(gid, groups, table.x, cells)
         return plans[d]
 
     def quantile_fn(rows, d, u):
-        return plan(d).evaluate(rows, u, _quantile_cell)
+        return plan(d).quantile(rows, u)
 
     def trunc_mean_fn(rows, j, d, u):
-        return plan(d).evaluate(rows, u, partial(_trunc_mean_cell, j))
+        return plan(d).trunc_mean(rows, j, u)
 
     return NuisanceBundle(m, s0, s1, quantile_fn, trunc_mean_fn,
                           provenance="cross_fitted")

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strata_bounds as sb
 from strata_bounds.cli import main
@@ -382,11 +384,24 @@ def _unparsable_y(table, path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _edited(edit):
+    def write(table, path):
+        table.to_csv(str(path))
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+    return write
+
+
 @pytest.mark.parametrize("command", ["estimate", "bounds-curve"])
 @pytest.mark.parametrize("write, code, kind", [
     (_no_control_rows, 3, "EmptyCellError"),
     (_unparsable_y, 2, "InvalidData"),
-], ids=["no_control_rows", "unparsable_y"])
+    # a blank line and a ragged row used to exit 1 with an IndexError
+    (_edited(lambda lines: lines.insert(5, "")), 2, "InvalidData"),
+    (_edited(lambda lines: lines.__setitem__(3, lines[3].rsplit(",", 1)[0])),
+     2, "InvalidData"),
+], ids=["no_control_rows", "unparsable_y", "blank_line", "ragged_row"])
 def test_bad_input_same_for_both_commands(capsys, tmp_path, sample_csv,
                                           command, write, code, kind):
     config, table, _ = sample_csv
@@ -414,3 +429,100 @@ class TestEntryPoint:
                               text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+METHODS = ("sharp", "trim", "switch", "smooth", "inefficient")
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A small random sample and random estimation flags."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(12, 160))
+    p = draw(st.integers(1, 2))
+    discrete = draw(st.booleans())
+    x = rng.normal(size=(n, p))
+    if discrete:
+        x[:, 0] = rng.integers(0, draw(st.integers(1, 4)), n)
+    d = (rng.random(n) < draw(st.floats(0.1, 0.9))).astype(int)
+    s = (rng.random(n) < draw(st.floats(0.2, 1.0))).astype(int)
+    y = rng.normal(size=n) + x[:, 0]
+    if draw(st.booleans()):
+        y = np.round(y)
+    weight = rng.choice([0.0, 0.5, 1.0, 2.0], n,
+                        p=draw(st.sampled_from([(0, 0, 1, 0),
+                                                (0.1, 0.3, 0.4, 0.2)])))
+    table = sb.ObservationTable(y=np.where(s == 1, y, np.nan), s=s, d=d, x=x,
+                                weight=weight)
+    methods = draw(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3,
+                            unique=True))
+    flags = ["--folds", str(draw(st.sampled_from([2, 3, 5]))),
+             "--cells-bins", str(draw(st.integers(1, 4))),
+             "--seed", str(draw(st.integers(0, 3)))]
+    if discrete:
+        flags += ["--cells-discrete", "1"]
+    stratum = draw(st.sampled_from(["at", "c", "def", "nt", "em"]))
+    return table, methods, stratum, flags
+
+
+def assert_json_error(code, err):
+    assert code in (2, 3), err
+    assert set(json.loads(err.splitlines()[-1])) == {"error", "message"}
+
+
+@pytest.mark.filterwarnings("ignore::strata_bounds.errors.SeparationWarning")
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=fuzz_runs())
+def test_fuzzed_input_gives_finite_bounds_or_a_json_error(capsys, tmp_path,
+                                                          run):
+    """``estimate`` and ``bounds-curve --data`` on random small samples and
+    flags: exit 0 with finite bounds, or exit 2 or 3 with a JSON error;
+    never a traceback, never a null bound."""
+    table, methods, stratum, flags = run
+    path = tmp_path / "fuzz.csv"
+    table.to_csv(str(path))
+    code, out, err = run_cli(capsys, "estimate", str(path), "--method",
+                             ",".join(methods), "--stratum", stratum, *flags)
+    if code == 0:
+        for rec in json.loads(out):
+            assert np.isfinite([rec["estimate_lower"], rec["estimate_upper"]]).all()
+    else:
+        assert_json_error(code, err)
+    code, out, err = run_cli(capsys, "bounds-curve", "--data", str(path),
+                             "--h", "0.05,0.2", *flags)
+    if code == 0:
+        for line in out.strip().splitlines()[1:]:
+            h, lower, upper, _, _, error = line.split(",")
+            if error:
+                assert lower == upper == ""
+            else:
+                assert np.isfinite([float(lower), float(upper)]).all()
+    else:
+        assert_json_error(code, err)
+
+
+class TestGoldenOutput:
+    """``estimate`` with the benchmark's cross-fitting flags reproduces,
+    byte for byte, the stdout recorded for two fixed panel-b draws (draw
+    124 has a held-out cell that no training fold saw). The digests were
+    recorded with numpy 2.4 on x86-64. A change to them needs a line in
+    ``CHANGES.md`` that says why the outputs changed."""
+
+    FLAGS = ("--method", "sharp,trim,switch,smooth", "--h", "0.05,0.01",
+             "--cells-discrete", "1", "--cells-bins", "3", "--folds", "5",
+             "--seed", "1")
+    DIGESTS = {
+        0: "1fa15ded77931f45d29c49f49d74d5bc9c2e051eaa7e40786ff8efe93ae05fc4",
+        124: "38e0e4b4ceea6dcf15c0d63102376e54f83f6dd35b938b99e4ffbacfd7b2702e",
+    }
+
+    @pytest.mark.parametrize("rep", sorted(DIGESTS))
+    def test_stdout_digest(self, capsys, tmp_path, rep):
+        config = sb.DgpConfig(n=2000, shares=sb.PANEL_SHARES["b"],
+                              base_seed=5, replications=1)
+        path = tmp_path / "draw.csv"
+        sb.dgp_sample(config, rep).to_csv(str(path))
+        code, out, _ = run_cli(capsys, "estimate", str(path), *self.FLAGS)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[rep]

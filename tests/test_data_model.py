@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -172,3 +173,35 @@ class TestCsv:
         assert np.isnan(t.y[0]) and t.y[1] == 2.5
         with pytest.raises(ValueError):
             sb.ObservationTable.from_csv(io.StringIO("y,s,weight\n1,1,1\n"))
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,1,1,1.0,0.3\n\n2.5,1,0,1.0,-0.1\n", "data row 2 is blank"),
+        ("1,1,1,1.0,0.3\n2.5,1,0\n", "data row 2 has 3 fields, the header has 5"),
+        ("1,1,1,1.0,0.3,7\n", "data row 1 has 6 fields, the header has 5"),
+        ("1,1,1,1.0,0.3\n2.5,1,1.0,1.0,-0.1\n",
+         "data row 2, column 'd': invalid literal for int()"),
+        ("abc,1,1,1.0,0.3\n", "data row 1, column 'y': could not convert"),
+        ("1,300,1,1.0,0.3\n", "data row 1, column 's': Python integer 300 out"),
+        ("1,1,1,1.0,0.3\n1,1,0,heavy,0.1\n",
+         "data row 2, column 'weight': could not convert"),
+        ("1,1,1,1.0,0.3\n1,1,0,1.0,0.1\n1,1,0,1.0,x\n",
+         "data row 3, column 'x1': could not convert"),
+    ], ids=["blank", "short", "long", "d_float", "y_text", "s_overflow",
+            "weight_text", "x_text"])
+    def test_malformed_row_names_row_and_column(self, body, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sb.ObservationTable.from_csv(io.StringIO("y,s,d,weight,x1\n" + body))
+
+    def test_empty_file(self):
+        with pytest.raises(ValueError, match="data file is empty"):
+            sb.ObservationTable.from_csv(io.StringIO(""))
+
+    def test_reads_what_it_read_before(self):
+        # empty and NA outcomes, an empty weight, quoted and padded fields
+        data = ('y,s,d,weight,x2,x1\n,0,1,,0.5,1\nNA,0,0,2, 1e-3 ,-2\n'
+                '"3.5",1,1,0.25,-0.0,7\n')
+        t = sb.ObservationTable.from_csv(io.StringIO(data))
+        assert np.isnan(t.y[:2]).all() and t.y[2] == 3.5
+        assert t.weight.tolist() == [1.0, 2.0, 0.25]
+        assert t.x.tolist() == [[1.0, 0.5], [-2.0, 1e-3], [7.0, -0.0]]
+        assert t.s.tolist() == [0, 0, 1] and t.d.tolist() == [1, 0, 1]

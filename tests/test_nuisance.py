@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import strata_bounds as sb
-from helpers import (crossfit_surfaces, reference_crossfit, reference_interp,
-                     reference_keys, reference_quantile,
+from helpers import (crossfit_surfaces, grouped_trunc_mean, reference_crossfit,
+                     reference_interp, reference_keys, reference_quantile,
                      reference_read_nuisance_csv, reference_trunc_mean)
+from strata_bounds.cli import main as cli_main
 from strata_bounds.data_model import ObservationTable
 from strata_bounds.errors import EmptyCellError, EmptyTailError, SeparationWarning
 from strata_bounds.nuisance import (CellOutcomeSurface, CellSpec, LearnerSpec,
@@ -270,6 +271,56 @@ class TestUnseenCells:
                             est.se_upper]).all()
 
 
+class TestZeroWeightCells:
+    """Training rows that all weigh zero carry no distribution: their cell
+    is left out like an empty one, and an arm of them raises."""
+
+    def _table(self, w):
+        return ObservationTable(y=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+                                s=np.ones(6, int), d=np.ones(6, int),
+                                x=np.array([[0.0], [0.0], [0.0], [1.0], [1.0],
+                                            [1.0]]),
+                                weight=np.asarray(w, dtype=float))
+
+    def test_zero_weight_cell_uses_arm_level_surface(self, caplog):
+        surf = CellOutcomeSurface(self._table([1, 2, 1, 0, 0, 0]),
+                                  CellSpec(discrete_cols=(0,)))
+        x, u = np.array([[1.0], [0.0]]), np.array([0.5, 0.5])
+        with caplog.at_level(logging.WARNING, logger="strata_bounds"):
+            means = [surf.trunc_mean(x, j, 1, u) for j in (0, 1)]
+        assert surf.quantile(x, 1, u).tolist() == [2.0, 2.0]
+        # the arm's rows of positive weight: 1, 2, 2, 3 in weight units
+        assert [m.tolist() for m in means] == [[7 / 3, 7 / 3], [5 / 3, 5 / 3]]
+        assert "1 rows in arm 1 fall in cells with no training rows" in \
+            caplog.records[0].getMessage()
+
+    def test_zero_weight_arm_raises(self):
+        surf = CellOutcomeSurface(self._table(np.zeros(6)), CellSpec())
+        with pytest.raises(EmptyCellError, match="no selected training rows "
+                                                 "in arm 1"):
+            surf.trunc_mean(np.zeros((1, 1)), 1, 1, np.array([0.5]))
+
+    def test_bounds_curve_finite_when_a_cell_weighs_zero(self, tmp_path,
+                                                         capsys):
+        # the treated rows at level 2 all weigh zero; their cell means
+        # were 0/0, which made every bound NaN with exit 0
+        rng = np.random.default_rng(47)
+        n = 120
+        x = rng.integers(0, 3, n).astype(float)
+        d = rng.integers(0, 2, n)
+        t = ObservationTable(y=rng.normal(size=n) + x, s=np.ones(n, int), d=d,
+                             x=x[:, None],
+                             weight=np.where((x == 2) & (d == 1), 0.0, 1.0))
+        path = tmp_path / "zero.csv"
+        t.to_csv(str(path))
+        code = cli_main(["bounds-curve", "--data", str(path), "--h", "0.05",
+                         "--folds", "5", "--cells-discrete", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert np.isfinite([float(row[1]), float(row[2])]).all()
+
+
 class TestCellKeys:
     def test_no_overflow_at_six_columns(self):
         rng = np.random.default_rng(8)
@@ -476,6 +527,202 @@ class TestCrossfitPlan:
             assert lower == (EmptyTailError,
                              "no observation in truncation region "
                              "(arm 1 lower tail)")
+
+
+def surface_outcomes(surface, x, u):
+    """Every call of a ``CellOutcomeSurface`` on ``x`` at levels ``u``, and
+    of the per-row reference loops, as bytes or the error raised."""
+    got, want = [], []
+    for d in (0, 1):
+        got.append(outcome(surface.quantile, x, d, u))
+        want.append(outcome(reference_quantile, surface, x, d, u))
+        for j in (0, 1):
+            got.append(outcome(surface.trunc_mean, x, j, d, u))
+            want.append(outcome(reference_trunc_mean, surface, x, j, d, u))
+    return got, want
+
+
+def assert_matches_references(caplog, table, cells, u, folds=3):
+    """The surface fitted on ``table`` against the per-row loops on all its
+    rows, and ``crossfit`` against the per-fold loop (values, errors and
+    log lines), at levels ``u``."""
+    got, want = surface_outcomes(CellOutcomeSurface(table, cells), table.x, u)
+    assert got == want
+    spec = LearnerSpec(cells=cells, folds=folds, seed=3)
+    bundle = crossfit(table, spec)
+    ref = reference_crossfit(table, spec, bundle)
+    rows = bundle.all_rows()
+    got = warnings_of(caplog, lambda: evaluations(bundle, rows, u))
+    assert got == warnings_of(caplog, lambda: evaluations(ref, rows, u))
+    assert evaluations(bundle, rows, u) == evaluations(ref, rows, u)
+
+
+def two_arm_table(y, w, x, seed=0):
+    n = len(y)
+    d = np.random.default_rng(seed).integers(0, 2, n)
+    return ObservationTable(y=np.asarray(y, dtype=float), s=np.ones(n, int),
+                            d=d, x=np.asarray(x, dtype=float).reshape(n, -1),
+                            weight=np.asarray(w, dtype=float))
+
+
+class TestSegmentedSearch:
+    """The one-pass search over all (fold, cell) groups on inputs where a
+    per-row search is easy to get subtly wrong."""
+
+    def test_heavy_ties(self, caplog):
+        rng = np.random.default_rng(11)
+        n = 300
+        t = two_arm_table(rng.integers(0, 3, n), rng.choice([0.5, 1.0, 2.0], n),
+                          np.column_stack([rng.integers(0, 2, n),
+                                           rng.normal(size=n)]))
+        u = np.concatenate([EDGE_LEVELS, rng.integers(0, 9, 94) / 8.0,
+                            rng.random(n - 100)])
+        assert_matches_references(caplog, t, CellSpec(discrete_cols=(0,),
+                                                      n_bins=2), u)
+
+    def test_tie_run_stops_at_cell_boundary(self, caplog):
+        # cell 0 ends with 3.0 and cell 1 starts with 3.0: they sit next to
+        # each other in the flat arrays, but are different cells
+        y = [1.0, 2.0, 3.0, 3.0, 4.0, 5.0]
+        x = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        t = ObservationTable(y=np.array(y), s=np.ones(6, int),
+                             d=np.ones(6, int), x=np.array(x)[:, None],
+                             weight=np.ones(6))
+        surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0,)))
+        xq = np.array([[0.0], [1.0], [0.0], [1.0]])
+        u = np.array([1.0 - 1e-13, 1e-13, 0.9, 0.2])
+        assert surf.trunc_mean(xq, 1, 1, u)[0] == 2.0
+        assert surf.trunc_mean(xq, 0, 1, u)[1] == 4.0
+        got, want = surface_outcomes(surf, xq, u)
+        assert got[1:4] == want[1:4]
+        # and the same layout across the folds of a cross-fit
+        big = ObservationTable(y=np.tile(y, 12), s=np.ones(72, int),
+                               d=np.repeat([1, 0], [60, 12]),
+                               x=np.tile(x, 12)[:, None], weight=np.ones(72))
+        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,)), folds=2, seed=0)
+        bundle = crossfit(big, spec)
+        ref = reference_crossfit(big, spec, bundle)
+        rows = bundle.all_rows()
+        uu = np.resize(u, 72)
+        assert evaluations(bundle, rows, uu) == evaluations(ref, rows, uu)
+
+    def test_zero_weight_rows_flat_cumulative_weights(self, caplog):
+        # zero-weight rows leave cumulative weights flat, at 0 when they
+        # come first; level 3 carries no weight at all, so its rows read
+        # the arm-level surface
+        rng = np.random.default_rng(12)
+        n = 240
+        x = rng.integers(0, 4, n)
+        w = np.where(x == 3, 0.0, rng.choice([0.0, 1.0, 3.0], n, p=[0.4, 0.4, 0.2]))
+        t = two_arm_table(np.round(rng.normal(size=n), 1), w, x)
+        u = np.concatenate([EDGE_LEVELS, rng.integers(0, 11, 94) / 10.0,
+                            rng.random(n - 100)])
+        assert_matches_references(caplog, t, CellSpec(discrete_cols=(0,)), u)
+
+    def test_levels_at_cumulative_weight_steps(self):
+        # one cell per arm and fold, so each row's cell is known here; the
+        # levels sit at cw[k] / total, and at the levels whose search target
+        # u * total - 1e-12 * total is cw[k] itself, where the search must
+        # stop at the first of a run of equal cumulative weights
+        rng = np.random.default_rng(13)
+        n = 200
+        w = rng.choice([0.0, 0.125, 0.25, 1.0], n)
+        t = two_arm_table(rng.integers(0, 6, n) / 2.0, w, np.zeros(n))
+
+        def step_levels(cw, size):
+            total = cw[-1]
+            hits = [c for c in (cw / total + 1e-12).tolist()
+                    for c in (c, np.nextafter(c, 0.0), np.nextafter(c, 2.0))
+                    if c * total - 1e-12 * total in cw]
+            assert len(hits) > 10
+            return rng.choice(np.concatenate([cw / total, hits]), size)
+
+        cells = CellSpec()
+        surf = CellOutcomeSurface(t, cells)
+        got, want = surface_outcomes(surf, t.x,
+                                     step_levels(surf.cells[1][0][1], n))
+        assert got == want
+        spec = LearnerSpec(cells=cells, folds=2, seed=3)
+        folds, surfaces = crossfit_surfaces(t, spec)
+        bundle = crossfit(t, spec)
+        ref = reference_crossfit(t, spec, bundle)
+        rows = bundle.all_rows()
+        for d in (0, 1):
+            u = np.empty(n)
+            for k, fold_surface in enumerate(surfaces):
+                here = folds == k
+                u[here] = step_levels(fold_surface.cells[d][0][1], here.sum())
+            assert outcome(bundle.quantile, rows, d, u) == \
+                outcome(ref.quantile, rows, d, u)
+            for j in (0, 1):
+                assert outcome(bundle.trunc_mean, rows, j, d, u) == \
+                    outcome(ref.trunc_mean, rows, j, d, u)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1e-13, 1 - 1e-13, np.nan])
+    def test_edge_levels(self, caplog, level):
+        t = tied_cell_table(7)
+        assert_matches_references(caplog, t, CellSpec(discrete_cols=(0,),
+                                                      n_bins=3),
+                                  np.full(t.n, level))
+
+    def test_single_row_cells(self, caplog):
+        # every discrete level holds one selected row per arm
+        rng = np.random.default_rng(14)
+        y = rng.normal(size=8)
+        t = ObservationTable(y=y, s=np.ones(8, int),
+                             d=np.array([0, 1] * 4),
+                             x=np.repeat(np.arange(4.0), 2)[:, None],
+                             weight=np.array([1.0, 2.0] * 4))
+        u = np.array([0.0, 1e-13, 0.3, 0.5, 0.7, 1 - 1e-13, 1.0, 0.5])
+        got, want = surface_outcomes(
+            CellOutcomeSurface(t, CellSpec(discrete_cols=(0,))), t.x, u)
+        assert got == want
+        assert all(isinstance(g, bytes) for g in got)
+        # cross-fitted bins that hold one or two training rows each
+        n = 48
+        t = two_arm_table(rng.normal(size=n), rng.choice([0.5, 1.0], n),
+                          rng.normal(size=n))
+        assert_matches_references(caplog, t, CellSpec(n_bins=12),
+                                  np.concatenate([EDGE_LEVELS,
+                                                  rng.random(n - 6)]), folds=2)
+
+    def test_empty_rows(self):
+        t = tied_cell_table(8)
+        surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0,), n_bins=3))
+        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=3),
+                           folds=3, seed=1)
+        bundle = crossfit(t, spec)
+        none, u = np.array([], dtype=np.int64), np.array([])
+        for d in (0, 1):
+            assert surf.quantile(np.empty((0, 2)), d, u).shape == (0,)
+            assert bundle.quantile(none, d, u).shape == (0,)
+            for j in (0, 1):
+                assert surf.trunc_mean(np.empty((0, 2)), j, d, u).shape == (0,)
+                assert bundle.trunc_mean(none, j, d, u).shape == (0,)
+
+    def test_arm_level_warning_then_strict_empty_tail(self, caplog):
+        # the rows of cell (1, 1), which no training row holds, read the
+        # arm-level surface (key -1) before cell (0, 0) with its empty
+        # lower tail: the warning is logged, then the error raised
+        x_train = np.array([[0.0, 0.0]] * 3 + [[0.0, 1.0], [1.0, 0.0]])
+        t = ObservationTable(y=np.arange(1.0, 6.0), s=np.ones(5, int),
+                             d=np.ones(5, int), x=x_train,
+                             weight=np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
+        surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0, 1),
+                                              lenient_tails=False))
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        u = np.full(3, 1e-13)
+        got = []
+        logs = warnings_of(caplog, lambda: got.append(
+            outcome(surf.trunc_mean, x, 1, 1, u)))
+        assert got == [(EmptyTailError, "no observation in truncation "
+                                         "region (arm 1 lower tail)")]
+        assert logs == ["2 rows in arm 1 fall in cells with no training "
+                        "rows; using the arm-level surface"]
+        want = []
+        assert warnings_of(caplog, lambda: want.append(
+            outcome(grouped_trunc_mean, surf, x, 1, 1, u))) == logs
+        assert want == got
 
 
 class TestExternal:
