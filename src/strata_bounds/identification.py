@@ -99,10 +99,21 @@ def stratum_weight(s0, s1, stratum) -> np.ndarray:
     raise ValueError(stratum)
 
 
-def _trim_levels(p0):
+def trim_levels(p0):
     """(min(p0,1), min(1/p0,1)) with estimated p0 allowed to wander; clipped."""
     p0 = np.asarray(p0, dtype=float)
     return np.clip(p0, 0.0, 1.0), np.clip(1.0 / p0, 0.0, 1.0)
+
+
+def at_tails(side, t1, r0) -> tuple:
+    """``((j, level), (j, level))`` of the treated and then the control arm's
+    truncated means in the always-taker bound, given the treated-arm
+    keep-mass ``t1`` and the control-arm keep-mass ``r0``: the lower bound
+    keeps the treated arm's lowest ``t1`` and the control arm's highest
+    ``r0``, the upper bound the reverse."""
+    if side is Side.L:
+        return (1, t1), (0, 1.0 - r0)
+    return (0, 1.0 - t1), (1, r0)
 
 
 def _edge_trunc_mean(bundle, rows, j, d, u, support: SupportBounds):
@@ -138,7 +149,7 @@ def conditional_sharp_bound(bundle: NuisanceBundle, spec: StratumSpec,
     """
     rows = bundle.all_rows()
     p0 = bundle.p0
-    u1, r0 = _trim_levels(p0)   # treated-arm keep-mass, control-arm keep-mass
+    u1, r0 = trim_levels(p0)   # treated-arm keep-mass, control-arm keep-mass
     st, side, dom = spec.stratum, spec.side, spec.dominance
 
     if st is Stratum.NT:
@@ -148,16 +159,12 @@ def conditional_sharp_bound(bundle: NuisanceBundle, spec: StratumSpec,
         return np.broadcast_to(
             support.upper(1, rows) - support.lower(0, rows), rows.shape).astype(float)
 
-    if st in (Stratum.AT,):
-        if side is Side.L:
-            t1 = np.ones_like(u1) if dom else u1
-            b1 = _edge_trunc_mean(bundle, rows, 1, 1, t1, support)
-            b0 = _edge_trunc_mean(bundle, rows, 0, 0, 1.0 - r0, support)
-        else:
-            b1 = _edge_trunc_mean(bundle, rows, 0, 1, 1.0 - u1, support)
-            t0 = np.ones_like(r0) if dom else r0
-            b0 = _edge_trunc_mean(bundle, rows, 1, 0, t0, support)
-        return b1 - b0
+    if st is Stratum.AT:
+        (j1, t1), (j0, t0) = at_tails(side, u1, r0)
+        if dom:  # mean dominance: the arm kept below its quantile is untrimmed
+            t1, t0 = (np.ones_like(t1), t0) if j1 == 1 else (t1, np.ones_like(t0))
+        return (_edge_trunc_mean(bundle, rows, j1, 1, t1, support)
+                - _edge_trunc_mean(bundle, rows, j0, 0, t0, support))
 
     if st in (Stratum.C, Stratum.DEF, Stratum.EM):
         # shared trimming formulas for the s0 != s1 strata

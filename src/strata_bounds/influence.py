@@ -23,8 +23,9 @@ import numpy as np
 from .data_model import (NuisanceBundle, ObservationTable, Side, Stratum,
                          StratumSpec, XMINUS, XPLUS, XZERO)
 from .errors import PartitionError
-from .identification import (SupportBounds, conditional_sharp_bound,
-                             stratum_weight, unconditional_sharp_bound)
+from .identification import (SupportBounds, at_tails, conditional_sharp_bound,
+                             stratum_weight, trim_levels,
+                             unconditional_sharp_bound)
 from .smoothing import GFamily, _smooth_trim_levels
 
 
@@ -69,6 +70,15 @@ def _build_ipw_pieces(table, bundle):
     return yy, d, ipw1, ipw0, c0, c1
 
 
+def _tail(bundle, rows, yy, d, j, level):
+    """Arm ``d``'s quantile and ``j`` truncated mean at ``level``, and the
+    indicator of the tail the mean keeps (at or below the quantile for
+    ``j=1``, at or above it for ``j=0``)."""
+    q = bundle.quantile(rows, d, level)
+    b = bundle.trunc_mean(rows, j, d, level)
+    return q, b, (yy <= q if j == 1 else yy >= q).astype(float)
+
+
 def _at_moments(table, bundle, labels, side: Side, inefficient: bool,
                 dominance: bool) -> InfluenceRows:
     yy, d, ipw1, ipw0, c0, c1 = _ipw_pieces(table, bundle)
@@ -76,22 +86,10 @@ def _at_moments(table, bundle, labels, side: Side, inefficient: bool,
     rows = bundle.all_rows()
     plus = labels == XPLUS
 
-    t1 = np.minimum(p0, 1.0)        # treated-arm mass kept
-    r0 = np.minimum(1.0 / p0, 1.0)  # control-arm mass kept
-    if side is Side.L:
-        q1 = bundle.quantile(rows, 1, t1)
-        b1 = bundle.trunc_mean(rows, 1, 1, t1)
-        q0 = bundle.quantile(rows, 0, 1.0 - r0)
-        b0 = bundle.trunc_mean(rows, 0, 0, 1.0 - r0)
-        i1 = (yy <= q1).astype(float)
-        i0 = (yy >= q0).astype(float)
-    else:
-        q1 = bundle.quantile(rows, 1, 1.0 - t1)
-        b1 = bundle.trunc_mean(rows, 0, 1, 1.0 - t1)
-        q0 = bundle.quantile(rows, 0, r0)
-        b0 = bundle.trunc_mean(rows, 1, 0, r0)
-        i1 = (yy >= q1).astype(float)
-        i0 = (yy <= q0).astype(float)
+    t1, r0 = trim_levels(p0)   # treated-arm and control-arm mass kept
+    treated, control = at_tails(side, t1, r0)
+    q1, b1, i1 = _tail(bundle, rows, yy, 1, *treated)
+    q0, b0, i0 = _tail(bundle, rows, yy, 0, *control)
 
     m1 = ipw1 * (yy * i1 - t1 * b1)
     m2 = -ipw0 * (yy * i0 - r0 * b0)
@@ -269,18 +267,12 @@ def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
                           support.with_negated_outcome())
         return neg.negated_numerator()
     if st is Stratum.DEF:
-        swapped = (table.with_swapped_arms(), bundle.with_swapped_arms(),
-                   -np.asarray(labels), support.with_swapped_arms())
-        if side is Side.L:
-            # lower defier bound = complier lower bound after swapping arms
-            # and negating the outcome (the two sign flips cancel)
-            t2 = swapped[0].with_negated_outcome()
-            b2 = swapped[1].with_negated_outcome()
-            s2 = swapped[3].with_negated_outcome()
-            return _cm_moments(t2, b2, swapped[2], Stratum.C, s2, spec.dominance)
-        res = _cm_moments(swapped[0], swapped[1], swapped[2], Stratum.C,
-                          swapped[3], spec.dominance)
-        return res.negated_numerator()
+        # a defier bound is minus the complier bound on the other side after
+        # swapping the arms, which flips the effect's sign
+        other = Side.U if side is Side.L else Side.L
+        return eif_regular(table.with_swapped_arms(), bundle.with_swapped_arms(),
+                           -labels, StratumSpec(Stratum.C, other, spec.dominance),
+                           support.with_swapped_arms()).negated_numerator()
     raise ValueError(st)
 
 
@@ -309,24 +301,15 @@ def eif_smooth(table: ObservationTable, bundle: NuisanceBundle,
     f1 = fshare(u1, gp1)
     f3 = fshare(g3, gp1)   # g3' = g1'
 
+    treated, control = at_tails(side, u1, u0)
+    q1, b1, i1 = _tail(bundle, rows, yy, 1, *treated)
+    q0, b0, i0 = _tail(bundle, rows, yy, 0, *control)
     if side is Side.L:
-        q1 = bundle.quantile(rows, 1, u1)
-        b1 = bundle.trunc_mean(rows, 1, 1, u1)
-        q0 = bundle.quantile(rows, 0, 1.0 - u0)
-        b0 = bundle.trunc_mean(rows, 0, 0, 1.0 - u0)
-        i1 = (yy <= q1).astype(float)
-        i0 = (yy >= q0).astype(float)
         outer_idx = (4, 5)
         level_plus, level_minus = u1, g3          # weights on the trimmed pieces
         share_plus, share_minus = f3, f1          # denominator moments
         carry_plus, carry_minus = f1, f3          # numerator share factors
     else:
-        q1 = bundle.quantile(rows, 1, 1.0 - u1)
-        b1 = bundle.trunc_mean(rows, 0, 1, 1.0 - u1)
-        q0 = bundle.quantile(rows, 0, u0)
-        b0 = bundle.trunc_mean(rows, 1, 0, u0)
-        i1 = (yy >= q1).astype(float)
-        i0 = (yy <= q0).astype(float)
         outer_idx = (2, 6)
         level_plus, level_minus = g3, u1
         share_plus, share_minus = f1, f3
@@ -383,8 +366,8 @@ def efficiency_bound(design) -> float:
     bx = conditional_sharp_bound(bundle, spec, atoms.support)
     m, s0, s1, p0 = bundle.m, bundle.s0, bundle.s1, bundle.p0
     rows = bundle.all_rows()
-    t1 = np.minimum(p0, 1.0)
-    r0 = np.minimum(1.0 / p0, 1.0)
+    t1, r0 = trim_levels(p0)
+    (j1, l1), (j0, l0) = at_tails(Side.L, t1, r0)
 
     def trimmed(m, s_keep, s_trim, p, q, b, dev):
         # the treated arm trimmed to mass p; the negative partition is the
@@ -396,10 +379,10 @@ def efficiency_bound(design) -> float:
                 - 2.0 * q * b * s_trim * p * (1.0 - p) / m
                 + 2.0 * dev * (q - b) * s_keep * (1.0 - s_keep) / (1.0 - m))
 
-    plus = trimmed(m, s0, s1, p0, bundle.quantile(rows, 1, t1),
-                   bundle.trunc_mean(rows, 1, 1, t1), bx - beta)
-    minus = trimmed(1.0 - m, s1, s0, r0, bundle.quantile(rows, 0, 1.0 - r0),
-                    bundle.trunc_mean(rows, 0, 0, 1.0 - r0), beta - bx)
+    plus = trimmed(m, s0, s1, p0, bundle.quantile(rows, 1, l1),
+                   bundle.trunc_mean(rows, j1, 1, l1), bx - beta)
+    minus = trimmed(1.0 - m, s1, s0, r0, bundle.quantile(rows, 0, l0),
+                    bundle.trunc_mean(rows, j0, 0, l0), beta - bx)
     labels = bundle.labels()
     total = s1 * atoms.sigma1_sq / m + s0 * atoms.sigma0_sq / (1.0 - m) \
         + np.where(labels == XPLUS, plus, np.where(labels == XMINUS, minus, 0.0))
@@ -416,8 +399,9 @@ def efficiency_gap(design) -> float:
     rows = bundle.all_rows()
     # the always-taker lower-bound trimming levels: the treated arm is
     # trimmed on the positive partition, the control arm on the negative
-    b1 = bundle.trunc_mean(rows, 1, 1, np.minimum(p0, 1.0))
-    b0 = bundle.trunc_mean(rows, 0, 0, 1.0 - np.minimum(1.0 / p0, 1.0))
+    (j1, l1), (j0, l0) = at_tails(Side.L, *trim_levels(p0))
+    b1 = bundle.trunc_mean(rows, j1, 1, l1)
+    b0 = bundle.trunc_mean(rows, j0, 0, l0)
     share = stratum_weight(s0, s1, Stratum.AT)
     vals = share ** 2 * (b1 * np.sqrt((1.0 - m) / m) - b0 * np.sqrt(m / (1.0 - m))) ** 2
     vals = np.where(bundle.labels() == XZERO, 0.0, vals)

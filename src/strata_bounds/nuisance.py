@@ -38,13 +38,12 @@ def _fit_logistic(X, y, w, tol: float = 1e-8, max_iter: int = 100):
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    def nll(c):
-        eta = Xd @ c
+    def nll(eta):
         return float(np.sum(w * (np.logaddexp(0.0, eta) - y * eta)))
 
-    loss = nll(coef)
+    eta = Xd @ coef
+    loss = nll(eta)
     for _ in range(max_iter):
-        eta = Xd @ coef
         p = expit(eta)
         grad = Xd.T @ (w * (p - y))
         if np.linalg.norm(grad) <= tol:
@@ -55,14 +54,15 @@ def _fit_logistic(X, y, w, tol: float = 1e-8, max_iter: int = 100):
         scale = 1.0
         while scale > 1e-6:
             cand = coef - scale * step
-            cand_loss = nll(cand)
+            cand_eta = Xd @ cand
+            cand_loss = nll(cand_eta)
             if cand_loss <= loss + 1e-12:
-                coef, loss = cand, cand_loss
+                coef, eta, loss = cand, cand_eta, cand_loss
                 break
             scale /= 2.0
         else:
             break
-    if np.max(np.abs(Xd @ coef)) > 30.0:
+    if np.max(np.abs(eta)) > 30.0:
         warnings.warn("fitted logistic index exceeds +-30 (quasi-separation)",
                       SeparationWarning)
     return coef
@@ -132,9 +132,11 @@ class _CellIndex:
 
     def _level_index(self, j, col):
         """Index of each value of discrete column ``j`` among its training
-        levels, and whether the value is one of them."""
+        levels, and whether the value is one of them: ``np.isclose`` to the
+        first level not below it or, failing that, to the level before."""
         lv = self.levels[j]
-        idx = np.clip(np.searchsorted(lv, col), 0, len(lv) - 1)
+        hi = np.clip(np.searchsorted(lv, col), 0, len(lv) - 1)
+        idx = np.where(np.isclose(lv[hi], col), hi, np.maximum(hi - 1, 0))
         return idx, np.isclose(lv[idx], col)
 
     def keys(self, x) -> np.ndarray:
@@ -202,7 +204,8 @@ _PLACEHOLDER = (np.zeros(1), np.ones(1), np.zeros(1))
 
 
 class _Cells:
-    """Sorted cells laid end to end in flat arrays.
+    """Sorted cells laid end to end in flat arrays; a plan lays out every
+    cell it can read, of every fold, in one ``_Cells``.
 
     Segment ``k`` holds one cell's ``_sorted_cell`` triple at flat indices
     ``start[k]`` to ``start[k] + length[k] - 1`` of ``y``, ``cw`` and
@@ -235,23 +238,6 @@ class _Cells:
         last = np.minimum.accumulate(np.where(ends, idx, len(y))[::-1])[::-1]
         return cls(y, cw, cy, start, length, first, last)
 
-    @classmethod
-    def concat(cls, parts) -> tuple:
-        """``parts`` end to end, and the index of each part's first segment."""
-        flat = np.cumsum([0] + [len(p.y) for p in parts])
-        segs = np.cumsum([0] + [len(p.start) for p in parts])
-
-        def join(name):
-            return np.concatenate([getattr(p, name) for p in parts])
-
-        def shifted(name):
-            return np.concatenate([getattr(p, name) + flat[k]
-                                   for k, p in enumerate(parts)])
-
-        return (cls(join("y"), join("cw"), join("cy"), shifted("start"),
-                    join("length"), shifted("first"), shifted("last")),
-                segs[:-1].tolist())
-
 
 @dataclass(frozen=True)
 class _Group:
@@ -282,22 +268,32 @@ class _Plan:
     whose group raises read the placeholder segment until then.
     """
 
-    def __init__(self, gid: np.ndarray, groups: list, x: np.ndarray,
-                 cells: _Cells):
-        self.gid = gid
-        self.groups = groups
+    def __init__(self, d: int, parts, x: np.ndarray):
+        """The plan for arm ``d`` over ``(surface, rows)`` parts: each
+        part's rows of ``x`` grouped by ``surface.groups``, with group ids
+        and segments counted on from the parts before it, and every part's
+        cells laid out in one ``_Cells``."""
+        self.gid = np.empty(len(x), dtype=np.int64)
+        self.groups, cells = [], []
+        for surface, rows in parts:
+            part_gid, part_groups = surface.groups(d, x[rows])
+            self.gid[rows] = part_gid + len(self.groups)
+            self.groups += [g if g.seg is None
+                            else replace(g, seg=g.seg + len(cells))
+                            for g in part_groups]
+            cells += surface.cells[d].values()
         self.x = x
-        self.cells = cells
-        placeholder = len(cells.start) - 1
-        seg = np.array([placeholder if g.seg is None else g.seg
-                        for g in groups], dtype=np.int64)
-        self.start = cells.start[seg]
-        self.length = cells.length[seg]
+        self.cells = _Cells.of(cells)
+        # a raising group reads the placeholder, the segment after the cells
+        seg = np.array([len(cells) if g.seg is None else g.seg
+                        for g in self.groups], dtype=np.int64)
+        self.start = self.cells.start[seg]
+        self.length = self.cells.length[seg]
         end = self.start + self.length - 1
-        self.total_w = cells.cw[end]
-        self.total_y = cells.cy[end]
+        self.total_w = self.cells.cw[end]
+        self.total_y = self.cells.cy[end]
         self.noisy = np.array([g.seg is None or g.key == _ARM_LEVEL
-                               for g in groups])
+                               for g in self.groups])
 
     def _locate(self, rows, u):
         """The group of each queried row and the flat index of its
@@ -408,8 +404,8 @@ class CellOutcomeSurface:
     that holds positive weight: a cell whose rows all weigh zero is left
     out like an empty one, and so is an arm, whose rows then raise.
 
-    Each arm's cells are laid out once, at construction, in one ``_Cells``;
-    a call groups its rows by cell and evaluates them in one pass.
+    A call lays out the arm's cells in one ``_Cells``, groups its rows by
+    cell and evaluates them in one pass.
     """
 
     def __init__(self, table: ObservationTable, spec: CellSpec):
@@ -417,7 +413,6 @@ class CellOutcomeSurface:
         sel = table.s == 1
         self.index = {}
         self.cells = {}
-        self.flat = {}
         self.segs = {}
         for d in (0, 1):
             mask = sel & (table.d == d)
@@ -425,8 +420,7 @@ class CellOutcomeSurface:
                 # error deferred to evaluation time: half-sample fits may
                 # legitimately never be asked about the missing arm
                 self.index[d] = None
-                self.cells[d] = None
-                self.flat[d] = _Cells.of([])
+                self.cells[d] = {}
                 self.segs[d] = {}
                 continue
             xi = table.x[mask]
@@ -439,7 +433,6 @@ class CellOutcomeSurface:
             cells[_ARM_LEVEL] = _sorted_cell(yi, wi)
             self.index[d] = cidx
             self.cells[d] = cells
-            self.flat[d] = _Cells.of(list(cells.values()))
             self.segs[d] = {key: k for k, key in enumerate(cells)}
 
     def groups(self, d, x) -> tuple:
@@ -469,7 +462,7 @@ class CellOutcomeSurface:
         """The rows of ``x`` grouped as ``groups`` does, on arm ``d``'s
         cells."""
         x = np.atleast_2d(x)
-        return _Plan(*self.groups(d, x), x, self.flat[d])
+        return _Plan(d, [(self, np.arange(len(x)))], x)
 
     def quantile(self, x, d, u) -> np.ndarray:
         plan = self.plan(d, x)
@@ -512,11 +505,11 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
     surface fitted on the same training folds.
 
     The outcome surfaces are evaluated through one plan per arm, built on
-    the first call for the arm: every row's group over (fold, training
-    cell of that fold), with rows of an unseen cell on that fold's
-    arm-level surface, and the folds' flat cell arrays joined end to end.
-    A call then evaluates all its rows in one vectorized pass and reports
-    the groups it read in (fold, cell) order.
+    the first call for the arm from each fold's surface and held-out rows:
+    every row's group over (fold, training cell of that fold), with rows
+    of an unseen cell on that fold's arm-level surface, and every fold's
+    cells laid out once. A call then evaluates all its rows in one
+    vectorized pass and reports the groups it read in (fold, cell) order.
     """
     n = table.n
     folds = fold_assignments(n, spec.folds, spec.seed)
@@ -543,15 +536,7 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
 
     def plan(d):
         if d not in plans:
-            cells, offsets = _Cells.concat([s.flat[d] for s in surfaces])
-            gid = np.empty(n, dtype=np.int64)
-            groups = []
-            for hold, surface, offset in zip(held_out, surfaces, offsets):
-                fold_gid, fold_groups = surface.groups(d, table.x[hold])
-                gid[hold] = fold_gid + len(groups)
-                groups += [g if g.seg is None else replace(g, seg=g.seg + offset)
-                           for g in fold_groups]
-            plans[d] = _Plan(gid, groups, table.x, cells)
+            plans[d] = _Plan(d, zip(surfaces, held_out), table.x)
         return plans[d]
 
     def quantile_fn(rows, d, u):

@@ -23,6 +23,7 @@ from scipy.special import expit
 
 from .data_model import SHARE_FLOOR, NuisanceBundle, Side
 from .errors import DegenerateTrimError, ZeroShareError
+from .identification import at_tails
 
 LOG2 = float(np.log(2.0))
 
@@ -109,13 +110,8 @@ def smooth_conditional_bound(bundle: NuisanceBundle, side, family: GFamily,
     side = Side.parse(side)
     rows = bundle.all_rows()
     u1, u0 = _smooth_trim_levels(family, bundle.p0, strict=strict)
-    if side is Side.L:
-        b1 = bundle.trunc_mean(rows, 1, 1, u1)
-        b0 = bundle.trunc_mean(rows, 0, 0, 1.0 - u0)
-    else:
-        b1 = bundle.trunc_mean(rows, 0, 1, 1.0 - u1)
-        b0 = bundle.trunc_mean(rows, 1, 0, u0)
-    return b1 - b0
+    (j1, t1), (j0, t0) = at_tails(side, u1, u0)
+    return bundle.trunc_mean(rows, j1, 1, t1) - bundle.trunc_mean(rows, j0, 0, t0)
 
 
 def smooth_unconditional_components(table, bundle: NuisanceBundle, side,

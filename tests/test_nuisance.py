@@ -333,6 +333,15 @@ class TestCellKeys:
         pairs = np.unique(np.column_stack([cells, keys]), axis=0)
         assert len(pairs) == len(np.unique(cells, axis=0)) == len(np.unique(keys))
 
+    def test_discrete_level_tolerance_is_two_sided(self):
+        # a value np.isclose to a training level takes that level from
+        # either side; a value close to none is unseen (key -2)
+        x = np.array([[0.0], [1.0], [2.0]])
+        index = _CellIndex(x, np.ones(3), CellSpec(discrete_cols=(0,)))
+        x_new = np.array([[1 - 1e-9], [1 + 1e-9], [2 + 1e-9], [-1e-9],
+                          [0.5], [3.0]])
+        assert index.keys(x_new).tolist() == [1, 1, 2, 0, -2, -2]
+
 
 class TestFolds:
     def test_balanced_sizes(self):
