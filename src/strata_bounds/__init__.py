@@ -12,8 +12,8 @@ from .data_model import (BoundsEstimate, NuisanceBundle, ObservationTable,
                          Side, Stratum, StratumSpec, ValidationReport,
                          partition_labels, validate)
 from .errors import (AllTrimmedError, DegenerateTrimError, EmptyCellError,
-                     EmptyTailError, PartitionError, SeparationWarning,
-                     StrataBoundsError, ZeroShareError)
+                     EmptyTailError, InfiniteMomentError, PartitionError,
+                     SeparationWarning, StrataBoundsError, ZeroShareError)
 from .estimation import (EstimationConfig, default_rho, estimate_inefficient,
                          estimate_sharp, estimate_smooth, estimate_switch,
                          estimate_trim, heterogeneous_bounds, im_critical_value,

@@ -347,7 +347,16 @@ class NuisanceBundle:
 
         The results live in a one-entry slot keyed by the identity of
         ``table``: a different table, derived ones included, starts a new
-        slot and never sees these results.
+        slot and never sees these results. A ``build`` that raises stores
+        nothing. The keys in use (all in :mod:`strata_bounds.influence`):
+
+        - ``"ipw"``: outcome, treatment, IPW weights and selection
+          corrections per row;
+        - ``("degenerate", inefficient)``: the point-identified moments;
+        - ``("at", side)``: the always-taker tails of one side and both
+          partition branches of its moments, shared by every estimator;
+        - ``"smooth"``: the side-independent smoothing pieces, for the
+          last h only.
         """
         slot = self._table_slot
         if slot is None or slot[0] is not table:

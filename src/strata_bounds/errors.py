@@ -17,6 +17,11 @@ class PartitionError(StrataBoundsError):
     """A moment was requested on rows whose partition label does not support it."""
 
 
+class InfiniteMomentError(StrataBoundsError):
+    """A moment row is infinite or NaN, as when a bound reads the outcome
+    support limit of an arm with no selected rows."""
+
+
 class DegenerateTrimError(StrataBoundsError):
     """A smoothed trimming fraction evaluated at or below zero."""
 

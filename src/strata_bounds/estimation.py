@@ -21,7 +21,8 @@ from scipy.special import ndtr, ndtri
 
 from .data_model import (SHARE_FLOOR, BoundsEstimate, NuisanceBundle,
                          ObservationTable, Side, Stratum, StratumSpec, XZERO)
-from .errors import AllTrimmedError, PartitionError, ZeroShareError
+from .errors import (AllTrimmedError, InfiniteMomentError, PartitionError,
+                     ZeroShareError)
 from .identification import (SupportBounds, conditional_sharp_bound,
                              stratum_weight)
 from .influence import (InfluenceRows, degenerate_at_moments, eif_regular,
@@ -34,6 +35,36 @@ def default_rho(n: int) -> float:
     return n ** (-0.25) / math.log(n)
 
 
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """Weights scaled to sum to one; a total that is not positive (zero,
+    or NaN) raises ``ZeroShareError``."""
+    total = w.sum()
+    if not total > 0:
+        raise ZeroShareError(f"the kept rows' weights sum to {total:.3e}")
+    return w / total
+
+
+def _finite(*moments) -> None:
+    """Raise ``InfiniteMomentError`` unless every moment row is finite."""
+    for psi in moments:
+        if not np.isfinite(psi).all():
+            raise InfiniteMomentError(
+                f"{int((~np.isfinite(psi)).sum())} moment rows are not "
+                "finite; the bound reads an infinite support limit or quantile")
+
+
+def _solve(wn, psi_b, psi_s):
+    """``(beta, den, resid)`` of the moment equation under the normalized
+    weights ``wn``: the share mean ``den``, the ratio ``beta`` and the
+    linearized residual ``psi_b - beta * psi_s``."""
+    _finite(psi_b, psi_s)
+    den = float(np.dot(wn, psi_s))
+    if not den > SHARE_FLOOR:
+        raise ZeroShareError(f"share moment mean {den:.3e} at or below floor")
+    beta = float(np.dot(wn, psi_b)) / den
+    return beta, den, psi_b - beta * psi_s
+
+
 def ratio_estimate(psi_b, psi_s, weights):
     """Solve the linear moment equation; returns (estimate, standard error).
 
@@ -43,13 +74,8 @@ def ratio_estimate(psi_b, psi_s, weights):
     """
     psi_b = np.asarray(psi_b, dtype=float)
     psi_s = np.asarray(psi_s, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    wn = w / w.sum()
-    den = float(np.dot(wn, psi_s))
-    if den <= SHARE_FLOOR:
-        raise ZeroShareError(f"share moment mean {den:.3e} at or below floor")
-    beta = float(np.dot(wn, psi_b)) / den
-    resid = psi_b - beta * psi_s
+    wn = _normalized(np.asarray(weights, dtype=float))
+    beta, den, resid = _solve(wn, psi_b, psi_s)
     se = float(np.sqrt(np.sum((wn * resid) ** 2))) / den
     return beta, se
 
@@ -123,7 +149,6 @@ def _package(lower, se_lower, upper, se_upper, method, n_effective, alpha,
 def _regular_rows(table, bundle, labels, spec, support, inefficient,
                   degenerate_mask) -> InfluenceRows:
     """Regular moments with the point-identified limit on the masked rows."""
-    labels = np.asarray(labels).copy()
     degenerate_mask = np.asarray(degenerate_mask, dtype=bool)
     # give masked rows a harmless branch for vectorized evaluation,
     # then overwrite their contributions
@@ -260,19 +285,13 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
                                inefficient=config.inefficient)
             return ratio_estimate(rows.psi_b, rows.psi_s, sub_table.weight)
     elif variant == "retain":
-        w = table.weight
-        wn_all = w / w.sum()
-        w_surv = np.where(survivors, w, 0.0)
-        wn_surv = w_surv / w_surv.sum()
+        wn_all = _normalized(table.weight)
+        wn_surv = _normalized(np.where(survivors, table.weight, 0.0))
 
         def side_estimate(side):
             rows = _regular_rows(table, bundle, labels, config.spec(side),
                                  support, config.inefficient, band)
-            den = float(np.dot(wn_all, rows.psi_s))
-            if den <= SHARE_FLOOR:
-                raise ZeroShareError("share moment at or below floor")
-            beta = float(np.dot(wn_all, rows.psi_b)) / den
-            resid = rows.psi_b - beta * rows.psi_s
+            beta, den, resid = _solve(wn_all, rows.psi_b, rows.psi_s)
             return beta, float(np.sqrt(np.sum((wn_surv * resid) ** 2))) / den
     else:
         raise ValueError(f"unknown trim variant {variant!r}")
@@ -307,11 +326,12 @@ def smooth_ratio_estimate(rows, weights):
     The four per-row components share observations, so the variance uses
     the combined linearized residual rather than independent ratios.
     """
-    w = np.asarray(weights, dtype=float)
-    wn = w / w.sum()
+    wn = _normalized(np.asarray(weights, dtype=float))
+    _finite(rows.psi_b_plus, rows.psi_s_plus, rows.psi_b_minus,
+            rows.psi_s_minus)
     den_p = float(np.dot(wn, rows.psi_s_plus))
     den_m = float(np.dot(wn, rows.psi_s_minus))
-    if min(den_p, den_m) <= SHARE_FLOOR:
+    if not (den_p > SHARE_FLOOR and den_m > SHARE_FLOOR):
         raise ZeroShareError("smoothed share moment at or below floor")
     beta_p = float(np.dot(wn, rows.psi_b_plus)) / den_p
     beta_m = float(np.dot(wn, rows.psi_b_minus)) / den_m

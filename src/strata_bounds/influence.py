@@ -79,12 +79,19 @@ def _tail(bundle, rows, yy, d, j, level):
     return q, b, (yy <= q if j == 1 else yy >= q).astype(float)
 
 
-def _at_moments(table, bundle, labels, side: Side, inefficient: bool,
-                dominance: bool) -> InfluenceRows:
+def _at_branches(table, bundle, side: Side):
+    """Both partition branches of the always-taker moments on ``side``: the
+    two truncated means ``b1``, ``b0``, and the numerator and share rows as
+    they read on the positive and on the negative partition. Built once per
+    (table, bundle, side) and shared by every estimator; read-only."""
+    return bundle.per_table(table, ("at", side),
+                            lambda: _build_at_branches(table, bundle, side))
+
+
+def _build_at_branches(table, bundle, side):
     yy, d, ipw1, ipw0, c0, c1 = _ipw_pieces(table, bundle)
-    m, s0, s1, p0 = bundle.m, bundle.s0, bundle.s1, bundle.p0
+    s0, s1, p0 = bundle.s0, bundle.s1, bundle.p0
     rows = bundle.all_rows()
-    plus = labels == XPLUS
 
     t1, r0 = trim_levels(p0)   # treated-arm and control-arm mass kept
     treated, control = at_tails(side, t1, r0)
@@ -93,20 +100,37 @@ def _at_moments(table, bundle, labels, side: Side, inefficient: bool,
 
     m1 = ipw1 * (yy * i1 - t1 * b1)
     m2 = -ipw0 * (yy * i0 - r0 * b0)
-    m4 = np.where(plus,
-                  -ipw1 * q1 * (i1 - p0),
-                  ipw0 * q0 * (i0 - 1.0 / p0))
-    m5 = np.where(plus,
-                  (q1 - b1) * (c0 - p0 * c1),
-                  (q0 - b0) * (c0 / p0 - c1))
-    psi_s = np.where(plus, s0 + c0, s1 + c1)
+    m12 = m1 + m2
     beta_x = b1 - b0
-    psi_b = m1 + m2 + m4 + m5 + beta_x * psi_s
+    ps_plus = s0 + c0
+    ps_minus = s1 + c1
+    # each branch adds (m1 + m2), m4, m5 and beta_x * psi_s in that order,
+    # so a row's selected branch is the bytes of the per-row formula
+    pb_plus = (m12 + -ipw1 * q1 * (i1 - p0)
+               + (q1 - b1) * (c0 - p0 * c1) + beta_x * ps_plus)
+    pb_minus = (m12 + ipw0 * q0 * (i0 - 1.0 / p0)
+                + (q0 - b0) * (c0 / p0 - c1) + beta_x * ps_minus)
+    out = (b1, b0, pb_plus, pb_minus, ps_plus, ps_minus)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
+
+def _at_moments(table, bundle, labels, side: Side, inefficient: bool,
+                dominance: bool) -> InfluenceRows:
+    if dominance and inefficient:
+        raise PartitionError("dominance and known-propensity moments "
+                             "cannot be combined")
+    b1, b0, pb_plus, pb_minus, ps_plus, ps_minus = _at_branches(
+        table, bundle, side)
+    plus = labels == XPLUS
+    psi_s = np.where(plus, ps_plus, ps_minus)
+    psi_b = np.where(plus, pb_plus, pb_minus)
+
+    yy, d, ipw1, ipw0, c0, c1 = _ipw_pieces(table, bundle)
+    m, s0, s1, p0 = bundle.m, bundle.s0, bundle.s1, bundle.p0
     if dominance:
-        if inefficient:
-            raise PartitionError("dominance and known-propensity moments "
-                                 "cannot be combined")
+        rows = bundle.all_rows()
         # under mean dominance one trimmed component drops its truncation:
         # replace it (and its quantile corrections) by the plain augmented
         # IPW moment of the untruncated conditional mean
@@ -276,6 +300,40 @@ def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
     raise ValueError(st)
 
 
+def _smooth_pieces(table, bundle, family: GFamily):
+    """The side-independent pieces of the smoothed moments: the trim levels
+    g1(p0) and g1(1/p0), g3(p0), the slopes g1'(p0) and g1'(1/p0), the
+    selection correction ``k`` and the share factors ``f1`` and ``f3``.
+    Built once per (table, bundle) and kept for the last ``family`` only:
+    ``estimate_smooth`` runs both sides at one h before the next, and one
+    entry keeps memory flat. Read-only."""
+    slot = bundle.per_table(table, "smooth", dict)
+    if family not in slot:
+        pieces = _build_smooth_pieces(table, bundle, family)
+        slot.clear()
+        slot[family] = pieces
+    return slot[family]
+
+
+def _build_smooth_pieces(table, bundle, family):
+    _, _, _, _, c0, c1 = _ipw_pieces(table, bundle)
+    s1, p0 = bundle.s1, bundle.p0
+    g, gp = family.g, family.g_prime
+
+    u1, u0 = _smooth_trim_levels(family, p0)   # g1(p0), g1(1/p0)
+    g3 = g(3, p0)
+    gp1 = gp(1, p0)
+
+    def fshare(gj, gjp):
+        return gj * s1 + gjp * c0 + (gj - p0 * gjp) * c1
+
+    out = (u1, u0, g3, gp1, gp(1, 1.0 / p0), c0 - p0 * c1,
+           fshare(u1, gp1), fshare(g3, gp1))   # g3' = g1'
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def eif_smooth(table: ObservationTable, bundle: NuisanceBundle,
                family: GFamily, side) -> SmoothInfluenceRows:
     """Four-component moment rows for the smoothed always-taker bound.
@@ -284,22 +342,11 @@ def eif_smooth(table: ObservationTable, bundle: NuisanceBundle,
     defined and differentiable through the selection-indifference point.
     """
     side = Side.parse(side)
-    yy, d, ipw1, ipw0, c0, c1 = _ipw_pieces(table, bundle)
-    m, s0, s1, p0 = bundle.m, bundle.s0, bundle.s1, bundle.p0
+    yy, _, ipw1, ipw0, _, _ = _ipw_pieces(table, bundle)
+    p0 = bundle.p0
     rows = bundle.all_rows()
     g, gp = family.g, family.g_prime
-
-    u1, u0 = _smooth_trim_levels(family, p0)   # g1(p0), g1(1/p0)
-    g3 = g(3, p0)
-    gp1 = gp(1, p0)
-    gp1_inv = gp(1, 1.0 / p0)
-    k = c0 - p0 * c1
-
-    def fshare(gj, gjp):
-        return gj * s1 + gjp * c0 + (gj - p0 * gjp) * c1
-
-    f1 = fshare(u1, gp1)
-    f3 = fshare(g3, gp1)   # g3' = g1'
+    u1, u0, g3, gp1, gp1_inv, k, f1, f3 = _smooth_pieces(table, bundle, family)
 
     treated, control = at_tails(side, u1, u0)
     q1, b1, i1 = _tail(bundle, rows, yy, 1, *treated)
@@ -323,22 +370,24 @@ def eif_smooth(table: ObservationTable, bundle: NuisanceBundle,
     fin1, fin0 = np.isfinite(q1), np.isfinite(q0)
     q1 = np.where(fin1, q1, 0.0)
     q0 = np.where(fin0, q0, 0.0)
-    gap1 = np.where(fin1, q1 - b1, 0.0)
-    gap0 = np.where(fin0, q0 - b0, 0.0)
+    # the quantile gaps times the slopes of their trim levels
+    gap1 = np.where(fin1, q1 - b1, 0.0) * gp1
+    gap0 = np.where(fin0, q0 - b0, 0.0) * gp1_inv
     a1 = ipw1 * (yy * i1 - u1 * b1)
     a2 = ipw0 * (yy * i0 - u0 * b0)
     a4 = ipw1 * q1 * (i1 - u1)
     a4b = ipw0 * q0 * (i0 - u0)
+    pu0, u0p2 = p0 * u0, u0 * p0 ** 2
 
     def component(outer_i, level, carry, share):
         deriv = gp(outer_i, beta_h)
         ratio = level / u1
+        ratio0 = level / pu0
         psi = deriv * (ratio * a1
-                       - (level / (p0 * u0)) * a2
+                       - ratio0 * a2
                        - ratio * a4
-                       + (level / (p0 * u0)) * a4b
-                       + (gap1 * gp1 * ratio
-                          + gap0 * gp1_inv * level / (u0 * p0 ** 2)) * k)
+                       + ratio0 * a4b
+                       + (gap1 * ratio + gap0 * level / u0p2) * k)
         psi_b = psi + g(outer_i, beta_h) * carry
         return psi_b, share
 

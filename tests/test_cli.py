@@ -99,6 +99,28 @@ class TestEstimate:
         assert code == 3
         assert json.loads(err.splitlines()[-1])["error"] == "AllTrimmedError"
 
+    @pytest.mark.parametrize("variant", ["drop", "retain"])
+    def test_trim_with_zero_weight_survivors_exits_3(self, capsys, tmp_path,
+                                                     variant):
+        """A panel-b draw weighted only on its selection-indifferent rows:
+        every row that trimming keeps weighs zero, so there is no share to
+        divide by (not a null bound with exit 0, nor a NaN root solve)."""
+        config = sb.DgpConfig(n=400, shares=sb.PANEL_SHARES["b"],
+                              replications=1, base_seed=3)
+        table = sb.dgp_sample(config, 0)
+        bundle = sb.oracle_nuisances(config)(table)
+        table = sb.ObservationTable(table.y, table.s, table.d, table.x,
+                                    (table.x[:, 0] == 0).astype(float))
+        dpath, npath = tmp_path / "d.csv", tmp_path / "n.csv"
+        table.to_csv(str(dpath))
+        write_nuisance_csv(str(npath), table, bundle)
+        code, out, err = run_cli(capsys, "estimate", str(dpath), "--method",
+                                 "trim", "--trim-variant", variant,
+                                 "--nuisance-file", str(npath),
+                                 "--nuisance-oracle")
+        assert code == 3, out
+        assert json.loads(err.splitlines()[-1])["error"] == "ZeroShareError"
+
     def test_switch_auto_rho_echoed(self, capsys, sample_csv):
         config, table, path = sample_csv
         code, out, _ = run_cli(capsys, "estimate", path, "--method", "switch",
@@ -436,7 +458,9 @@ METHODS = ("sharp", "trim", "switch", "smooth", "inefficient")
 
 @st.composite
 def fuzz_runs(draw):
-    """A small random sample and random estimation flags."""
+    """A small random sample, sometimes with an external nuisance file
+    whose rows are partly exactly selection-indifferent (``s0 == s1``), and
+    random estimation flags."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(12, 160))
     p = draw(st.integers(1, 2))
@@ -452,6 +476,18 @@ def fuzz_runs(draw):
     weight = rng.choice([0.0, 0.5, 1.0, 2.0], n,
                         p=draw(st.sampled_from([(0, 0, 1, 0),
                                                 (0.1, 0.3, 0.4, 0.2)])))
+    nuisance = None
+    if draw(st.booleans()):
+        indifferent = rng.random(n) < draw(st.floats(0.1, 0.9))
+        s0 = rng.uniform(0.2, 0.9, n)
+        nuisance = _nuisance_columns(
+            rng, rng.uniform(0.2, 0.8, n), s0,
+            np.where(indifferent, s0, rng.uniform(0.2, 0.9, n)))
+        if draw(st.booleans()):
+            # only the indifferent rows carry weight, so every row that
+            # trimming keeps weighs zero
+            weight = np.where(indifferent, weight, 0.0)
+            weight[np.flatnonzero(indifferent)[:1]] = 1.0
     table = sb.ObservationTable(y=np.where(s == 1, y, np.nan), s=s, d=d, x=x,
                                 weight=weight)
     methods = draw(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3,
@@ -461,8 +497,26 @@ def fuzz_runs(draw):
              "--seed", str(draw(st.integers(0, 3)))]
     if discrete:
         flags += ["--cells-discrete", "1"]
+    if nuisance is not None and draw(st.booleans()):
+        flags += ["--nuisance-oracle"]
     stratum = draw(st.sampled_from(["at", "c", "def", "nt", "em"]))
-    return table, methods, stratum, flags
+    return table, nuisance, methods, stratum, flags
+
+
+def _nuisance_columns(rng, m, s0, s1, levels=(0.1, 0.5, 0.9)):
+    """External nuisance columns: the given probabilities plus per-row
+    quantile and truncated-mean grids that increase in the level, the
+    lower truncated mean below the quantile and the upper one above it."""
+    n = len(m)
+    cols = {"m": m, "s0": s0, "s1": s1}
+    for arm in (0, 1):
+        q = np.sort(rng.normal(size=(n, len(levels))), axis=1)
+        spread = rng.uniform(0.1, 1.0, n)
+        for k, u in enumerate(levels):
+            cols[f"q_{arm}_u{u}"] = q[:, k]
+            cols[f"b_1_{arm}_u{u}"] = q[:, k] - spread * (1.0 - u)
+            cols[f"b_0_{arm}_u{u}"] = q[:, k] + spread * u
+    return cols
 
 
 def assert_json_error(code, err):
@@ -476,17 +530,25 @@ def assert_json_error(code, err):
 @given(run=fuzz_runs())
 def test_fuzzed_input_gives_finite_bounds_or_a_json_error(capsys, tmp_path,
                                                           run):
-    """``estimate`` and ``bounds-curve --data`` on random small samples and
-    flags: exit 0 with finite bounds, or exit 2 or 3 with a JSON error;
+    """``estimate`` and ``bounds-curve --data`` on random small samples,
+    nuisance files and flags: exit 0 with finite bounds, or exit 2 or 3 with a JSON error;
     never a traceback, never a null bound."""
-    table, methods, stratum, flags = run
+    table, nuisance, methods, stratum, flags = run
     path = tmp_path / "fuzz.csv"
     table.to_csv(str(path))
+    if nuisance is not None:
+        npath = tmp_path / "fuzz-nuisance.csv"
+        with open(npath, "w") as fh:
+            fh.write(",".join(nuisance) + "\n")
+            for row in np.column_stack(list(nuisance.values())):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        flags = flags + ["--nuisance-file", str(npath)]
     code, out, err = run_cli(capsys, "estimate", str(path), "--method",
                              ",".join(methods), "--stratum", stratum, *flags)
     if code == 0:
         for rec in json.loads(out):
-            assert np.isfinite([rec["estimate_lower"], rec["estimate_upper"]]).all()
+            bounds = [rec["estimate_lower"], rec["estimate_upper"]]
+            assert None not in bounds and np.isfinite(bounds).all(), rec
     else:
         assert_json_error(code, err)
     code, out, err = run_cli(capsys, "bounds-curve", "--data", str(path),

@@ -3,8 +3,9 @@
 Each case hashes the raw bytes (``tobytes()``) of an estimator-core output
 on a fixed draw: the regular moments for every directly assembled and
 mirrored stratum and side, the plain-estimator moments and conditional
-bounds on a cross-fitted bundle, the smoothed moments and bounds, and the
-oracle variance functionals. The CLI digests of ``TestGoldenOutput`` only
+bounds on a cross-fitted bundle, the smoothed moments and bounds, the
+oracle variance functionals, and the Monte Carlo records of three
+replications on each panel. The CLI digests of ``TestGoldenOutput`` only
 reach the always-taker bound without dominance; these reach the rest. The
 digests were recorded with numpy 2.4 on x86-64. A change to them needs a
 line in ``CHANGES.md`` that says why the outputs changed.
@@ -23,6 +24,7 @@ from strata_bounds.identification import conditional_sharp_bound
 from strata_bounds.influence import (efficiency_bound, efficiency_gap,
                                      eif_regular, eif_smooth)
 from strata_bounds.nuisance import CellSpec, LearnerSpec, crossfit
+from strata_bounds.simulation import _replication_worker
 from strata_bounds.smoothing import GFamily, smooth_conditional_bound
 
 STRATA = ("at", "c", "def", "em")
@@ -228,3 +230,41 @@ DIGESTS = {
 def test_core_digest(request, name):
     fixture, outputs = CASES[name]
     assert _digest(*outputs(request.getfixturevalue(fixture))) == DIGESTS[name]
+
+
+def _record_digest(record) -> str:
+    """Digest of one ``_replication_worker`` record: per estimator, in name
+    order, its name and either its five floats or its failure's type."""
+    sha = hashlib.sha256()
+    for name in sorted(record):
+        entry = record[name]
+        sha.update(name.encode())
+        if entry[0] == "fail":
+            sha.update(("fail:" + entry[1]).encode())
+        else:
+            sha.update(np.asarray(entry, dtype=float).tobytes())
+    return sha.hexdigest()
+
+
+#: ``_replication_worker`` records on n = 400 draws of each panel (the
+#: paper's roster with oracle nuisances): the path ``simulate`` runs.
+REPLICATION_DIGESTS = {
+    ("a", 0): "4111cfaed1afdd49fa925b62b0ad703cb635e49a92d4c4885119539ccf4b8e10",
+    ("a", 1): "5df3e932f0f2a74ce4846d92e48fc495be6e14366c35d2533d3de88e7aaf27c2",
+    ("a", 2): "8c581ec76633bfd1595a2d26a2a6360179b1d2c8176f111bce4bfa435fe13200",
+    ("b", 0): "66998b72be765abf807187978c20378f8136b2b328d9d5d00921f8fb18491b65",
+    ("b", 1): "7d32efa7b21dbe4613e1668b9b2752e184a13e07922c60db30c52336a7722ce2",
+    ("b", 2): "bf616797c612afeb95d90bb77ea8ab65043b177bfe454467eea034bc31979572",
+    ("c", 0): "144b9e8903fc818287535620563daa0993305291364e63679ee4d38583697c4d",
+    ("c", 1): "2bc4ef6c8b5c0249d9d575ddfeb80152a6344f42645929dad9734b85a3024700",
+    ("c", 2): "cb2288e1c9188c2735e0f1cf2dd7d0bf0ccb655bfb12d5750de69dcacf5a11e7",
+}
+
+
+@pytest.mark.parametrize("panel,rep", sorted(REPLICATION_DIGESTS))
+def test_replication_record_digest(panel, rep):
+    config = sb.DgpConfig(n=400, shares=sb.PANEL_SHARES[panel],
+                          replications=3)
+    record = _replication_worker(config, rep)
+    assert not [name for name, entry in record.items() if entry[0] == "fail"]
+    assert _record_digest(record) == REPLICATION_DIGESTS[(panel, rep)]
