@@ -33,9 +33,15 @@ from .smoothing import GFamily
 
 EXIT_OK, EXIT_INPUT, EXIT_ESTIMATION = 0, 2, 3
 
-#: The ``estimate`` methods, each with the per-method knob it reads.
-METHOD_KNOBS = {"sharp": None, "trim": "eps_trim", "switch": "rho",
-                "smooth": "h", "inefficient": None}
+#: The ``estimate`` methods, each with the per-method knobs it reads.
+METHOD_KNOBS = {"sharp": (), "trim": ("eps_trim", "trim_variant"),
+                "switch": ("rho",), "smooth": ("h",), "inefficient": ()}
+
+#: ``bounds-curve`` flags read only with ``--data`` and only without it,
+#: each with the default it takes when unset.
+CURVE_FLAGS = ({"folds": 5, "weights_col": "weight", "nuisance_file": None,
+                "nuisance_oracle": False, "cells_discrete": None,
+                "cells_bins": 1}, {"panel": "a", "dgp_n": 2000})
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -60,11 +66,7 @@ def _load_config_file(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(str(exc))
-
-
-class ConfigError(ValueError):
-    pass
+        raise _Failure(EXIT_INPUT, "InvalidConfig", str(exc))
 
 
 def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
@@ -123,13 +125,11 @@ def _load_input(args, seed, folds):
 # estimate
 
 def cmd_estimate(args) -> int:
-    try:
-        file_cfg = _load_config_file(args.config)
-    except ConfigError as exc:
-        return _fail(EXIT_INPUT, "InvalidConfig", str(exc))
+    file_cfg = _load_config_file(args.config)
     defaults = {"method": "sharp", "stratum": "at", "side": "both",
                 "h": [0.05], "rho": "auto", "folds": 5, "alpha": 0.05,
-                "seed": 0, "eps_trim": None, "dominance": False}
+                "seed": 0, "eps_trim": None, "trim_variant": "drop",
+                "dominance": False}
     resolved = _resolve(args, file_cfg, defaults)
     _echo_resolved(resolved)
     methods = [m.strip() for m in str(resolved["method"]).split(",")]
@@ -138,21 +138,34 @@ def cmd_estimate(args) -> int:
             return _fail(EXIT_INPUT, "UnknownMethod", method)
     # a knob set explicitly (flag or config file) that no listed method
     # reads would change nothing
-    for method, knob in METHOD_KNOBS.items():
-        if knob is None or method in methods:
+    for method, knobs in METHOD_KNOBS.items():
+        if method in methods:
             continue
-        if getattr(args, knob) is not None or file_cfg.get(knob) is not None:
+        for knob in knobs:
+            if getattr(args, knob) is not None or file_cfg.get(knob) is not None:
+                return _fail(EXIT_INPUT, "InvalidConfig",
+                             f"{knob} is only used by method {method}")
+    # never-taker bounds are support constants with no moment rows, and the
+    # smoothed moments have no dominance variant: there these change nothing
+    for name, value in (("dominance", resolved["dominance"]),
+                        ("group-col", args.group_col is not None)):
+        if value and str(resolved["stratum"]).lower() == "nt":
             return _fail(EXIT_INPUT, "InvalidConfig",
-                         f"{knob} is only used by method {method}")
-    # never-taker bounds are support constants and the smoothed moments
-    # have no dominance variant: there the flag would change nothing
-    if resolved["dominance"] and str(resolved["stratum"]).lower() == "nt":
-        return _fail(EXIT_INPUT, "InvalidConfig",
-                     "dominance is not used by the never-taker stratum")
+                         f"{name} is not used by the never-taker stratum")
     if resolved["dominance"] and all(m == "smooth" for m in methods):
         return _fail(EXIT_INPUT, "InvalidConfig",
                      "dominance is not used by method smooth")
+    group = None   # index of the --group-col covariate
+    if args.group_col is not None:
+        k = args.group_col[1:]
+        if args.group_col[:1] != "x" or not k.isdecimal() or int(k) < 1:
+            return _fail(EXIT_INPUT, "InvalidConfig",
+                         "group column must be named x1..xp")
+        group = int(k) - 1
     table, bundle = _load_input(args, resolved["seed"], resolved["folds"])
+    if group is not None and group >= table.p:
+        return _fail(EXIT_INPUT, "InvalidConfig",
+                     f"group column must be one of x1..x{table.p}")
     try:
         support = SupportBounds.from_table(table)
         cfg = EstimationConfig(stratum=Stratum.parse(resolved["stratum"]),
@@ -165,7 +178,7 @@ def cmd_estimate(args) -> int:
             elif method == "trim":
                 results.append(estimate_trim(table, bundle, cfg,
                                              eps_trim=resolved["eps_trim"],
-                                             variant=args.trim_variant,
+                                             variant=resolved["trim_variant"],
                                              support=support))
             elif method == "switch":
                 rho = resolved["rho"]
@@ -177,21 +190,23 @@ def cmd_estimate(args) -> int:
                                                    GFamily(h=float(h)), cfg))
             else:
                 results.append(estimate_inefficient(table, bundle, cfg, support))
-        if args.group_col:
-            results = _grouped(args, table, bundle, cfg, support, results)
+        if group is not None:
+            lo = moment_rows(table, bundle, "l", cfg, support)
+            hi = moment_rows(table, bundle, "u", cfg, support)
+            by_group = heterogeneous_bounds(
+                lo, hi, table.x[:, group], table.weight, alpha=cfg.alpha,
+                stratum=cfg.stratum.value)
+            results += [dict(est.to_dict(), group=float(g))
+                        for g, est in by_group.items()]
     except StrataBoundsError as exc:
         return _fail(EXIT_ESTIMATION, type(exc).__name__, str(exc))
     except ValueError as exc:
         return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
 
     payload = [r.to_dict() if hasattr(r, "to_dict") else r for r in results]
-    side = str(resolved["side"]).lower()
-    if side in ("l", "u"):
-        drop = ("estimate_upper", "se_upper") if side == "l" \
-            else ("estimate_lower", "se_lower")
-        for rec in payload:
-            for key in drop:
-                rec[key] = None
+    hidden = {"l": "upper", "u": "lower"}.get(str(resolved["side"]).lower())
+    for rec in payload if hidden else ():
+        rec[f"estimate_{hidden}"] = rec[f"se_{hidden}"] = None
     payload = _jsonable(payload)
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -212,19 +227,6 @@ def _jsonable(obj):
     return obj
 
 
-def _grouped(args, table, bundle, cfg, support, results):
-    col = args.group_col
-    if not (col.startswith("x") and col[1:].isdigit()):
-        raise StrataBoundsError(f"group column must be one of x1..x{table.p}")
-    groups = table.x[:, int(col[1:]) - 1]
-    lo = moment_rows(table, bundle, "l", cfg, support)
-    hi = moment_rows(table, bundle, "u", cfg, support)
-    by_group = heterogeneous_bounds(lo, hi, groups, table.weight,
-                                    alpha=cfg.alpha, stratum=cfg.stratum.value)
-    grouped = [dict(est.to_dict(), group=float(g)) for g, est in by_group.items()]
-    return results + grouped
-
-
 def _human_table(payload):
     cols = ("method", "estimate_lower", "estimate_upper", "se_lower",
             "se_upper", "h")
@@ -242,10 +244,7 @@ def _human_table(payload):
 # simulate
 
 def cmd_simulate(args) -> int:
-    try:
-        file_cfg = _load_config_file(args.config)
-    except ConfigError as exc:
-        return _fail(EXIT_INPUT, "InvalidConfig", str(exc))
+    file_cfg = _load_config_file(args.config)
     defaults = {"panel": "a", "n": [400, 2000], "reps": 2000, "seed": 0,
                 "gamma": 1.0, "alpha": 0.05, "h": [0.05, 0.01, 1e-9],
                 "threads": 1, "out": "metrics.csv", "power_out": "power.csv",
@@ -290,6 +289,15 @@ def cmd_bounds_curve(args) -> int:
         families = [GFamily(h=float(h)) for h in args.h]
     except ValueError as exc:
         return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+    own, other = CURVE_FLAGS if args.data else CURVE_FLAGS[::-1]
+    for key in other:
+        if getattr(args, key) is not None:
+            return _fail(EXIT_INPUT, "InvalidConfig",
+                         f"--{key.replace('_', '-')} is only used "
+                         f"{'without' if args.data else 'with'} --data")
+    for key, default in own.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
     seed = args.seed or 0
     if args.data:
         table, bundle = _load_input(args, seed, args.folds)
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--h", type=_float_list, help="comma list of h values")
     est.add_argument("--rho", help="'auto' or a numeric switch threshold")
     est.add_argument("--eps-trim", dest="eps_trim", type=float)
-    est.add_argument("--trim-variant", choices=["drop", "retain"], default="drop")
+    est.add_argument("--trim-variant", choices=["drop", "retain"])
     est.add_argument("--folds", type=int)
     est.add_argument("--alpha", type=float)
     est.add_argument("--seed", type=int)
@@ -366,17 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser("bounds-curve",
                            help="smoothed bounds across an h grid")
     curve.add_argument("--data", help="input CSV; omit to use the benchmark DGP")
-    curve.add_argument("--panel", choices=list(PANEL_SHARES), default="a")
-    curve.add_argument("--dgp-n", type=int, default=2000)
+    curve.add_argument("--panel", choices=list(PANEL_SHARES))
+    curve.add_argument("--dgp-n", type=int)
     curve.add_argument("--h", type=_float_list, required=True)
     curve.add_argument("--alpha", type=float, default=0.05)
     curve.add_argument("--seed", type=int)
-    curve.add_argument("--folds", type=int, default=5)
-    curve.add_argument("--weights-col", default="weight")
+    curve.add_argument("--folds", type=int)
+    curve.add_argument("--weights-col")
     curve.add_argument("--nuisance-file")
-    curve.add_argument("--nuisance-oracle", action="store_true")
+    curve.add_argument("--nuisance-oracle", action="store_true", default=None)
     curve.add_argument("--cells-discrete")
-    curve.add_argument("--cells-bins", type=int, default=1)
+    curve.add_argument("--cells-bins", type=int)
     curve.set_defaults(func=cmd_bounds_curve)
     return parser
 

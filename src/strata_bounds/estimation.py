@@ -20,7 +20,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .data_model import (SHARE_FLOOR, BoundsEstimate, NuisanceBundle,
-                         ObservationTable, Side, Stratum, StratumSpec, XZERO)
+                         ObservationTable, Side, Stratum, StratumSpec, XPLUS,
+                         XZERO)
 from .errors import (AllTrimmedError, InfiniteMomentError, PartitionError,
                      ZeroShareError)
 from .identification import (SupportBounds, conditional_sharp_bound,
@@ -255,7 +256,9 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
 
     ``variant="drop"`` removes the banded rows and re-estimates on the
     survivors (share renormalized to the trimmed subpopulation, so the
-    estimand shifts whenever the removed rows carry stratum mass).
+    estimand shifts whenever the removed rows carry stratum mass). It reads
+    the survivors' rows of the full-sample moments that the other
+    estimators share, so it evaluates every row's nuisances as they do.
     ``variant="retain"`` keeps the full-sample point estimate, routing
     banded rows through their point-identified limit, but bases the
     standard error on the regular subsample only (its residual spread and
@@ -274,16 +277,16 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
     diags = {"share_trimmed": float(band.mean()), "variant": variant}
 
     if variant == "drop":
-        sub_table = table.select(survivors)
-        sub_bundle = bundle.select(survivors)
-        sub_labels = labels[survivors]
-        sub_support = support.select(survivors)
+        # banded rows take a harmless branch; the moments are elementwise,
+        # so the survivors' rows equal those of the survivor subset
+        safe_labels = np.where(band, XPLUS, labels)
+        w_surv = table.weight[survivors]
 
         def side_estimate(side):
-            rows = eif_regular(sub_table, sub_bundle, sub_labels,
-                               config.spec(side), sub_support,
-                               inefficient=config.inefficient)
-            return ratio_estimate(rows.psi_b, rows.psi_s, sub_table.weight)
+            rows = eif_regular(table, bundle, safe_labels, config.spec(side),
+                               support, inefficient=config.inefficient)
+            return ratio_estimate(rows.psi_b[survivors],
+                                  rows.psi_s[survivors], w_surv)
     elif variant == "retain":
         wn_all = _normalized(table.weight)
         wn_surv = _normalized(np.where(survivors, table.weight, 0.0))

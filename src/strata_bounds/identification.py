@@ -60,15 +60,9 @@ class SupportBounds:
         rows = np.asarray(rows)
         if arr.shape[0] != rows.shape[0]:
             raise ValueError(f"per-row support has {arr.shape[0]} rows but "
-                             f"{rows.shape[0]} rows are evaluated; select it "
-                             "with the table")
+                             f"{rows.shape[0]} rows are evaluated; build it "
+                             "for the evaluated table")
         return arr[rows]
-
-    def select(self, idx) -> "SupportBounds":
-        """Support for ``ObservationTable.select(idx)``; scalars are kept."""
-        return SupportBounds(*(np.asarray(v, dtype=float)[idx] if np.ndim(v) else v
-                               for v in (self.y1_lower, self.y1_upper,
-                                         self.y0_lower, self.y0_upper)))
 
     def with_negated_outcome(self) -> "SupportBounds":
         return SupportBounds(y1_lower=-np.asarray(self.y1_upper, dtype=float),

@@ -239,8 +239,7 @@ def _benchmark_bundle(config: DgpConfig, table: ObservationTable) -> NuisanceBun
 def oracle_support(config: DgpConfig, table: ObservationTable) -> SupportBounds:
     if config.dgp_id == "single_index":
         return SupportBounds()  # unbounded outcome
-    # only the treated upper limit varies by row; the constant limits stay
-    # scalars, so they also serve any row subset of the table
+    # only the treated upper limit varies by row
     x1 = table.x[:, 0]
     return SupportBounds(y1_lower=0.0,
                          y1_upper=np.where(x1 == 1.0, 1.0 + config.gamma, 0.0),

@@ -2,7 +2,7 @@
 with exact conditional-moment enumeration, a discrete-grid process for
 brute-force bound checks, reference loops for the cell outcome surfaces
 (per row, and the per-fold cross-fitted loop) and the nuisance CSV
-reader, and a scalar quadrature reference for the benchmark design's
+reader, the survivor-subset trim estimator, and a scalar quadrature reference for the benchmark design's
 population targets."""
 
 import csv
@@ -16,9 +16,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from strata_bounds.data_model import (XMINUS, XPLUS, NuisanceBundle,
+from strata_bounds.data_model import (XMINUS, XPLUS, XZERO, NuisanceBundle,
                                       ObservationTable, Side, Stratum)
-from strata_bounds.errors import EmptyCellError, EmptyTailError
+from strata_bounds.errors import AllTrimmedError, EmptyCellError, EmptyTailError
+from strata_bounds.estimation import _estimate, ratio_estimate
+from strata_bounds.influence import eif_regular
 from strata_bounds.identification import SupportBounds
 from strata_bounds.nuisance import (CellOutcomeSurface, _quantile_pos,
                                     fold_assignments)
@@ -518,6 +520,38 @@ def reference_crossfit(table, spec, bundle) -> NuisanceBundle:
                           per_fold(grouped_quantile),
                           per_fold(grouped_trunc_mean),
                           provenance=bundle.provenance)
+
+
+def reference_trim_drop(table, bundle, config, eps_trim=None, support=None):
+    """``estimate_trim(..., variant="drop")`` re-estimated on the survivor
+    subset: the survivors' table and bundle, their labels, and the
+    survivors' rows of every per-row support limit."""
+    if support is None:
+        support = SupportBounds.from_table(table)
+    labels = bundle.labels()
+    band = labels == XZERO
+    if eps_trim is not None:
+        band = band | (np.abs(bundle.p0 - 1.0) <= eps_trim)
+    survivors = ~band
+    n_surv = int(survivors.sum())
+    if n_surv == 0:
+        raise AllTrimmedError("every row lies inside the trimming band")
+    diags = {"share_trimmed": float(band.mean()), "variant": "drop"}
+
+    sub_table = table.select(survivors)
+    sub_bundle = bundle.select(survivors)
+    sub_labels = labels[survivors]
+    sub_support = SupportBounds(*(np.asarray(v, dtype=float)[survivors]
+                                  if np.ndim(v) else v
+                                  for v in (support.y1_lower, support.y1_upper,
+                                            support.y0_lower, support.y0_upper)))
+
+    def side_estimate(side):
+        rows = eif_regular(sub_table, sub_bundle, sub_labels,
+                           config.spec(side), sub_support,
+                           inefficient=config.inefficient)
+        return ratio_estimate(rows.psi_b, rows.psi_s, sub_table.weight)
+    return _estimate(side_estimate, "trim", n_surv, config, diagnostics=diags)
 
 
 def reference_interp(levels, values, u):

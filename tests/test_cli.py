@@ -259,7 +259,9 @@ class TestEstimate:
         (("--rho", "0.3"), "rho"),
         (("--method", "sharp,trim", "--rho", "auto"), "rho"),
         (("--config", "knobs.json"), "eps_trim"),
-    ], ids=["h", "eps_trim", "rho", "rho_auto_with_trim", "config_file"])
+        (("--trim-variant", "retain"), "trim_variant"),
+    ], ids=["h", "eps_trim", "rho", "rho_auto_with_trim", "config_file",
+            "trim_variant"])
     def test_unused_knob_exits_2(self, capsys, tmp_path, sample_csv, argv,
                                  knob):
         _, _, path = sample_csv
@@ -272,6 +274,53 @@ class TestEstimate:
         rec = json.loads(err.splitlines()[-1])
         assert rec["error"] == "InvalidConfig"
         assert rec["message"].startswith(f"{knob} ")
+
+    def test_side_hides_the_other_bound(self, capsys, sample_csv):
+        _, _, path = sample_csv
+        argv = ("estimate", path, "--folds", "2", "--method", "sharp,trim")
+        _, both_out, _ = run_cli(capsys, *argv)
+        both = json.loads(both_out)
+        for side, hidden in (("l", "upper"), ("u", "lower")):
+            code, out, _ = run_cli(capsys, *argv, "--side", side)
+            assert code == 0
+            for rec, full in zip(json.loads(out), both):
+                assert rec == dict(full, **{f"estimate_{hidden}": None,
+                                            f"se_{hidden}": None})
+
+    def test_trim_variant_from_config_file(self, capsys, tmp_path, sample_csv):
+        _, _, path = sample_csv
+        cfg = tmp_path / "trim.json"
+        cfg.write_text(json.dumps({"method": "trim", "trim_variant": "retain"}))
+        code, file_out, _ = run_cli(capsys, "estimate", path, "--folds", "2",
+                                    "--config", str(cfg))
+        assert code == 0
+        assert json.loads(file_out)[0]["diagnostics"]["variant"] == "retain"
+        _, flag_out, _ = run_cli(capsys, "estimate", path, "--folds", "2",
+                                 "--method", "trim", "--trim-variant", "retain")
+        assert file_out == flag_out
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--group-col", "x0"), "named x1..xp"),
+        (("--group-col", "y"), "named x1..xp"),
+        (("--group-col", "x1", "--stratum", "nt"), "never-taker stratum"),
+    ], ids=["x0", "not_a_covariate", "nt"])
+    def test_bad_group_col_exits_2_before_reading_data(self, capsys, tmp_path,
+                                                       argv, message):
+        code, out, err = run_cli(capsys, "estimate",
+                                 str(tmp_path / "missing.csv"), *argv)
+        assert code == 2 and out == ""
+        rec = json.loads(err.splitlines()[-1])
+        assert rec["error"] == "InvalidConfig" and message in rec["message"]
+
+    def test_group_col_past_the_last_covariate_exits_2(self, capsys,
+                                                        sample_csv):
+        _, table, path = sample_csv
+        code, out, err = run_cli(capsys, "estimate", path, "--folds", "2",
+                                 "--group-col", "x9")
+        assert code == 2 and out == ""
+        rec = json.loads(err.splitlines()[-1])
+        assert rec["error"] == "InvalidConfig"
+        assert rec["message"].endswith(f"x1..x{table.p}")
 
     @pytest.mark.parametrize("methods", ["bogus", "sharp,bogus"])
     def test_unknown_method_exits_2_before_reading_data(self, capsys,
@@ -377,6 +426,29 @@ class TestBoundsCurve:
         assert code == 2
         assert out == ""
         assert json.loads(err.splitlines()[-1])["error"] == "ValueError"
+
+    @pytest.mark.parametrize("flag", [
+        ("--nuisance-file", "/nonexistent.csv"), ("--nuisance-oracle",),
+        ("--cells-discrete", "1"), ("--cells-bins", "4"), ("--folds", "3"),
+        ("--weights-col", "weight")], ids=lambda f: f[0])
+    def test_data_flag_without_data_exits_2(self, capsys, flag):
+        code, out, err = run_cli(capsys, "bounds-curve", "--h", "0.05",
+                                 "--dgp-n", "400", *flag)
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "InvalidConfig",
+            "message": f"{flag[0]} is only used with --data"}
+
+    @pytest.mark.parametrize("flag", [("--panel", "c"), ("--dgp-n", "99")],
+                             ids=lambda f: f[0])
+    def test_dgp_flag_with_data_exits_2(self, capsys, sample_csv, flag):
+        _, _, path = sample_csv
+        code, out, err = run_cli(capsys, "bounds-curve", "--data", path,
+                                 "--h", "0.05", *flag)
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "InvalidConfig",
+            "message": f"{flag[0]} is only used without --data"}
 
     def test_data_file_matches_estimate(self, capsys, sample_csv):
         config, table, path = sample_csv

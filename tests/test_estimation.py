@@ -6,8 +6,8 @@ from scipy.stats import norm
 import strata_bounds as sb
 from strata_bounds.data_model import (SHARE_FLOOR, NuisanceBundle,
                                       ObservationTable)
-from strata_bounds.errors import (AllTrimmedError, PartitionError,
-                                  ZeroShareError)
+from strata_bounds.errors import (AllTrimmedError, EmptyCellError,
+                                  PartitionError, ZeroShareError)
 from strata_bounds.estimation import (EstimationConfig, default_rho,
                                       estimate_inefficient, estimate_sharp,
                                       estimate_smooth, estimate_switch,
@@ -18,7 +18,8 @@ from strata_bounds.influence import (InfluenceRows, SmoothInfluenceRows,
                                      eif_regular)
 from strata_bounds.smoothing import GFamily
 
-from helpers import Pieces
+from helpers import Pieces, reference_trim_drop
+from test_shared_pieces import _crossfit_draw
 
 
 class TestRatioEstimate:
@@ -198,7 +199,7 @@ class TestEstimators:
         config, table, bundle, support = oracle_setup()
         away = np.abs(bundle.p0 - 1.0) > 2 * default_rho(table.n)
         table, bundle = table.select(away), bundle.select(away)
-        support = support.select(away)
+        support = sb.oracle_support(config, table)
         assert (np.abs(bundle.p0 - 1.0) > default_rho(table.n)).all()
         cfg = EstimationConfig()
         trim = estimate_trim(table, bundle, cfg, support=support)
@@ -313,6 +314,111 @@ class TestEstimators:
         # the share moment is 1 up to the floor, so the ratio reduces to
         # the plain inverse-propensity contrast
         assert est.lower == pytest.approx(ht, abs=1e-6)
+
+
+TRIM_CONFIGS = {
+    **{f"{stratum}{'_dominance' if dom else ''}":
+       EstimationConfig(stratum=sb.Stratum.parse(stratum), dominance=dom)
+       for stratum in ("at", "c", "def", "em") for dom in (False, True)},
+    "at_known": EstimationConfig(inefficient=True),
+}
+
+
+def _oracle_trim_draw(shares):
+    config = sb.DgpConfig(n=1000, shares=shares, replications=1, base_seed=4)
+    table = sb.dgp_sample(config, 0)
+    return (table, sb.oracle_nuisances(config)(table),
+            sb.oracle_support(config, table))
+
+
+def _crossfit_trim_draw():
+    table, make, support = _crossfit_draw()
+    return table, make(), support
+
+
+TRIM_DRAWS = {
+    "a": lambda: _oracle_trim_draw(sb.PANEL_SHARES["a"]),
+    "b": lambda: _oracle_trim_draw(sb.PANEL_SHARES["b"]),
+    "0.4,0.2,0.4": lambda: _oracle_trim_draw((0.4, 0.2, 0.4)),
+    "crossfit": _crossfit_trim_draw,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TRIM_DRAWS))
+def trim_draw(request):
+    """(table, bundle, per-row support) of one draw, shared by its tests."""
+    return TRIM_DRAWS[request.param]()
+
+
+def _outcome(estimate, *args, **kwargs) -> str:
+    """The estimate's exact repr, or the type of the error it raised."""
+    try:
+        return repr(estimate(*args, **kwargs))
+    except sb.StrataBoundsError as exc:
+        return f"fail:{type(exc).__name__}"
+
+
+class TestTrimDrop:
+    """``estimate_trim(variant="drop")`` reduces the survivors' rows of the
+    full-sample moments that every estimator shares."""
+
+    @pytest.mark.parametrize("eps_trim", [None, 0.05])
+    @pytest.mark.parametrize("name", sorted(TRIM_CONFIGS))
+    def test_same_bytes_as_the_survivor_subset(self, trim_draw, name,
+                                               eps_trim):
+        table, bundle, support = trim_draw
+        cfg = TRIM_CONFIGS[name]
+        want = _outcome(reference_trim_drop, table, bundle, cfg,
+                        eps_trim=eps_trim, support=support)
+        got = _outcome(estimate_trim, table, bundle, cfg, eps_trim=eps_trim,
+                       variant="drop", support=support)
+        assert got == want
+
+    @pytest.mark.parametrize("cfg", [EstimationConfig(),
+                                     EstimationConfig(inefficient=True)],
+                             ids=["efficient", "known"])
+    def test_reuses_the_tails_of_sharp(self, cfg):
+        table, bundle, support = _oracle_trim_draw(sb.PANEL_SHARES["b"])
+        calls = []
+        for name in ("quantile", "trunc_mean"):
+            def counted(*args, _evaluate=getattr(bundle, name), _name=name):
+                calls.append(_name)
+                return _evaluate(*args)
+            setattr(bundle, name, counted)
+        estimate_sharp(table, bundle, cfg, support)
+        assert calls
+        calls.clear()
+        estimate_trim(table, bundle, cfg, variant="drop", support=support)
+        assert calls == []
+
+    def test_empty_cell_on_banded_rows_raises_as_sharp_does(self):
+        # a cross-fitted bundle whose surfaces have no cell for the
+        # selection-indifferent rows
+        n = 60
+        rng = np.random.default_rng(3)
+        table = ObservationTable(y=rng.uniform(size=n), s=np.ones(n, int),
+                                 d=np.arange(n) % 2, x=np.zeros((n, 1)),
+                                 weight=np.ones(n))
+        banded = np.arange(n) % 3 == 0
+        s0 = np.where(banded, 0.6, 0.5)
+
+        def surface(value):
+            def fn(rows, *args):
+                if banded[rows].any():
+                    raise EmptyCellError("no training rows in the cell")
+                return value(args[-1])
+            return fn
+
+        bundle = NuisanceBundle(
+            np.full(n, 0.5), s0, np.full(n, 0.6),
+            surface(lambda u: u),
+            surface(lambda u: np.full_like(u, 0.5)), provenance="cross_fitted")
+        assert (bundle.labels()[banded] == 0).all()
+        assert not (bundle.labels()[~banded] == 0).any()
+        with pytest.raises(EmptyCellError):
+            estimate_sharp(table, bundle)
+        with pytest.raises(EmptyCellError):
+            estimate_trim(table, bundle, variant="drop")
 
 
 class TestHeterogeneousBounds:

@@ -50,12 +50,6 @@ class TestSupportBounds:
         with pytest.raises(ValueError, match="per-row support"):
             sup.upper(1, np.arange(4))
 
-    def test_select_subsets_per_row_limits_and_keeps_scalars(self):
-        sup = SupportBounds(y1_lower=0.0, y1_upper=np.arange(5.0)).select(
-            np.array([True, False, True, False, True]))
-        assert sup.y1_lower == 0.0
-        np.testing.assert_array_equal(sup.upper(1, np.arange(3)), [0.0, 2.0, 4.0])
-
 
 class TestConditionalSharpBound:
     def test_indifference_point_reduces_to_mean_difference(self):

@@ -20,8 +20,12 @@ seeds = st.integers(min_value=0, max_value=2 ** 16)
 panels = st.sampled_from(PANELS)
 
 
+def _config(shares, seed):
+    return sb.DgpConfig(n=N, shares=shares, replications=1, base_seed=seed)
+
+
 def _draw(shares, seed):
-    config = sb.DgpConfig(n=N, shares=shares, replications=1, base_seed=seed)
+    config = _config(shares, seed)
     table = sb.dgp_sample(config, 0)
     return table, sb.oracle_nuisances(config)(table), sb.oracle_support(config, table)
 
@@ -59,7 +63,7 @@ def test_row_permutation_leaves_estimates_unchanged(shares, seed):
     table, bundle, support = _draw(shares, seed)
     perm = np.random.default_rng(seed).permutation(table.n)
     ptable, pbundle = table.select(perm), bundle.select(perm)
-    psupport = support.select(perm)
+    psupport = sb.oracle_support(_config(shares, seed), ptable)
     cfg = EstimationConfig()
     want = sb.estimate_sharp(table, bundle, cfg, support)
     got = sb.estimate_sharp(ptable, pbundle, cfg, psupport)
