@@ -109,9 +109,8 @@ def _load_input(args, seed, folds):
             provenance = "external_oracle" if args.nuisance_oracle else "external"
             return table, load_external_nuisances(args.nuisance_file, table,
                                                   provenance=provenance)
-        cells = CellSpec(discrete_cols=tuple(int(c) - 1 for c in
-                                             (args.cells_discrete or "").split(",")
-                                             if c.strip() != ""),
+        cells = CellSpec(discrete_cols=_discrete_cols(args.cells_discrete,
+                                                      table.p),
                          n_bins=args.cells_bins)
         spec = LearnerSpec(cells=cells, folds=int(folds), seed=int(seed))
         return table, crossfit(table, spec)
@@ -119,6 +118,21 @@ def _load_input(args, seed, folds):
         raise _Failure(EXIT_INPUT, type(exc).__name__, str(exc))
     except StrataBoundsError as exc:
         raise _Failure(EXIT_ESTIMATION, type(exc).__name__, str(exc))
+
+
+def _discrete_cols(text, p: int) -> tuple:
+    """The 0-based columns of a ``--cells-discrete`` list of covariate
+    numbers, each in 1..p; ``_Failure`` (exit 2) for any other entry."""
+    cols = []
+    for c in (text or "").split(","):
+        if c.strip() == "":
+            continue
+        if not c.strip().isdecimal() or not 1 <= int(c) <= p:
+            raise _Failure(EXIT_INPUT, "InvalidConfig",
+                           f"--cells-discrete takes covariate numbers in "
+                           f"1..{p}, got {c.strip()!r}")
+        cols.append(int(c) - 1)
+    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import csv
 import enum
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -138,11 +139,14 @@ class ObservationTable:
 
     @classmethod
     def from_csv(cls, path_or_buffer, weights_col: str = "weight") -> "ObservationTable":
-        """Table from a CSV with the header above. A blank line, a row whose
-        field count differs from the header's, or a field that does not
-        parse (``s`` and ``d`` as 8-bit integers, the rest as floats) raises
-        ``ValueError`` naming the data row (counted from 1 below the header)
-        and, for a field, its column."""
+        """Table from a CSV with the header above. Column names are unique,
+        and the covariates (the columns named ``x`` and digits) are exactly
+        ``x1..xp``, in any order; a duplicate, a gap or a name such as
+        ``x01`` raises ``ValueError`` naming the column. A blank line, a row
+        whose field count differs from the header's, or a field that does
+        not parse (``s`` and ``d`` as 8-bit integers, the rest as floats)
+        raises ``ValueError`` naming the data row (counted from 1 below the
+        header) and, for a field, its column."""
         close = False
         if isinstance(path_or_buffer, (str, bytes)):
             fh = open(path_or_buffer, "r", encoding="utf-8", newline="")
@@ -155,11 +159,19 @@ class ObservationTable:
             if header is None:
                 raise ValueError("data file is empty")
             cols = {name: j for j, name in enumerate(header)}
+            if len(cols) < len(header):
+                dup = next(c for j, c in enumerate(header) if cols[c] != j)
+                raise ValueError(f"duplicate column {dup!r} in the header")
             for required in ("y", "s", "d"):
                 if required not in cols:
                     raise ValueError(f"missing required column {required!r}")
-            xcols = sorted((c for c in cols if c.startswith("x") and c[1:].isdigit()),
-                           key=lambda c: int(c[1:]))
+            xnames = [c for c in header if re.fullmatch("x[0-9]+", c)]
+            xcols = [f"x{k}" for k in range(1, len(xnames) + 1)]
+            for c in xnames:
+                if c not in xcols:
+                    raise ValueError(f"covariate column {c!r} is not one of "
+                                     f"x1..x{len(xcols)}: covariates are named "
+                                     f"x1..xp with none missing")
             rows = list(reader)
         finally:
             if close:
@@ -288,19 +300,21 @@ class NuisanceBundle:
 
     Holds the treatment propensity ``m``, the conditional selection
     probabilities ``s0``/``s1`` (clamped once at assembly to the overlap
-    floor of the provenance), plus evaluators for the conditional quantile
-    and truncated-mean surfaces. ``quantile(d, u)`` and
-    ``trunc_mean(j, d, u)`` accept a row index array and per-row ``u``
-    values; ``j=1`` means the mean of the outcome below its ``u``-quantile,
-    ``j=0`` the mean above it.
+    floor of the provenance), plus one tail evaluator for the conditional
+    outcome surfaces. ``tail_fn(rows, j, d, u)`` takes a row index array,
+    the tail ``j``, the arm ``d`` and per-row levels ``u`` in [0, 1], and
+    returns ``(q, b)``: arm ``d``'s ``u``-quantile and the mean of the
+    outcome below it (``j=1``) or above it (``j=0``), both from one
+    evaluation. ``quantile`` and ``trunc_mean`` are views of ``tail``: the
+    quantile is read from the ``j=1`` tail, so on a cross-fitted bundle it
+    reports (logs or raises for) that tail as ``trunc_mean`` does.
 
     ``p0`` and ``labels()`` are computed once per bundle, and
     ``per_table`` keeps what is built from one (table, bundle) pair; every
     cached array is read-only.
     """
 
-    def __init__(self, m, s0, s1, quantile_fn: Callable, trunc_mean_fn: Callable,
-                 provenance: str = "oracle"):
+    def __init__(self, m, s0, s1, tail_fn: Callable, provenance: str = "oracle"):
         floor = (ORACLE_OVERLAP_FLOOR if provenance in _EXACT_PROVENANCES
                  else DEFAULT_OVERLAP_FLOOR)
         m, s0, s1 = (np.asarray(arr, dtype=float) for arr in (m, s0, s1))
@@ -316,8 +330,7 @@ class NuisanceBundle:
                                     for arr in (m, s0, s1))
         for arr in (self.m, self.s0, self.s1):
             arr.setflags(write=False)
-        self._quantile_fn = quantile_fn
-        self._trunc_mean_fn = trunc_mean_fn
+        self._tail_fn = tail_fn
         self.provenance = provenance
         self.n_clamped = clamped
         self._table_slot = None
@@ -366,31 +379,34 @@ class NuisanceBundle:
             memo[key] = build()
         return memo[key]
 
-    def quantile(self, rows: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
-        """q_d(u_i, x_i) for each row index i, with u clipped to [0, 1]."""
+    def tail(self, rows: np.ndarray, j: int, d: int, u: np.ndarray) -> tuple:
+        """(q_d(u_i, x_i), beta_{j,d}(u_i, x_i)) for each row index i, from
+        one evaluation, with u clipped to [0, 1]."""
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        return np.asarray(self._quantile_fn(np.asarray(rows), int(d), u), dtype=float)
+        q, b = self._tail_fn(np.asarray(rows), int(j), int(d), u)
+        return np.asarray(q, dtype=float), np.asarray(b, dtype=float)
+
+    def quantile(self, rows: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
+        """q_d(u_i, x_i), read from the ``j=1`` tail."""
+        return self.tail(rows, 1, d, u)[0]
 
     def trunc_mean(self, rows: np.ndarray, j: int, d: int, u: np.ndarray) -> np.ndarray:
-        """beta_{j,d}(u_i, x_i) for each row index i, with u clipped to [0, 1]."""
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        return np.asarray(self._trunc_mean_fn(np.asarray(rows), int(j), int(d), u), dtype=float)
+        """beta_{j,d}(u_i, x_i), read from the ``j`` tail."""
+        return self.tail(rows, j, d, u)[1]
 
     def all_rows(self) -> np.ndarray:
         return np.arange(self.n)
 
     # -- transforms used to derive mirrored strata moments ------------------
 
-    def _derive(self, m, s0, s1, quantile_fn: Callable,
-                trunc_mean_fn: Callable) -> "NuisanceBundle":
-        """Bundle with already clamped probabilities and new evaluators that
-        keeps this bundle's provenance and clamp count."""
+    def _derive(self, m, s0, s1, tail_fn: Callable) -> "NuisanceBundle":
+        """Bundle with already clamped probabilities and a new tail
+        evaluator that keeps this bundle's provenance and clamp count."""
         out = NuisanceBundle.__new__(NuisanceBundle)
         out.m, out.s0, out.s1 = m, s0, s1
         for arr in (m, s0, s1):
             arr.setflags(write=False)
-        out._quantile_fn = quantile_fn
-        out._trunc_mean_fn = trunc_mean_fn
+        out._tail_fn = tail_fn
         out.provenance = self.provenance
         out.n_clamped = self.n_clamped
         out._table_slot = None
@@ -402,27 +418,24 @@ class NuisanceBundle:
         Quantiles satisfy q_{-Y}(u) = -q_Y(1-u) and the two truncated-mean
         surfaces swap roles (exact under a continuous outcome distribution).
         """
-        return self._derive(
-            self.m, self.s0, self.s1,
-            lambda rows, d, u: -self.quantile(rows, d, 1.0 - u),
-            lambda rows, j, d, u: -self.trunc_mean(rows, 1 - j, d, 1.0 - u))
+        def tail_fn(rows, j, d, u):
+            q, b = self.tail(rows, 1 - j, d, 1.0 - u)
+            return -q, -b
+
+        return self._derive(self.m, self.s0, self.s1, tail_fn)
 
     def with_swapped_arms(self) -> "NuisanceBundle":
         """Bundle for the relabeled treatment 1-D: swaps m and the two arms."""
-        return self._derive(
-            np.asarray(1.0 - self.m), self.s1, self.s0,
-            lambda rows, d, u: self.quantile(rows, 1 - d, u),
-            lambda rows, j, d, u: self.trunc_mean(rows, j, 1 - d, u))
+        return self._derive(np.asarray(1.0 - self.m), self.s1, self.s0,
+                            lambda rows, j, d, u: self.tail(rows, j, 1 - d, u))
 
     def select(self, idx: np.ndarray) -> "NuisanceBundle":
         """View of the bundle restricted to a row subset."""
         idx = np.asarray(idx)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
-        return self._derive(
-            self.m[idx], self.s0[idx], self.s1[idx],
-            lambda rows, d, u: self.quantile(idx[rows], d, u),
-            lambda rows, j, d, u: self.trunc_mean(idx[rows], j, d, u))
+        return self._derive(self.m[idx], self.s0[idx], self.s1[idx],
+                            lambda rows, j, d, u: self.tail(idx[rows], j, d, u))
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,7 @@ def _tail(bundle, rows, yy, d, j, level):
     """Arm ``d``'s quantile and ``j`` truncated mean at ``level``, and the
     indicator of the tail the mean keeps (at or below the quantile for
     ``j=1``, at or above it for ``j=0``)."""
-    q = bundle.quantile(rows, d, level)
-    b = bundle.trunc_mean(rows, j, d, level)
+    q, b = bundle.tail(rows, j, d, level)
     return q, b, (yy <= q if j == 1 else yy >= q).astype(float)
 
 
@@ -213,8 +212,7 @@ def _cm_moments(table, bundle, labels, stratum: Stratum,
 
     if plus.any():
         u = np.clip(1.0 - p0, 0.0, 1.0)
-        q1 = bundle.quantile(rows, 1, u)
-        b1 = bundle.trunc_mean(rows, 1, 1, u)
+        q1, b1 = bundle.tail(rows, 1, 1, u)
         i1 = (yy <= q1).astype(float)
         k = c0 - p0 * c1
         share_p = (s1 - s0) + c1 - c0
@@ -234,8 +232,7 @@ def _cm_moments(table, bundle, labels, stratum: Stratum,
 
     if stratum is Stratum.EM and minus.any():
         r = np.clip(1.0 / p0, 0.0, 1.0)
-        q0 = bundle.quantile(rows, 0, r)
-        b0 = bundle.trunc_mean(rows, 0, 0, r)
+        q0, b0 = bundle.tail(rows, 0, 0, r)
         i0 = (yy >= q0).astype(float)
         k = c0 / p0 - c1
         share_m = (s0 - s1) + c0 - c1
@@ -428,10 +425,9 @@ def efficiency_bound(design) -> float:
                 - 2.0 * q * b * s_trim * p * (1.0 - p) / m
                 + 2.0 * dev * (q - b) * s_keep * (1.0 - s_keep) / (1.0 - m))
 
-    plus = trimmed(m, s0, s1, p0, bundle.quantile(rows, 1, l1),
-                   bundle.trunc_mean(rows, j1, 1, l1), bx - beta)
-    minus = trimmed(1.0 - m, s1, s0, r0, bundle.quantile(rows, 0, l0),
-                    bundle.trunc_mean(rows, j0, 0, l0), beta - bx)
+    plus = trimmed(m, s0, s1, p0, *bundle.tail(rows, j1, 1, l1), bx - beta)
+    minus = trimmed(1.0 - m, s1, s0, r0, *bundle.tail(rows, j0, 0, l0),
+                    beta - bx)
     labels = bundle.labels()
     total = s1 * atoms.sigma1_sq / m + s0 * atoms.sigma0_sq / (1.0 - m) \
         + np.where(labels == XPLUS, plus, np.where(labels == XMINUS, minus, 0.0))

@@ -260,12 +260,13 @@ class _Plan:
     """Rows grouped by training cell: row ``i`` of ``x`` belongs to
     ``groups[gid[i]]``, whose outcomes are a segment of ``cells``.
 
-    A call evaluates all its rows in one vectorized pass: a binary search
-    that runs in every row's segment at once finds the quantile positions,
-    and the tie runs give the truncation boundaries. It then walks the
-    groups it read in their order, which is evaluation order, to log the
-    arm-level surface and empty tails and to raise the first error. Rows
-    whose group raises read the placeholder segment until then.
+    A call evaluates one tail of all its rows in one vectorized pass: a
+    binary search that runs in every row's segment at once finds the
+    quantile positions, and the tie runs give the truncation boundaries.
+    It then raises for the first group without a cell, or walks the groups
+    it read in their order, which is evaluation order, to log the
+    arm-level surface and empty tails and to raise for a strict empty
+    tail. Rows whose group raises read the placeholder segment until then.
     """
 
     def __init__(self, d: int, parts, x: np.ndarray):
@@ -292,8 +293,8 @@ class _Plan:
         end = self.start + self.length - 1
         self.total_w = self.cells.cw[end]
         self.total_y = self.cells.cy[end]
-        self.noisy = np.array([g.seg is None or g.key == _ARM_LEVEL
-                               for g in self.groups])
+        self.cell_less = np.array([g.seg is None for g in self.groups])
+        self.arm_level = np.array([g.key == _ARM_LEVEL for g in self.groups])
 
     def _locate(self, rows, u):
         """The group of each queried row and the flat index of its
@@ -326,28 +327,28 @@ class _Plan:
             n = n - (n >> 1)
         return g, np.minimum(base + below(base), start + length - 1)
 
-    def _walk(self, rows, g, j=None, empty=None):
-        """Log or raise for the groups that the rows read, in group order:
-        ``EmptyCellError`` for a group without a cell, one warning for each
-        arm-level group, and for truncated means (``j``) with ``empty``
-        rows an ``EmptyTailError`` when the group is strict or a warning."""
+    def _walk(self, rows, g, j, empty):
+        """Log or raise for the groups that the rows read: first
+        ``EmptyCellError`` for the first group without a cell, then in group
+        order one warning for each arm-level group and, for the ``empty``
+        rows of tail ``j``, an ``EmptyTailError`` when the group is strict
+        or a warning."""
         counts = np.bincount(g, minlength=len(self.groups))
-        flagged = counts * self.noisy
-        if empty is not None:
-            n_empty = np.bincount(g[empty], minlength=len(self.groups))
-            flagged = flagged + n_empty
-        for k in np.flatnonzero(flagged).tolist():
+        cell_less = np.flatnonzero(counts * self.cell_less)
+        if cell_less.size:
+            k = int(cell_less[0])
+            if self.groups[k].index is None:
+                raise EmptyCellError(
+                    f"no selected training rows in arm {self.groups[k].d}")
+            raise self.groups[k].index.unseen_level_error(self.x[rows[g == k]])
+        n_empty = np.bincount(g[empty], minlength=len(self.groups))
+        for k in np.flatnonzero(counts * self.arm_level + n_empty).tolist():
             group = self.groups[k]
-            if group.seg is None:
-                if group.index is None:
-                    raise EmptyCellError(
-                        f"no selected training rows in arm {group.d}")
-                raise group.index.unseen_level_error(self.x[rows[g == k]])
             if group.key == _ARM_LEVEL:
                 logger.warning("%d rows in arm %d fall in cells with no "
                                "training rows; using the arm-level surface",
                                int(counts[k]), group.d)
-            if empty is not None and n_empty[k]:
+            if n_empty[k]:
                 what = f"arm {group.d} {'lower' if j == 1 else 'upper'} tail"
                 if not group.lenient:
                     raise EmptyTailError(
@@ -356,19 +357,13 @@ class _Plan:
                                "%d rows; using the cell mean", what, group.key,
                                int(n_empty[k]))
 
-    def quantile(self, rows, u) -> np.ndarray:
+    def tail(self, rows, j: int, u) -> tuple:
         """Left-continuous quantiles of the queried rows' cells at levels
-        ``u``, one level per row."""
-        g, pos = self._locate(rows, u)
-        self._walk(rows, g)
-        return self.cells.y[pos]
-
-    def trunc_mean(self, rows, j: int, u) -> np.ndarray:
-        """Truncated means of the queried rows' cells at levels ``u``, below
-        (``j=1``) or above (``j=0``) the ``u``-quantile, every tied
-        observation at the threshold included. An empty truncation region
-        takes the cell mean (with a log entry), or raises ``EmptyTailError``
-        when the cell spec is strict."""
+        ``u``, one level per row, and the truncated means below (``j=1``) or
+        above (``j=0``) them, every tied observation at the threshold
+        included. An empty truncation region takes the cell mean (with a
+        log entry), or raises ``EmptyTailError`` when the cell spec is
+        strict."""
         g, pos = self._locate(rows, u)
         cells = self.cells
         total_w, total_y = self.total_w[g], self.total_y[g]
@@ -385,9 +380,9 @@ class _Plan:
         empty = ~full & (den <= 0)
         self._walk(rows, g, j, empty)
         ok = ~(full | empty)
-        out = total_y / total_w
-        out[ok] = num[ok] / den[ok]
-        return out
+        b = total_y / total_w
+        b[ok] = num[ok] / den[ok]
+        return cells.y[pos], b
 
 
 class CellOutcomeSurface:
@@ -458,21 +453,19 @@ class CellOutcomeSurface:
         return gid, [_Group(d, key, segs.get(key), index, lenient)
                      for key in uniq.tolist()]
 
-    def plan(self, d, x) -> _Plan:
-        """The rows of ``x`` grouped as ``groups`` does, on arm ``d``'s
-        cells."""
+    def tail(self, x, j, d, u) -> tuple:
+        """Quantiles and ``j`` truncated means of arm ``d`` at the rows of
+        ``x`` (grouped as ``groups`` does) and levels ``u``."""
         x = np.atleast_2d(x)
-        return _Plan(d, [(self, np.arange(len(x)))], x)
+        rows = np.arange(len(x))
+        return _Plan(d, [(self, rows)], x).tail(rows, j,
+                                                np.asarray(u, dtype=float))
 
     def quantile(self, x, d, u) -> np.ndarray:
-        plan = self.plan(d, x)
-        return plan.quantile(np.arange(len(plan.gid)),
-                             np.asarray(u, dtype=float))
+        return self.tail(x, 1, d, u)[0]
 
     def trunc_mean(self, x, j, d, u) -> np.ndarray:
-        plan = self.plan(d, x)
-        return plan.trunc_mean(np.arange(len(plan.gid)), j,
-                               np.asarray(u, dtype=float))
+        return self.tail(x, j, d, u)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +527,12 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
         surfaces.append(CellOutcomeSurface(train, spec.cells))
     plans = {}
 
-    def plan(d):
+    def tail_fn(rows, j, d, u):
         if d not in plans:
             plans[d] = _Plan(d, zip(surfaces, held_out), table.x)
-        return plans[d]
+        return plans[d].tail(rows, j, u)
 
-    def quantile_fn(rows, d, u):
-        return plan(d).quantile(rows, u)
-
-    def trunc_mean_fn(rows, j, d, u):
-        return plan(d).trunc_mean(rows, j, u)
-
-    return NuisanceBundle(m, s0, s1, quantile_fn, trunc_mean_fn,
-                          provenance="cross_fitted")
+    return NuisanceBundle(m, s0, s1, tail_fn, provenance="cross_fitted")
 
 
 # ---------------------------------------------------------------------------
@@ -665,18 +651,13 @@ def load_external_nuisances(path, table: ObservationTable,
     q_interp = {d: make_interp(grid) for d, grid in q_grids.items()}
     b_interp = {key: make_interp(grid) for key, grid in b_grids.items()}
 
-    def quantile_fn(rows, d, u):
-        fn = q_interp[d]
-        if fn is None:
+    def tail_fn(rows, j, d, u):
+        q_fn, b_fn = q_interp[d], b_interp[(j, d)]
+        if q_fn is None:
             raise ValueError(f"no quantile grid supplied for arm {d}")
-        return fn(rows, u)
-
-    def trunc_mean_fn(rows, j, d, u):
-        fn = b_interp[(j, d)]
-        if fn is None:
+        if b_fn is None:
             raise ValueError(f"no truncated-mean grid for (j={j}, d={d})")
-        return fn(rows, u)
+        return q_fn(rows, u), b_fn(rows, u)
 
     return NuisanceBundle(data[:, cols["m"]], data[:, cols["s0"]],
-                          data[:, cols["s1"]], quantile_fn, trunc_mean_fn,
-                          provenance=provenance)
+                          data[:, cols["s1"]], tail_fn, provenance=provenance)

@@ -71,20 +71,17 @@ def _mix_mean(p0, gamma):
     return p0 * 0.5 + (1.0 - p0) * (0.5 + gamma)
 
 
-def _mix_trunc_below(p0, gamma, u):
+def _mix_tail(p0, gamma, j, u):
+    """Left-continuous quantile of the mixture at ``u`` and the mean below
+    (``j=1``) or above (``j=0``) it."""
     u = np.asarray(u, dtype=float)
     q = _mix_ppf(p0, gamma, u)
+    below = _mix_partial(q, p0, gamma, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = _mix_partial(q, p0, gamma, 1) / u
-    return np.where(u > 0.0, val, 0.0)
-
-
-def _mix_trunc_above(p0, gamma, u):
-    u = np.asarray(u, dtype=float)
-    q = _mix_ppf(p0, gamma, u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (_mix_mean(p0, gamma) - _mix_partial(q, p0, gamma, 1)) / (1.0 - u)
-    return np.where(u < 1.0, val, 1.0 + gamma)
+        if j == 1:
+            return q, np.where(u > 0.0, below / u, 0.0)
+        val = (_mix_mean(p0, gamma) - below) / (1.0 - u)
+    return q, np.where(u < 1.0, val, 1.0 + gamma)
 
 
 def _mix_censored_var(p0, gamma, level):
@@ -218,22 +215,14 @@ def _benchmark_bundle(config: DgpConfig, table: ObservationTable) -> NuisanceBun
     is_mix = x1 == 1.0
     p0_row = s0 / s1
 
-    def quantile_fn(rows, d, u):
+    def tail_fn(rows, j, d, u):
         if d == 0:
-            return np.zeros(len(rows))
-        q = _mix_ppf(p0_row[rows], gamma, u)
-        return np.where(is_mix[rows], q, 0.0)
+            return np.zeros(len(rows)), np.zeros(len(rows))
+        mix = is_mix[rows]
+        q, b = _mix_tail(p0_row[rows], gamma, j, u)
+        return np.where(mix, q, 0.0), np.where(mix, b, 0.0)
 
-    def trunc_mean_fn(rows, j, d, u):
-        if d == 0:
-            return np.zeros(len(rows))
-        if j == 1:
-            b = _mix_trunc_below(p0_row[rows], gamma, u)
-        else:
-            b = _mix_trunc_above(p0_row[rows], gamma, u)
-        return np.where(is_mix[rows], b, 0.0)
-
-    return NuisanceBundle(m, s0, s1, quantile_fn, trunc_mean_fn, provenance="oracle")
+    return NuisanceBundle(m, s0, s1, tail_fn, provenance="oracle")
 
 
 def oracle_support(config: DgpConfig, table: ObservationTable) -> SupportBounds:
@@ -283,29 +272,23 @@ def _single_index_bundle(config: DgpConfig, table: ObservationTable) -> Nuisance
 
     mu = {d: _si_mu(x1, d) for d in (0, 1)}
 
-    def quantile_fn(rows, d, u):
-        # unbounded support: edge levels map to +-7 sigma rather than
-        # infinities, which the moment evaluations never weight anyway
-        z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-        return mu[d][rows] + _SI_SIGMA * z
-
-    def trunc_mean_fn(rows, j, d, u):
+    def tail_fn(rows, j, d, u):
+        base = mu[d][rows]
+        # unbounded support: edge levels of the quantile map to +-7 sigma
+        # rather than infinities, which the moment evaluations never weight
+        q = base + _SI_SIGMA * ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
         # selection is independent of the outcome given (D, X), so the
         # conditional law is the plain Gaussian and tail means are exact
-        u = np.asarray(u, dtype=float)
         z = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
         phi = np.exp(-0.5 * z ** 2) / np.sqrt(2.0 * np.pi)
-        base = mu[d][rows]
-        if j == 1:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = base - _SI_SIGMA * phi / u
-            return np.where(u >= 1.0, base, val)
         with np.errstate(divide="ignore", invalid="ignore"):
+            if j == 1:
+                return q, np.where(u >= 1.0, base, base - _SI_SIGMA * phi / u)
             val = base + _SI_SIGMA * phi / (1.0 - u)
-        return np.where(u <= 0.0, base, val)
+        return q, np.where(u <= 0.0, base, val)
 
-    return NuisanceBundle(np.full(table.n, 0.5), sel(0), sel(1),
-                          quantile_fn, trunc_mean_fn, provenance="oracle")
+    return NuisanceBundle(np.full(table.n, 0.5), sel(0), sel(1), tail_fn,
+                          provenance="oracle")
 
 
 # ---------------------------------------------------------------------------

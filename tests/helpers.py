@@ -26,9 +26,15 @@ from strata_bounds.nuisance import (CellOutcomeSurface, _quantile_pos,
                                     fold_assignments)
 from strata_bounds.simulation import (TRUNC_HI, TRUNC_LO, _TRUNC_MASN,
                                       DesignAtoms, DgpConfig,
-                                      _mix_censored_var, _mix_ppf,
-                                      _mix_trunc_above, _mix_trunc_below)
+                                      _mix_censored_var, _mix_ppf, _mix_tail)
 from strata_bounds.smoothing import GFamily
+
+
+def pair_tail(qfn, bfn):
+    """A ``NuisanceBundle`` tail evaluator from a quantile closure
+    ``qfn(rows, d, u)`` and a truncated-mean closure ``bfn(rows, j, d, u)``,
+    called in that order."""
+    return lambda rows, j, d, u: (qfn(rows, d, u), bfn(rows, j, d, u))
 
 
 class Pieces:
@@ -128,7 +134,8 @@ class DPoint:
             return np.array([f(ui) for ui in np.atleast_1d(u)])
 
         return NuisanceBundle(np.full(n, self.m), np.full(n, self.s0),
-                              np.full(n, self.s1), qfn, bfn, provenance="oracle")
+                              np.full(n, self.s1), pair_tail(qfn, bfn),
+                              provenance="oracle")
 
     def support(self) -> SupportBounds:
         lo1, hi1 = self.dist[1].support
@@ -259,7 +266,7 @@ def grid_bundle_and_table(points):
             out.append(pmf.trunc_below(ui) if j == 1 else pmf.trunc_above(ui))
         return np.array(out)
 
-    bundle = NuisanceBundle(m, s0, s1, qfn, bfn, provenance="oracle")
+    bundle = NuisanceBundle(m, s0, s1, pair_tail(qfn, bfn), provenance="oracle")
     table = ObservationTable(y=np.ones(n), s=np.ones(n, int),
                              d=np.zeros(n, int), x=np.arange(n)[:, None],
                              weight=np.array([p["prob"] for p in points]))
@@ -287,8 +294,8 @@ def dpoint_atoms(points, sigma1_sq, sigma0_sq) -> DesignAtoms:
 
     bundle = NuisanceBundle(np.array([p.m for p in points]),
                             np.array([p.s0 for p in points]),
-                            np.array([p.s1 for p in points]), qfn, bfn,
-                            provenance="oracle")
+                            np.array([p.s1 for p in points]),
+                            pair_tail(qfn, bfn), provenance="oracle")
     table = ObservationTable(y=np.ones(n), s=np.ones(n, int),
                              d=np.zeros(n, int), x=np.arange(n)[:, None],
                              weight=np.array([p.prob for p in points]))
@@ -498,10 +505,24 @@ def crossfit_surfaces(table, spec):
                    for k in range(spec.folds)]
 
 
+def _quietly(fn):
+    """``fn`` with the package's log records dropped."""
+    def quiet(*args):
+        log = logging.getLogger("strata_bounds")
+        was, log.disabled = log.disabled, True
+        try:
+            return fn(*args)
+        finally:
+            log.disabled = was
+    return quiet
+
+
 def reference_crossfit(table, spec, bundle) -> NuisanceBundle:
     """``bundle = crossfit(table, spec)`` with its outcome surfaces
     evaluated fold by fold: each call masks the rows of every fold and
-    groups them by cell on that fold's surface."""
+    groups them by cell on that fold's surface. A tail logs what its
+    truncated-mean loop logs, once; the quantile loop before it reads the
+    same cells and only raises."""
     folds, surfaces = crossfit_surfaces(table, spec)
 
     def per_fold(evaluate):
@@ -517,8 +538,8 @@ def reference_crossfit(table, spec, bundle) -> NuisanceBundle:
         return fn
 
     return NuisanceBundle(bundle.m, bundle.s0, bundle.s1,
-                          per_fold(grouped_quantile),
-                          per_fold(grouped_trunc_mean),
+                          pair_tail(_quietly(per_fold(grouped_quantile)),
+                                    per_fold(grouped_trunc_mean)),
                           provenance=bundle.provenance)
 
 
@@ -629,8 +650,8 @@ class QuadratureDesign:
         zero = lambda u: 0.0
         if x1 == 1.0:
             q1 = lambda u: float(_mix_ppf(p0, gamma, u))
-            b11 = lambda u: float(_mix_trunc_below(p0, gamma, u))
-            b01 = lambda u: float(_mix_trunc_above(p0, gamma, u))
+            b11 = lambda u: float(_mix_tail(p0, gamma, 1, u)[1])
+            b01 = lambda u: float(_mix_tail(p0, gamma, 0, u)[1])
             sigma1 = float(_mix_censored_var(p0, gamma, min(p0, 1.0)))
             beta_x = b11(min(p0, 1.0))
             label = 1

@@ -487,6 +487,10 @@ def _edited(edit):
     return write
 
 
+def _header(old, new):
+    return _edited(lambda lines: lines.__setitem__(0, lines[0].replace(old, new)))
+
+
 @pytest.mark.parametrize("command", ["estimate", "bounds-curve"])
 @pytest.mark.parametrize("write, code, kind", [
     (_no_control_rows, 3, "EmptyCellError"),
@@ -495,7 +499,13 @@ def _edited(edit):
     (_edited(lambda lines: lines.insert(5, "")), 2, "InvalidData"),
     (_edited(lambda lines: lines.__setitem__(3, lines[3].rsplit(",", 1)[0])),
      2, "InvalidData"),
-], ids=["no_control_rows", "unparsable_y", "blank_line", "ragged_row"])
+    # a header x1,x3 used to group by x3 under --group-col x2, and x1,x1
+    # silently dropped a covariate
+    (_header(",x2", ",x3"), 2, "InvalidData"),
+    (_header(",x2", ",x1"), 2, "InvalidData"),
+    (_header(",x2", ",x01"), 2, "InvalidData"),
+], ids=["no_control_rows", "unparsable_y", "blank_line", "ragged_row",
+        "covariate_gap", "duplicate_covariate", "leading_zero_covariate"])
 def test_bad_input_same_for_both_commands(capsys, tmp_path, sample_csv,
                                           command, write, code, kind):
     config, table, _ = sample_csv
@@ -506,6 +516,23 @@ def test_bad_input_same_for_both_commands(capsys, tmp_path, sample_csv,
     got, _, err = run_cli(capsys, command, *data, "--h", "0.05", "--folds", "3")
     assert got == code
     assert json.loads(err.splitlines()[-1])["error"] == kind
+
+
+@pytest.mark.parametrize("command", ["estimate", "bounds-curve"])
+@pytest.mark.parametrize("value", ["0", "5", "abc"])
+def test_cells_discrete_outside_the_covariates_exits_2(capsys, sample_csv,
+                                                       command, value):
+    # 0 used to make the last covariate discrete, 5 was an IndexError
+    _, table, path = sample_csv
+    data = [path, "--method", "smooth"] if command == "estimate" \
+        else ["--data", path]
+    code, out, err = run_cli(capsys, command, *data, "--h", "0.05",
+                             "--folds", "3", "--cells-discrete", f"1,{value}")
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "InvalidConfig"
+    assert rec["message"] == (f"--cells-discrete takes covariate numbers in "
+                              f"1..{table.p}, got {value!r}")
 
 
 class TestEntryPoint:

@@ -109,30 +109,28 @@ class TestClassifyPartition:
         assert counts[1] >= 100
 
 
+def zero_tail(rows, j, d, u):
+    return np.zeros(len(rows)), np.zeros(len(rows))
+
+
 class TestNuisanceBundle:
     def test_clamping_respects_floors(self):
         n = 50
         m = np.linspace(-0.2, 1.2, n)
         s = np.linspace(0.001, 0.999, n)
-        b = sb.NuisanceBundle(m, s, s[::-1], lambda r, d, u: np.zeros(len(r)),
-                              lambda r, j, d, u: np.zeros(len(r)),
-                              provenance="cross_fitted")
+        b = sb.NuisanceBundle(m, s, s[::-1], zero_tail, provenance="cross_fitted")
         assert b.m.min() >= 0.01 and b.m.max() <= 0.99
         assert b.s0.min() >= 0.01 and b.s1.max() <= 0.99
         assert b.n_clamped > 0
 
     def test_oracle_floor_is_effectively_off(self):
         s = np.array([1e-6, 0.5, 1 - 1e-6])
-        b = sb.NuisanceBundle(np.full(3, 0.5), s, s,
-                              lambda r, d, u: np.zeros(len(r)),
-                              lambda r, j, d, u: np.zeros(len(r)),
+        b = sb.NuisanceBundle(np.full(3, 0.5), s, s, zero_tail,
                               provenance="oracle")
         assert np.allclose(b.s0, s)
 
     def test_default_eps0_by_provenance(self):
-        args = (np.full(3, 0.5), np.full(3, 0.5), np.full(3, 0.5),
-                lambda r, d, u: np.zeros(len(r)),
-                lambda r, j, d, u: np.zeros(len(r)))
+        args = (np.full(3, 0.5), np.full(3, 0.5), np.full(3, 0.5), zero_tail)
         assert sb.NuisanceBundle(*args, provenance="oracle").default_eps0() == 0.0
         assert sb.NuisanceBundle(*args, provenance="cross_fitted").default_eps0() > 0
 
@@ -141,9 +139,7 @@ class TestNuisanceBundle:
         cols = {"m": np.full(4, 0.5), "s0": np.full(4, 0.4), "s1": np.full(4, 0.6)}
         cols[column][2] = np.nan
         with pytest.raises(ValueError, match=f"nuisance {column} .* row 2"):
-            sb.NuisanceBundle(cols["m"], cols["s0"], cols["s1"],
-                              lambda r, d, u: np.zeros(len(r)),
-                              lambda r, j, d, u: np.zeros(len(r)))
+            sb.NuisanceBundle(cols["m"], cols["s0"], cols["s1"], zero_tail)
 
 
 class TestSentinel:
@@ -191,6 +187,19 @@ class TestCsv:
     def test_malformed_row_names_row_and_column(self, body, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             sb.ObservationTable.from_csv(io.StringIO("y,s,d,weight,x1\n" + body))
+
+    @pytest.mark.parametrize("header, message", [
+        ("y,s,d,weight,x1,x3", "covariate column 'x3' is not one of x1..x2"),
+        ("y,s,d,weight,x1,x1", "duplicate column 'x1'"),
+        ("y,s,d,weight,x01", "covariate column 'x01' is not one of x1..x1"),
+        ("y,s,d,weight,x2,x0", "covariate column 'x0' is not one of x1..x2"),
+        ("y,s,d,y,x1,x2", "duplicate column 'y'"),
+    ], ids=["gap", "duplicate", "leading_zero", "x0", "duplicate_y"])
+    def test_header_names_each_column_once_and_covariates_x1_to_xp(
+            self, header, message):
+        body = "1,1,1,1.0" + ",0.5" * (header.count(",") - 3) + "\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sb.ObservationTable.from_csv(io.StringIO(header + "\n" + body))
 
     def test_empty_file(self):
         with pytest.raises(ValueError, match="data file is empty"):

@@ -18,7 +18,7 @@ from strata_bounds.influence import (InfluenceRows, SmoothInfluenceRows,
                                      eif_regular)
 from strata_bounds.smoothing import GFamily
 
-from helpers import Pieces, reference_trim_drop
+from helpers import Pieces, pair_tail, reference_trim_drop
 from test_shared_pieces import _crossfit_draw
 
 
@@ -110,8 +110,8 @@ def _unselected_sample(n=4):
                              d=np.arange(n) % 2, x=np.zeros((n, 1)),
                              weight=np.ones(n))
     bundle = NuisanceBundle(np.full(n, 0.5), np.zeros(n), np.zeros(n),
-                            lambda r, d, u: np.zeros(len(r)),
-                            lambda r, j, d, u: np.zeros(len(r)),
+                            lambda r, j, d, u: (np.zeros(len(r)),
+                                                np.zeros(len(r))),
                             provenance="oracle")
     return table, bundle
 
@@ -275,8 +275,7 @@ class TestEstimators:
     def test_inefficient_requires_known_propensity(self):
         config, table, bundle, support = oracle_setup(n=300)
         cross = NuisanceBundle(bundle.m, bundle.s0, bundle.s1,
-                               bundle._quantile_fn, bundle._trunc_mean_fn,
-                               provenance="cross_fitted")
+                               bundle._tail_fn, provenance="cross_fitted")
         with pytest.raises(PartitionError):
             estimate_inefficient(table, cross, EstimationConfig(), support)
 
@@ -291,8 +290,8 @@ class TestEstimators:
         dist = Pieces([1.0], [2.0 - 1e-9], [2.0 + 1e-9])
         b = NuisanceBundle(np.full(n, 0.5), np.full(n, 1 - 1e-9),
                            np.full(n, 1 - 1e-9),
-                           lambda r, dd, u: np.full(len(r), 2.0),
-                           lambda r, j, dd, u: np.full(len(r), 2.0),
+                           pair_tail(lambda r, dd, u: np.full(len(r), 2.0),
+                                     lambda r, j, dd, u: np.full(len(r), 2.0)),
                            provenance="oracle")
         est = estimate_inefficient(t, b, EstimationConfig())
         assert est.lower == pytest.approx(0.0, abs=4 * max(est.se_lower, 1e-12))
@@ -306,8 +305,8 @@ class TestEstimators:
                              weight=np.ones(n))
         m = np.full(n, 0.4)
         b = NuisanceBundle(m, np.full(n, 1 - 1e-12), np.full(n, 1 - 1e-12),
-                           lambda r, dd, u: np.full(len(r), y.max()),
-                           lambda r, j, dd, u: np.full(len(r), 0.0),
+                           pair_tail(lambda r, dd, u: np.full(len(r), y.max()),
+                                     lambda r, j, dd, u: np.full(len(r), 0.0)),
                            provenance="oracle")
         est = estimate_inefficient(t, b, EstimationConfig())
         ht = np.mean(y * d / 0.4) - np.mean(y * (1 - d) / 0.6)
@@ -380,11 +379,12 @@ class TestTrimDrop:
     def test_reuses_the_tails_of_sharp(self, cfg):
         table, bundle, support = _oracle_trim_draw(sb.PANEL_SHARES["b"])
         calls = []
-        for name in ("quantile", "trunc_mean"):
-            def counted(*args, _evaluate=getattr(bundle, name), _name=name):
-                calls.append(_name)
-                return _evaluate(*args)
-            setattr(bundle, name, counted)
+        evaluate = bundle.tail
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+        bundle.tail = counted
         estimate_sharp(table, bundle, cfg, support)
         assert calls
         calls.clear()
@@ -411,8 +411,9 @@ class TestTrimDrop:
 
         bundle = NuisanceBundle(
             np.full(n, 0.5), s0, np.full(n, 0.6),
-            surface(lambda u: u),
-            surface(lambda u: np.full_like(u, 0.5)), provenance="cross_fitted")
+            pair_tail(surface(lambda u: u),
+                      surface(lambda u: np.full_like(u, 0.5))),
+            provenance="cross_fitted")
         assert (bundle.labels()[banded] == 0).all()
         assert not (bundle.labels()[~banded] == 0).any()
         with pytest.raises(EmptyCellError):

@@ -4,8 +4,9 @@ Each case hashes the raw bytes (``tobytes()``) of an estimator-core output
 on a fixed draw: the regular moments for every directly assembled and
 mirrored stratum and side, the plain-estimator moments and conditional
 bounds on a cross-fitted bundle, the smoothed moments and bounds, the
-oracle variance functionals, and the Monte Carlo records of three
-replications on each panel. The CLI digests of ``TestGoldenOutput`` only
+oracle variance functionals, the Monte Carlo records of three
+replications on each panel, and every provider's tails with their
+transforms. The CLI digests of ``TestGoldenOutput`` only
 reach the always-taker bound without dominance; these reach the rest. The
 digests were recorded with numpy 2.4 on x86-64. A change to them needs a
 line in ``CHANGES.md`` that says why the outputs changed.
@@ -23,7 +24,8 @@ from strata_bounds.estimation import EstimationConfig, moment_rows
 from strata_bounds.identification import conditional_sharp_bound
 from strata_bounds.influence import (efficiency_bound, efficiency_gap,
                                      eif_regular, eif_smooth)
-from strata_bounds.nuisance import CellSpec, LearnerSpec, crossfit
+from strata_bounds.nuisance import (CellSpec, LearnerSpec, crossfit,
+                                    load_external_nuisances)
 from strata_bounds.simulation import _replication_worker
 from strata_bounds.smoothing import GFamily, smooth_conditional_bound
 
@@ -268,3 +270,110 @@ def test_replication_record_digest(panel, rep):
     record = _replication_worker(config, rep)
     assert not [name for name, entry in record.items() if entry[0] == "fail"]
     assert _record_digest(record) == REPLICATION_DIGESTS[(panel, rep)]
+
+
+# ---------------------------------------------------------------------------
+# tails: each provider's quantile and truncated mean, and its transforms
+
+def _tail_levels(n):
+    u = np.random.default_rng(8).random(n)
+    u[:6] = (0.0, 1.0, 1e-13, 1.0 - 1e-13, 0.5, 0.25)
+    return u
+
+
+def _write_grid(path, table, bundle, levels):
+    """A nuisance CSV of ``bundle``'s probabilities and its tails at
+    ``levels``."""
+    rows = bundle.all_rows()
+    cols = {"m": bundle.m, "s0": bundle.s0, "s1": bundle.s1}
+    for u in levels:
+        uu = np.full(table.n, u)
+        for d in (0, 1):
+            for j in (0, 1):
+                q, b = bundle.tail(rows, j, d, uu)
+                cols[f"q_{d}_u{u!r}"] = q
+                cols[f"b_{j}_{d}_u{u!r}"] = b
+    data = np.column_stack(list(cols.values()))
+    path.write_text(",".join(cols) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in data.tolist()))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def tail_providers(panel_a, panel_b, tmp_path_factory):
+    """Provider name -> bundle: both oracles (the single-index one has a
+    Gaussian outcome in each arm), the cross-fitted panel-b draw, and an
+    external grid of the single-index oracle's tails."""
+    config = sb.DgpConfig(dgp_id="single_index", n=600, base_seed=3,
+                          replications=1)
+    table = sb.dgp_sample(config, 0)
+    oracle = sb.oracle_nuisances(config)(table)
+    grid = _write_grid(tmp_path_factory.mktemp("tails") / "grid.csv", table,
+                       oracle, np.linspace(0.02, 0.98, 13).tolist())
+    return {"benchmark": panel_a[1], "single_index": oracle,
+            "cross_fitted": panel_b[1],
+            "external": load_external_nuisances(grid, table)}
+
+
+TRANSFORMS = {
+    "root": lambda b: b,
+    "negated": lambda b: b.with_negated_outcome(),
+    "swapped": lambda b: b.with_swapped_arms(),
+    "select": lambda b: b.select(
+        np.random.default_rng(9).permutation(b.n)[:b.n // 2]),
+}
+
+
+def _tails(bundle):
+    """Every tail (j, d) of ``bundle`` on all its rows: quantiles, then
+    means."""
+    rows, u = bundle.all_rows(), _tail_levels(bundle.n)
+    return [part for j in (0, 1) for d in (0, 1)
+            for part in bundle.tail(rows, j, d, u)]
+
+
+#: Recorded from each provider's separate quantile and truncated-mean
+#: evaluations, ``(quantile(rows, d, u), trunc_mean(rows, j, d, u))``.
+TAIL_DIGESTS = {
+    ("benchmark", "negated"):
+        "1d444957fdf3e7eb1cc17beb695e470c15033138f27cc16d43d75445e6a88760",
+    ("benchmark", "root"):
+        "2b18cdc5e18ec37bebd6c56272772224d5a23d5a3b9fb6ab54e1a972a105fc61",
+    ("benchmark", "select"):
+        "f6d388d35d6c40f80b22a289792c699c728d1fd4a81e9add3a46236806eb6bfc",
+    ("benchmark", "swapped"):
+        "90e194544b39594012a21d16b200fa94b869559220724fb57555f4ff616f9483",
+    ("cross_fitted", "negated"):
+        "21ee61a330f849f6fdc5016785468ee5a71169dcb621156a674ad84c224d29da",
+    ("cross_fitted", "root"):
+        "a01765f0dc901adb729b010f0e33cb8a042bb9597d39e25b752238167b3f482d",
+    ("cross_fitted", "select"):
+        "dbcbaec96b9f3ab99885c49a5f7732aeb52050515aea6f7a22b60b755079c2a0",
+    ("cross_fitted", "swapped"):
+        "22682243ef9d7b4350eb306cffd2cf01d19586b73e401fe504b3d2d49cd6a284",
+    ("external", "negated"):
+        "d30024134146ef19f3762260c2205b5da6bd4344fdb6ea742867e66f85cf27f5",
+    ("external", "root"):
+        "cc2ae85088576deef53a860e2475d20e727d803d2e4c9b7ff7fd7a69d774df74",
+    ("external", "select"):
+        "fc741500e1f3851b333f023b307cc13b28af1b95dfdfaffefa5ebd3a3fc88b0f",
+    ("external", "swapped"):
+        "2be2a37d4da3f4ad020e182edee467b9f1ce35173b8e0f7ebc1545f726be6c05",
+    ("single_index", "negated"):
+        "5cae0d237fdbaa1c05e128025422e136f55551878d8dd130ed0c081d1d387aae",
+    ("single_index", "root"):
+        "5932374adddf2bcadcafce09ab472a2217939f49cccc05a081eac0cf24a75992",
+    ("single_index", "select"):
+        "309bcc898c7db31125669cb399d678ca97d76b8c49947f84ab51ed8ef8fa5951",
+    ("single_index", "swapped"):
+        "a93a7d5640ad354fc392058d4ce772d6351127584e81d995ef230e088529a814",
+}
+
+
+@pytest.mark.parametrize("provider,transform",
+                         [(p, t) for p in ("benchmark", "cross_fitted",
+                                           "external", "single_index")
+                          for t in TRANSFORMS])
+def test_tail_digest(tail_providers, provider, transform):
+    bundle = TRANSFORMS[transform](tail_providers[provider])
+    assert _digest(*_tails(bundle)) == TAIL_DIGESTS[(provider, transform)]

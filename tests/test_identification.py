@@ -9,7 +9,7 @@ from strata_bounds.errors import ZeroShareError
 from strata_bounds.identification import SupportBounds, stratum_weight
 
 from helpers import (Pieces, direct_grid_bound, grid_bundle_and_table,
-                     grid_design)
+                     grid_design, pair_tail)
 
 
 class TestStratumWeight:
@@ -40,7 +40,7 @@ def point_bundle(s0, s1, dist1: Pieces, dist0: Pieces, n=1, m=0.5):
         return np.array([f(ui) for ui in np.atleast_1d(u)])
 
     return NuisanceBundle(np.full(n, m), np.full(n, s0), np.full(n, s1),
-                          qfn, bfn, provenance="oracle")
+                          pair_tail(qfn, bfn), provenance="oracle")
 
 
 class TestSupportBounds:
@@ -217,8 +217,7 @@ class TestUnconditional:
         surf = CellOutcomeSurface(t, CellSpec())
         one = 1.0 - 1e-12
         b = NuisanceBundle(np.full(n, 0.5), np.full(n, one), np.full(n, one),
-                           lambda r, dd, u: surf.quantile(t.x[r], dd, u),
-                           lambda r, j, dd, u: surf.trunc_mean(t.x[r], j, dd, u),
+                           lambda r, j, dd, u: surf.tail(t.x[r], j, dd, u),
                            provenance="oracle")
         ate = (np.average(y[d == 1], weights=w[d == 1])
                - np.average(y[d == 0], weights=w[d == 0]))

@@ -7,9 +7,12 @@ import strata_bounds as sb
 from strata_bounds.data_model import (ObservationTable, Side, Stratum,
                                       StratumSpec)
 from strata_bounds.errors import PartitionError
-from strata_bounds.influence import (_build_ipw_pieces, _ipw_pieces,
-                                     degenerate_at_moments, efficiency_bound,
-                                     efficiency_gap, eif_regular, eif_smooth)
+from strata_bounds.identification import (conditional_sharp_bound,
+                                          unconditional_sharp_bound)
+from strata_bounds.influence import (_at_branches, _build_ipw_pieces,
+                                     _ipw_pieces, degenerate_at_moments,
+                                     efficiency_bound, efficiency_gap,
+                                     eif_regular, eif_smooth)
 from strata_bounds.simulation import _replication_worker
 from strata_bounds.smoothing import GFamily
 
@@ -320,6 +323,66 @@ class TestPerTableCaches:
             alone = dataclasses.replace(config, estimators=(est,))
             assert repr(_replication_worker(alone, 3)) == \
                 repr({est.name: full[est.name]})
+
+
+def counted_tails(bundle) -> list:
+    """Record the (j, d) of every call of ``bundle``'s tail provider."""
+    calls, evaluate = [], bundle._tail_fn
+
+    def tail_fn(rows, j, d, u):
+        calls.append((j, d))
+        return evaluate(rows, j, d, u)
+    bundle._tail_fn = tail_fn
+    return calls
+
+
+class TestOneEvaluationPerTail:
+    """Each quantile and its truncated mean come from one provider call."""
+
+    @pytest.fixture()
+    def panel_a(self):
+        config = sb.DgpConfig(n=600, shares=sb.PANEL_SHARES["a"],
+                              replications=1, base_seed=8)
+        table = sb.dgp_sample(config, 0)
+        return (table, sb.oracle_nuisances(config)(table),
+                sb.oracle_support(config, table))
+
+    @pytest.mark.parametrize("side", [Side.L, Side.U])
+    def test_always_taker_branches(self, panel_a, side):
+        table, bundle, _ = panel_a
+        calls = counted_tails(bundle)
+        _at_branches(table, bundle, side)
+        assert [d for _, d in calls] == [1, 0]
+
+    @pytest.mark.parametrize("side", ["l", "u"])
+    def test_smoothed_moments(self, panel_a, side):
+        table, bundle, _ = panel_a
+        calls = counted_tails(bundle)
+        eif_smooth(table, bundle, GFamily(h=0.05), side)
+        assert [d for _, d in calls] == [1, 0]
+
+    @pytest.mark.parametrize("stratum,side,tails", [
+        (Stratum.C, Side.L, [(1, 1)]),
+        (Stratum.EM, Side.L, [(1, 1), (0, 0)]),
+        (Stratum.EM, Side.U, [(0, 1), (1, 0)])])   # through the negation
+    def test_complier_moments(self, panel_a, stratum, side, tails):
+        table, bundle, support = panel_a
+        calls = counted_tails(bundle)
+        eif_regular(table, bundle, bundle.labels(), StratumSpec(stratum, side),
+                    support)
+        assert calls == tails
+
+    def test_efficiency_bound(self):
+        design = sb.BenchmarkDesign(sb.DgpConfig(shares=sb.PANEL_SHARES["a"]))
+        atoms = design.atoms()
+        calls = counted_tails(atoms.bundle)
+        spec = at_spec(Side.L)
+        unconditional_sharp_bound(atoms.table, atoms.bundle, spec, atoms.support)
+        conditional_sharp_bound(atoms.bundle, spec, atoms.support)
+        bounds = list(calls)
+        calls.clear()
+        efficiency_bound(design)
+        assert calls == bounds + [(1, 1), (0, 0)]
 
 
 class TestMeanZeroMonteCarlo:

@@ -11,11 +11,13 @@ from helpers import (crossfit_surfaces, grouped_trunc_mean, reference_crossfit,
 from strata_bounds.cli import main as cli_main
 from strata_bounds.data_model import ObservationTable
 from strata_bounds.errors import EmptyCellError, EmptyTailError, SeparationWarning
+from strata_bounds.influence import eif_smooth
 from strata_bounds.nuisance import (CellOutcomeSurface, CellSpec, LearnerSpec,
                                     crossfit, fit_selection, fold_assignments,
                                     load_external_nuisances, _CellIndex,
                                     _interp_rows, _read_nuisance_csv,
                                     _weighted_quantile)
+from strata_bounds.smoothing import GFamily
 
 
 def simple_table(n=200, seed=0, p=1):
@@ -121,9 +123,13 @@ class TestCellSurface:
 
 
 def outcome(fn, *args):
-    """The bytes a call returns, or the type and message of what it raises."""
+    """The bytes a call returns (a tail's quantiles, then its means), or the
+    type and message of what it raises."""
     try:
-        return fn(*args).tobytes()
+        out = fn(*args)
+        if isinstance(out, tuple):
+            return b"".join(part.tobytes() for part in out)
+        return out.tobytes()
     except (EmptyCellError, EmptyTailError) as exc:
         return type(exc), str(exc)
 
@@ -409,14 +415,9 @@ PLAN_SPEC = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=3),
 
 
 def evaluations(bundle, rows, u):
-    """Every surface call on ``rows`` at levels ``u``, as bytes or the
-    error it raises."""
-    out = []
-    for d in (0, 1):
-        out.append(outcome(bundle.quantile, rows, d, u))
-        for j in (0, 1):
-            out.append(outcome(bundle.trunc_mean, rows, j, d, u))
-    return out
+    """Every tail on ``rows`` at levels ``u``, as bytes or the error it
+    raises."""
+    return [outcome(bundle.tail, rows, j, d, u) for d in (0, 1) for j in (0, 1)]
 
 
 def levels(rng, size):
@@ -485,6 +486,42 @@ class TestCrossfitPlan:
         assert warnings_of(caplog, lambda: bundle.quantile(
             others, 1, u[others])) == []
 
+    def test_tail_logs_its_unseen_cell_warning_once(self, caplog):
+        # the smoothed moments read one tail per arm; a tail's quantile and
+        # mean read the same cells, so each fold's warning shows once
+        t = panel_b_draw(124)
+        bundle = crossfit(t, PLAN_SPEC)
+        rows = bundle.all_rows()
+        once = warnings_of(caplog, lambda: bundle.trunc_mean(
+            rows, 1, 1, np.full(t.n, 0.5)))
+        assert once and all("in arm 1 fall in cells" in msg for msg in once)
+        got = warnings_of(caplog, lambda: eif_smooth(t, bundle, GFamily(h=0.05),
+                                                     "l"))
+        assert [msg for msg in got if "in arm 1" in msg] == once
+
+    def test_cell_error_before_an_earlier_strict_empty_tail(self):
+        # zero-weight rows hold each cell's lowest outcomes, so lower tails
+        # at tiny levels are empty; level 7 sits on one treated row of the
+        # last fold, whose surfaces never saw it
+        t = tied_cell_table(3, n=400)
+        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=2,
+                                          lenient_tails=False),
+                           folds=3, seed=4)
+        folds = fold_assignments(t.n, spec.folds, spec.seed)
+        x = t.x.copy()
+        x[np.flatnonzero((t.d == 1) & (folds == 2))[0], 0] = 7.0
+        t = ObservationTable(y=np.where(t.weight == 0, -100.0, t.y), s=t.s,
+                             d=t.d, x=x, weight=t.weight)
+        bundle = crossfit(t, spec)
+        u = np.full(t.n, 1e-13)
+        first = np.flatnonzero(folds == 0)
+        assert outcome(bundle.tail, first, 1, 1, u[first]) == (
+            EmptyTailError,
+            "no observation in truncation region (arm 1 lower tail)")
+        for call in (bundle.tail, bundle.trunc_mean):
+            got = outcome(call, bundle.all_rows(), 1, 1, u)
+            assert got[0] is EmptyCellError and "unseen level" in got[1]
+
     def test_unseen_discrete_level_raises_only_where_queried(self):
         # levels 7 and 9 each sit on one selected treated row, so the
         # surfaces of that row's fold never saw them in either arm
@@ -541,13 +578,15 @@ class TestCrossfitPlan:
 def surface_outcomes(surface, x, u):
     """Every call of a ``CellOutcomeSurface`` on ``x`` at levels ``u``, and
     of the per-row reference loops, as bytes or the error raised."""
+    def reference_tail(x, j, d, u):
+        return (reference_quantile(surface, x, d, u),
+                reference_trunc_mean(surface, x, j, d, u))
+
     got, want = [], []
     for d in (0, 1):
-        got.append(outcome(surface.quantile, x, d, u))
-        want.append(outcome(reference_quantile, surface, x, d, u))
         for j in (0, 1):
-            got.append(outcome(surface.trunc_mean, x, j, d, u))
-            want.append(outcome(reference_trunc_mean, surface, x, j, d, u))
+            got.append(outcome(surface.tail, x, j, d, u))
+            want.append(outcome(reference_tail, x, j, d, u))
     return got, want
 
 
@@ -603,7 +642,7 @@ class TestSegmentedSearch:
         assert surf.trunc_mean(xq, 1, 1, u)[0] == 2.0
         assert surf.trunc_mean(xq, 0, 1, u)[1] == 4.0
         got, want = surface_outcomes(surf, xq, u)
-        assert got[1:4] == want[1:4]
+        assert got == want
         # and the same layout across the folds of a cross-fit
         big = ObservationTable(y=np.tile(y, 12), s=np.ones(72, int),
                                d=np.repeat([1, 0], [60, 12]),
@@ -770,14 +809,17 @@ class TestExternal:
         grid[3, 4] = np.inf
         grid[5, 0] = -np.inf
         grid[7, 1:3] = np.inf
-        header = "m,s0,s1," + ",".join(f"q_1_u{u}" for u in levels)
-        rows = [[0.5, 0.4, 0.8, *g] for g in grid]
+        means = rng.normal(size=(n, len(levels)))
+        header = "m,s0,s1," + ",".join(f"{kind}_u{u}" for kind in ("q_1", "b_1_1")
+                                       for u in levels)
+        rows = [[0.5, 0.4, 0.8, *g, *m] for g, m in zip(grid, means)]
         b = load_external_nuisances(self._write(tmp_path, t, header, rows), t)
         u = np.concatenate([[0.0, 1.0, 0.1, 0.9, 0.25, 1e-13, 1 - 1e-13],
                             rng.random(33)])
         idx = rng.permutation(n)
-        got = b.quantile(idx, 1, u)
-        assert got.tobytes() == reference_interp(levels, grid[idx], u).tobytes()
+        q, bm = b.tail(idx, 1, 1, u)
+        assert q.tobytes() == reference_interp(levels, grid[idx], u).tobytes()
+        assert bm.tobytes() == reference_interp(levels, means[idx], u).tobytes()
         # levels outside [0, 1], NaN, and a one-level grid
         wide = np.array([-1.0, 2.0, np.nan, 0.3, 0.5, -np.inf])
         sub = grid[:len(wide)]

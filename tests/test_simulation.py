@@ -3,8 +3,7 @@ import pytest
 from scipy.special import ndtr
 
 import strata_bounds as sb
-from strata_bounds.simulation import (_mix_ppf, _mix_trunc_above,
-                                      _mix_trunc_below, dgp_sample,
+from strata_bounds.simulation import (_mix_ppf, _mix_tail, dgp_sample,
                                       oracle_target, run_experiment,
                                       write_metrics_csv, write_power_csv)
 
@@ -87,8 +86,10 @@ class TestMixture:
     def test_tail_means_consistent(self):
         p0, gamma = np.array([0.55]), 1.0
         u = np.array([0.4])
-        below = _mix_trunc_below(p0, gamma, u)
-        above = _mix_trunc_above(p0, gamma, u)
+        q, below = _mix_tail(p0, gamma, 1, u)
+        q_above, above = _mix_tail(p0, gamma, 0, u)
+        np.testing.assert_array_equal(q, _mix_ppf(p0, gamma, u))
+        np.testing.assert_array_equal(q_above, q)
         mean = p0 * 0.5 + (1 - p0) * 1.5
         np.testing.assert_allclose(u * below + (1 - u) * above, mean, rtol=1e-12)
 

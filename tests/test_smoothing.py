@@ -127,8 +127,8 @@ class TestSmoothBounds:
                                     x=np.zeros((n, 1)), weight=np.ones(n))
         bundle = sb.NuisanceBundle(
             np.full(n, 0.5), np.full(n, s), np.full(n, s),
-            lambda r, d, u: np.zeros(len(r)),
-            lambda r, j, d, u: np.full(len(r), c if (j, d) == (1, 1) else 0.0),
+            lambda r, j, d, u: (np.zeros(len(r)), np.full(
+                len(r), c if (j, d) == (1, 1) else 0.0)),
             provenance="oracle")
         fam = GFamily(h=h)
         got = sb.smooth_unconditional_bound(table, bundle, Side.L, fam)
