@@ -16,7 +16,7 @@ from .errors import (AllTrimmedError, DegenerateTrimError, EmptyCellError,
                      SeparationWarning, StrataBoundsError, ZeroShareError)
 from .estimation import (EstimationConfig, default_rho, estimate_inefficient,
                          estimate_sharp, estimate_smooth, estimate_switch,
-                         estimate_trim, heterogeneous_bounds, im_critical_value,
+                         estimate_trim, im_critical_value,
                          imbens_manski_interval, moment_rows, ratio_estimate,
                          smooth_ratio_estimate)
 from .identification import (SupportBounds, conditional_sharp_bound,

@@ -23,7 +23,7 @@ from .data_model import ObservationTable, Stratum, validate
 from .errors import StrataBoundsError
 from .estimation import (EstimationConfig, estimate_inefficient,
                          estimate_sharp, estimate_smooth, estimate_switch,
-                         estimate_trim, heterogeneous_bounds, moment_rows)
+                         estimate_trim)
 from .identification import SupportBounds
 from .nuisance import CellSpec, LearnerSpec, crossfit, load_external_nuisances
 from .simulation import (DgpConfig, PANEL_SHARES, dgp_sample,
@@ -180,44 +180,49 @@ def cmd_estimate(args) -> int:
     if group is not None and group >= table.p:
         return _fail(EXIT_INPUT, "InvalidConfig",
                      f"group column must be one of x1..x{table.p}")
+
+    def records(table, bundle):
+        """Every listed method's records on one (table, bundle) pair. The
+        support limits are the full sample's, so a group reads them too."""
+        out = []
+        for method in methods:
+            if method == "sharp":
+                out.append(estimate_sharp(table, bundle, cfg, support))
+            elif method == "trim":
+                out.append(estimate_trim(table, bundle, cfg,
+                                         eps_trim=resolved["eps_trim"],
+                                         variant=resolved["trim_variant"],
+                                         support=support))
+            elif method == "switch":
+                out.append(estimate_switch(table, bundle, cfg,
+                                           rho=resolved["rho"], support=support))
+            elif method == "smooth":
+                for h in resolved["h"]:
+                    out.append(estimate_smooth(table, bundle,
+                                               GFamily(h=float(h)), cfg))
+            else:
+                out.append(estimate_inefficient(table, bundle, cfg, support))
+        return [est.to_dict() for est in out]
+
+    where = ""   # names the group whose estimators are running
     try:
         support = SupportBounds.from_table(table)
         cfg = EstimationConfig(stratum=Stratum.parse(resolved["stratum"]),
                                alpha=float(resolved["alpha"]),
                                dominance=bool(resolved["dominance"]))
-        results = []
-        for method in methods:
-            if method == "sharp":
-                results.append(estimate_sharp(table, bundle, cfg, support))
-            elif method == "trim":
-                results.append(estimate_trim(table, bundle, cfg,
-                                             eps_trim=resolved["eps_trim"],
-                                             variant=resolved["trim_variant"],
-                                             support=support))
-            elif method == "switch":
-                rho = resolved["rho"]
-                results.append(estimate_switch(table, bundle, cfg, rho=rho,
-                                               support=support))
-            elif method == "smooth":
-                for h in resolved["h"]:
-                    results.append(estimate_smooth(table, bundle,
-                                                   GFamily(h=float(h)), cfg))
-            else:
-                results.append(estimate_inefficient(table, bundle, cfg, support))
+        payload = records(table, bundle)
         if group is not None:
-            lo = moment_rows(table, bundle, "l", cfg, support)
-            hi = moment_rows(table, bundle, "u", cfg, support)
-            by_group = heterogeneous_bounds(
-                lo, hi, table.x[:, group], table.weight, alpha=cfg.alpha,
-                stratum=cfg.stratum.value)
-            results += [dict(est.to_dict(), group=float(g))
-                        for g, est in by_group.items()]
+            column = table.x[:, group]
+            for g in np.unique(column):
+                where = f"group x{group + 1}={float(g)}: "
+                rows = column == g
+                payload += [dict(rec, group=float(g)) for rec in
+                            records(table.select(rows), bundle.select(rows))]
     except StrataBoundsError as exc:
-        return _fail(EXIT_ESTIMATION, type(exc).__name__, str(exc))
+        return _fail(EXIT_ESTIMATION, type(exc).__name__, where + str(exc))
     except ValueError as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+        return _fail(EXIT_INPUT, type(exc).__name__, where + str(exc))
 
-    payload = [r.to_dict() if hasattr(r, "to_dict") else r for r in results]
     hidden = {"l": "upper", "u": "lower"}.get(str(resolved["side"]).lower())
     for rec in payload if hidden else ():
         rec[f"estimate_{hidden}"] = rec[f"se_{hidden}"] = None

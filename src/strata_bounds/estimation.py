@@ -32,7 +32,11 @@ from .smoothing import GFamily
 
 
 def default_rho(n: int) -> float:
-    """Shrinking half-width of the moment-switching band."""
+    """Shrinking half-width of the moment-switching band; ``ValueError``
+    for fewer than two rows, where ``log(n)`` is not positive."""
+    if n < 2:
+        raise ValueError(f"the default switching band needs n >= 2 rows, "
+                         f"got n = {n}")
     return n ** (-0.25) / math.log(n)
 
 
@@ -126,27 +130,6 @@ def imbens_manski_interval(lower: float, upper: float, se_lower: float,
     return _effect_interval(lower, upper, se_lower, se_upper, alpha)
 
 
-def identified_set_interval(lower, upper, se_lower, se_upper, alpha=0.05):
-    """Pointwise interval for the identified set itself."""
-    z = float(ndtri(1.0 - alpha / 2.0))
-    return lower - z * se_lower, upper + z * se_upper
-
-
-def _package(lower, se_lower, upper, se_upper, method, n_effective, alpha,
-             stratum, h=None, diagnostics=None) -> BoundsEstimate:
-    if upper < lower and upper - lower > -1e-10:
-        upper = lower  # numerical guard at point identification
-    ci_set = identified_set_interval(lower, upper, se_lower, se_upper, alpha)
-    # estimated ends can cross on degenerate samples; the critical value
-    # then uses the point-identified (zero-width) limit
-    ci_effect = _effect_interval(lower, upper, se_lower, se_upper, alpha)
-    return BoundsEstimate(lower=lower, upper=upper, se_lower=se_lower,
-                          se_upper=se_upper, ci_set=ci_set, ci_effect=ci_effect,
-                          method=method, n_effective=int(n_effective),
-                          alpha=alpha, h=h, stratum=str(stratum),
-                          diagnostics=diagnostics or {})
-
-
 def _regular_rows(table, bundle, labels, spec, support, inefficient,
                   degenerate_mask) -> InfluenceRows:
     """Regular moments with the point-identified limit on the masked rows."""
@@ -198,12 +181,22 @@ def moment_rows(table: ObservationTable, bundle: NuisanceBundle, side,
 def _estimate(side_estimate, method, n_effective, config, h=None,
               diagnostics=None) -> BoundsEstimate:
     """Package ``side_estimate(side) -> (estimate, se)`` for the lower and
-    then the upper side."""
+    then the upper side, with the pointwise interval for the identified set
+    and the effect interval."""
     lower, se_lower = side_estimate(Side.L)
     upper, se_upper = side_estimate(Side.U)
-    return _package(lower, se_lower, upper, se_upper, method, n_effective,
-                    config.alpha, config.stratum.value, h=h,
-                    diagnostics=diagnostics)
+    if upper < lower and upper - lower > -1e-10:
+        upper = lower  # numerical guard at point identification
+    alpha = config.alpha
+    z = float(ndtri(1.0 - alpha / 2.0))
+    # estimated ends can cross on degenerate samples; the critical value
+    # then uses the point-identified (zero-width) limit
+    return BoundsEstimate(
+        lower=lower, upper=upper, se_lower=se_lower, se_upper=se_upper,
+        ci_set=(lower - z * se_lower, upper + z * se_upper),
+        ci_effect=_effect_interval(lower, upper, se_lower, se_upper, alpha),
+        method=method, n_effective=int(n_effective), alpha=alpha, h=h,
+        stratum=config.stratum.value, diagnostics=diagnostics or {})
 
 
 def estimate_sharp(table: ObservationTable, bundle: NuisanceBundle,
@@ -214,11 +207,14 @@ def estimate_sharp(table: ObservationTable, bundle: NuisanceBundle,
 
     Never-taker bounds have no moment representation (they are support
     constants), so that stratum aggregates the conditional bounds directly;
-    its standard error reflects the sampling of the plug-in only.
+    its standard error reflects the sampling of the plug-in only. The
+    plug-in has no known-propensity variant: with ``config.inefficient``
+    the never-taker stratum takes the moment path, which raises
+    ``PartitionError`` as every stratum but the always-takers' does.
     """
     if support is None:
         support = SupportBounds.from_table(table)
-    if config.stratum is Stratum.NT:
+    if config.stratum is Stratum.NT and not config.inefficient:
         w_nt = stratum_weight(bundle.s0, bundle.s1, Stratum.NT)
 
         def plug_in(side):
@@ -330,17 +326,9 @@ def smooth_ratio_estimate(rows, weights):
     the combined linearized residual rather than independent ratios.
     """
     wn = _normalized(np.asarray(weights, dtype=float))
-    _finite(rows.psi_b_plus, rows.psi_s_plus, rows.psi_b_minus,
-            rows.psi_s_minus)
-    den_p = float(np.dot(wn, rows.psi_s_plus))
-    den_m = float(np.dot(wn, rows.psi_s_minus))
-    if not (den_p > SHARE_FLOOR and den_m > SHARE_FLOOR):
-        raise ZeroShareError("smoothed share moment at or below floor")
-    beta_p = float(np.dot(wn, rows.psi_b_plus)) / den_p
-    beta_m = float(np.dot(wn, rows.psi_b_minus)) / den_m
-    resid = ((rows.psi_b_plus - beta_p * rows.psi_s_plus) / den_p
-             + (rows.psi_b_minus - beta_m * rows.psi_s_minus) / den_m)
-    se = float(np.sqrt(np.sum((wn * resid) ** 2)))
+    beta_p, den_p, resid_p = _solve(wn, rows.psi_b_plus, rows.psi_s_plus)
+    beta_m, den_m, resid_m = _solve(wn, rows.psi_b_minus, rows.psi_s_minus)
+    se = float(np.sqrt(np.sum((wn * (resid_p / den_p + resid_m / den_m)) ** 2)))
     return beta_p + beta_m, se
 
 
@@ -357,30 +345,3 @@ def estimate_smooth(table: ObservationTable, bundle: NuisanceBundle,
                                      table.weight)
 
     return _estimate(side_estimate, "smooth", table.n, config, h=family.h)
-
-
-def heterogeneous_bounds(lower_rows: InfluenceRows, upper_rows: InfluenceRows,
-                         groups, weights, alpha: float = 0.05,
-                         stratum: str = "at") -> dict:
-    """Subgroup bounds by aggregating moment rows within covariate groups.
-
-    Group ratios recombine to the unconditional estimate with weights
-    proportional to each group's share-moment mass. The rows are sharp
-    moments (see ``moment_rows``), so every group estimate is labelled
-    ``sharp``.
-    """
-    groups = np.asarray(groups)
-    weights = np.asarray(weights, dtype=float)
-    out = {}
-    for gval in np.unique(groups):
-        mask = groups == gval
-        if not mask.any():
-            continue
-        lo, se_lo = ratio_estimate(lower_rows.psi_b[mask], lower_rows.psi_s[mask],
-                                   weights[mask])
-        hi, se_hi = ratio_estimate(upper_rows.psi_b[mask], upper_rows.psi_s[mask],
-                                   weights[mask])
-        out[gval] = _package(lo, se_lo, hi, se_hi, "sharp", int(mask.sum()),
-                             alpha, stratum, diagnostics={"group": gval})
-    return out
-

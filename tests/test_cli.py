@@ -130,6 +130,32 @@ class TestEstimate:
         assert rec["diagnostics"]["rho"] == pytest.approx(
             sb.default_rho(table.n))
 
+    def test_switch_on_one_row_exits_2(self, capsys, tmp_path, sample_csv):
+        # the default band log(n) is zero at n = 1
+        config, table, _ = sample_csv
+        one = table.select(np.flatnonzero(table.s == 1)[:1])
+        dpath, npath = tmp_path / "one.csv", tmp_path / "nuis.csv"
+        one.to_csv(str(dpath))
+        write_nuisance_csv(str(npath), one, sb.oracle_nuisances(config)(one))
+        code, out, err = run_cli(capsys, "estimate", str(dpath), "--method",
+                                 "switch", "--nuisance-file", str(npath))
+        assert code == 2 and out == ""
+        failure = json.loads(err.splitlines()[-1])
+        assert failure["error"] == "ValueError"
+        assert "n = 1" in failure["message"]
+
+    def test_inefficient_never_taker_exits_3(self, capsys, tmp_path,
+                                             sample_csv):
+        config, table, path = sample_csv
+        npath = tmp_path / "nuis.csv"
+        write_nuisance_csv(str(npath), table, sb.oracle_nuisances(config)(table))
+        code, out, err = run_cli(capsys, "estimate", path, "--method",
+                                 "sharp,inefficient", "--stratum", "nt",
+                                 "--nuisance-file", str(npath),
+                                 "--nuisance-oracle")
+        assert code == 3 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"] == "PartitionError"
+
     def test_validation_failure_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("y,s,d,weight,x1\n,1,0,1.0,0.1\n1.0,1,1,1.0,0.2\n")
@@ -399,6 +425,16 @@ class TestSimulate:
         assert (tmp_path / "metrics.csv").exists()
         code, _, err = run_cli(capsys, "simulate", "--config", "/dev/null")
         assert code == 2
+
+
+    def test_one_row_replications_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "simulate", "--panel", "b", "--n", "1",
+                               "--reps", "3", "--out", str(tmp_path / "m.csv"),
+                               "--power-out", str(tmp_path / "p.csv"))
+        assert code == 2
+        failure = json.loads(err.splitlines()[-1])
+        assert failure["error"] == "ValueError"
+        assert "n = 1" in failure["message"]
 
 
 class TestBoundsCurve:

@@ -11,11 +11,10 @@ from strata_bounds.errors import (AllTrimmedError, EmptyCellError,
 from strata_bounds.estimation import (EstimationConfig, default_rho,
                                       estimate_inefficient, estimate_sharp,
                                       estimate_smooth, estimate_switch,
-                                      estimate_trim, heterogeneous_bounds,
-                                      im_critical_value, imbens_manski_interval,
+                                      estimate_trim, im_critical_value,
+                                      imbens_manski_interval, moment_rows,
                                       ratio_estimate, smooth_ratio_estimate)
-from strata_bounds.influence import (InfluenceRows, SmoothInfluenceRows,
-                                     eif_regular)
+from strata_bounds.influence import SmoothInfluenceRows
 from strata_bounds.smoothing import GFamily
 
 from helpers import Pieces, pair_tail, reference_trim_drop
@@ -136,11 +135,6 @@ def _trim_retain_zero_share():
                   variant="retain", support=support)
 
 
-def _heterogeneous_zero_share():
-    rows = InfluenceRows(psi_b=np.ones(4), psi_s=np.zeros(4))
-    heterogeneous_bounds(rows, rows, np.zeros(4), np.ones(4))
-
-
 def _unconditional_zero_share():
     table, bundle = _unselected_sample()
     sb.unconditional_sharp_bound(table, bundle, sb.StratumSpec("at", "l"))
@@ -156,7 +150,6 @@ _SHARE_FLOOR_CASES = {
     "ratio_estimate": (_ratio_at, True),
     "smooth_ratio_estimate": (_smooth_ratio_at, True),
     "estimate_trim_retain": (_trim_retain_zero_share, False),
-    "heterogeneous_bounds": (_heterogeneous_zero_share, False),
     "unconditional_sharp_bound": (_unconditional_zero_share, False),
     "smooth_unconditional_bound": (_smooth_unconditional_zero_share, False),
 }
@@ -278,6 +271,14 @@ class TestEstimators:
                                bundle._tail_fn, provenance="cross_fitted")
         with pytest.raises(PartitionError):
             estimate_inefficient(table, cross, EstimationConfig(), support)
+
+    @pytest.mark.parametrize("stratum", ["c", "def", "em", "nt"])
+    def test_inefficient_is_for_the_always_taker_stratum_only(self, stratum):
+        # the never-taker plug-in has no known-propensity variant either
+        config, table, bundle, support = oracle_setup(n=300)
+        with pytest.raises(PartitionError, match="always-taker stratum only"):
+            estimate_inefficient(table, bundle, EstimationConfig(
+                stratum=sb.Stratum.parse(stratum)), support)
 
     def test_null_effect_design(self):
         # constant outcome, full selection, known propensity: the estimated
@@ -423,29 +424,37 @@ class TestTrimDrop:
 
 
 class TestHeterogeneousBounds:
-    def _rows(self):
-        config, table, bundle, support = oracle_setup(shares=(0.4, 0.2, 0.4),
-                                                      n=6000)
-        labels = bundle.labels()
-        keep = labels != 0
-        lower = eif_regular(table.select(keep), bundle.select(keep),
-                            labels[keep], sb.StratumSpec("at", "l"), support)
-        upper = eif_regular(table.select(keep), bundle.select(keep),
-                            labels[keep], sb.StratumSpec("at", "u"), support)
-        return table.select(keep), lower, upper
+    """A subgroup bound is the estimator run on the group's rows."""
+
+    def _sample(self):
+        config, table, bundle, _ = oracle_setup(shares=(0.4, 0.2, 0.4),
+                                                n=6000)
+        keep = bundle.labels() != 0
+        return config, table.select(keep), bundle.select(keep)
+
+    def _by_group(self, config, table, bundle, groups):
+        out = {}
+        for gval in np.unique(groups):
+            rows = groups == gval
+            sub = table.select(rows)
+            out[gval] = estimate_sharp(sub, bundle.select(rows),
+                                       EstimationConfig(),
+                                       sb.oracle_support(config, sub))
+        return out
 
     def test_single_group_equals_unconditional(self):
-        table, lower, upper = self._rows()
-        groups = np.zeros(table.n)
-        out = heterogeneous_bounds(lower, upper, groups, table.weight)
-        beta, se = ratio_estimate(lower.psi_b, lower.psi_s, table.weight)
-        assert out[0.0].lower == pytest.approx(beta, rel=1e-12)
-        assert out[0.0].se_lower == pytest.approx(se, rel=1e-12)
+        config, table, bundle = self._sample()
+        out = self._by_group(config, table, bundle, np.zeros(table.n))
+        full = estimate_sharp(table, bundle, EstimationConfig(),
+                              sb.oracle_support(config, table))
+        assert repr(out[0.0]) == repr(full)
 
     def test_groups_recombine_to_unconditional(self):
-        table, lower, upper = self._rows()
+        config, table, bundle = self._sample()
         groups = table.x[:, 0]
-        out = heterogeneous_bounds(lower, upper, groups, table.weight)
+        out = self._by_group(config, table, bundle, groups)
+        support = sb.oracle_support(config, table)
+        lower = moment_rows(table, bundle, "l", support=support)
         wn = table.weight / table.weight.sum()
         total_mass = float(np.dot(wn, lower.psi_s))
         combined = 0.0
@@ -453,14 +462,13 @@ class TestHeterogeneousBounds:
             mask = groups == gval
             share = float(np.dot(wn[mask], lower.psi_s[mask])) / total_mass
             combined += share * est.lower
-        beta, _ = ratio_estimate(lower.psi_b, lower.psi_s, table.weight)
-        assert combined == pytest.approx(beta, rel=1e-10)
+        full = estimate_sharp(table, bundle, EstimationConfig(), support)
+        assert combined == pytest.approx(full.lower, rel=1e-10)
 
     def test_group_targets_on_benchmark(self):
         # the effect is concentrated on the positive-monotone category
-        table, lower, upper = self._rows()
-        groups = table.x[:, 0]
-        out = heterogeneous_bounds(lower, upper, groups, table.weight)
+        config, table, bundle = self._sample()
+        out = self._by_group(config, table, bundle, table.x[:, 0])
         assert out[1.0].lower > 0.3
         assert abs(out[-1.0].lower) < 0.1
 
@@ -468,3 +476,8 @@ class TestHeterogeneousBounds:
 class TestDefaultRho:
     def test_formula(self):
         assert default_rho(2000) == pytest.approx(2000 ** -0.25 / np.log(2000))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_is_a_value_error(self, n):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            default_rho(n)
