@@ -160,12 +160,10 @@ def cmd_estimate(args) -> int:
                 return _fail(EXIT_INPUT, "InvalidConfig",
                              f"{knob} is only used by method {method}")
     # never-taker bounds are support constants with no moment rows, and the
-    # smoothed moments have no dominance variant: there these change nothing
-    for name, value in (("dominance", resolved["dominance"]),
-                        ("group-col", args.group_col is not None)):
-        if value and str(resolved["stratum"]).lower() == "nt":
-            return _fail(EXIT_INPUT, "InvalidConfig",
-                         f"{name} is not used by the never-taker stratum")
+    # smoothed moments have no dominance variant: there it changes nothing
+    if resolved["dominance"] and str(resolved["stratum"]).lower() == "nt":
+        return _fail(EXIT_INPUT, "InvalidConfig",
+                     "dominance is not used by the never-taker stratum")
     if resolved["dominance"] and all(m == "smooth" for m in methods):
         return _fail(EXIT_INPUT, "InvalidConfig",
                      "dominance is not used by method smooth")

@@ -322,22 +322,29 @@ class NuisanceBundle:
             bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:
                 raise ValueError(f"nuisance {name} is not finite at row {bad[0]}")
-        clamped = int(sum(((arr < floor) | (arr > 1 - floor)).sum()
-                          for arr in (m, s0, s1)))
-        if clamped:
-            logger.info("clamped %d nuisance values to the overlap floors", clamped)
+        # per row, how many of the three values the floor clamps
+        self._clamps = sum(((arr < floor) | (arr > 1 - floor)).astype(np.int8)
+                           for arr in (m, s0, s1))
+        if self.n_clamped:
+            logger.info("clamped %d nuisance values to the overlap floors",
+                        self.n_clamped)
         self.m, self.s0, self.s1 = (np.clip(arr, floor, 1 - floor)
                                     for arr in (m, s0, s1))
-        for arr in (self.m, self.s0, self.s1):
+        for arr in (self.m, self.s0, self.s1, self._clamps):
             arr.setflags(write=False)
         self._tail_fn = tail_fn
         self.provenance = provenance
-        self.n_clamped = clamped
         self._table_slot = None
 
     @property
     def n(self) -> int:
         return self.m.shape[0]
+
+    @property
+    def n_clamped(self) -> int:
+        """Nuisance values (of ``m``, ``s0`` and ``s1``) clamped to the
+        overlap floor on this bundle's rows."""
+        return int(self._clamps.sum())
 
     @cached_property
     def p0(self) -> np.ndarray:
@@ -399,16 +406,16 @@ class NuisanceBundle:
 
     # -- transforms used to derive mirrored strata moments ------------------
 
-    def _derive(self, m, s0, s1, tail_fn: Callable) -> "NuisanceBundle":
-        """Bundle with already clamped probabilities and a new tail
-        evaluator that keeps this bundle's provenance and clamp count."""
+    def _derive(self, m, s0, s1, clamps, tail_fn: Callable) -> "NuisanceBundle":
+        """Bundle with already clamped probabilities, their per-row clamp
+        counts and a new tail evaluator that keeps this bundle's
+        provenance."""
         out = NuisanceBundle.__new__(NuisanceBundle)
-        out.m, out.s0, out.s1 = m, s0, s1
-        for arr in (m, s0, s1):
+        out.m, out.s0, out.s1, out._clamps = m, s0, s1, clamps
+        for arr in (m, s0, s1, clamps):
             arr.setflags(write=False)
         out._tail_fn = tail_fn
         out.provenance = self.provenance
-        out.n_clamped = self.n_clamped
         out._table_slot = None
         return out
 
@@ -422,11 +429,12 @@ class NuisanceBundle:
             q, b = self.tail(rows, 1 - j, d, 1.0 - u)
             return -q, -b
 
-        return self._derive(self.m, self.s0, self.s1, tail_fn)
+        return self._derive(self.m, self.s0, self.s1, self._clamps, tail_fn)
 
     def with_swapped_arms(self) -> "NuisanceBundle":
         """Bundle for the relabeled treatment 1-D: swaps m and the two arms."""
         return self._derive(np.asarray(1.0 - self.m), self.s1, self.s0,
+                            self._clamps,
                             lambda rows, j, d, u: self.tail(rows, j, 1 - d, u))
 
     def select(self, idx: np.ndarray) -> "NuisanceBundle":
@@ -435,6 +443,7 @@ class NuisanceBundle:
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         return self._derive(self.m[idx], self.s0[idx], self.s1[idx],
+                            self._clamps[idx],
                             lambda rows, j, d, u: self.tail(idx[rows], j, d, u))
 
 

@@ -12,11 +12,11 @@ truncated-mean augmentation from the moments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .data_model import (SHARE_FLOOR, BoundsEstimate, NuisanceBundle,
@@ -85,12 +85,74 @@ def ratio_estimate(psi_b, psi_s, weights):
     return beta, se
 
 
+def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """Root of ``f`` in the bracket ``[a, b]`` by Brent's (1973) method.
+
+    A transcription of scipy's C ``brentq`` (the same branch order, the
+    same sign-bit test, each ``f`` value taken as a C double), so it
+    returns the same root bytes and raises the same errors: ``ValueError``
+    for a NaN value or a bracket without a sign change, ``RuntimeError``
+    when ``maxiter`` steps do not converge.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # an underflowed denominator: C's step is inf or NaN,
+                # which fails the test below and bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def im_critical_value(delta: float, se: float, alpha: float = 0.05) -> float:
     """Critical value interpolating one- and two-sided coverage.
 
-    Solves ``Phi(C + delta/se) - Phi(-C) = 1 - alpha`` by bisection on
-    ``[0, z_{1-alpha/2}]``; the point-identified limit gives the two-sided
-    value and a wide identified set the one-sided one.
+    Solves ``Phi(C + delta/se) - Phi(-C) = 1 - alpha`` by Brent's method
+    (``xtol=1e-10``) on ``[0, z_{1-alpha/2}]``; the point-identified limit
+    gives the two-sided value and a wide identified set the one-sided one.
     """
     z_two = float(ndtri(1.0 - alpha / 2.0))
     delta = max(float(delta), 0.0)
@@ -107,7 +169,7 @@ def im_critical_value(delta: float, se: float, alpha: float = 0.05) -> float:
         return 0.0
     if f(z_two) <= 0.0:  # point-identified limit: the root sits at the end
         return z_two
-    return float(brentq(f, 0.0, z_two, xtol=1e-10))
+    return _brentq(f, 0.0, z_two, xtol=1e-10)
 
 
 def _effect_interval(lower, upper, se_lower, se_upper, alpha):

@@ -19,14 +19,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .data_model import (XPLUS, NuisanceBundle, ObservationTable, Side, Stratum,
                          StratumSpec)
 from .errors import StrataBoundsError
-from .estimation import (EstimationConfig, estimate_sharp, estimate_smooth,
-                         estimate_switch, estimate_trim)
+from .estimation import (EstimationConfig, _brentq, estimate_sharp,
+                         estimate_smooth, estimate_switch, estimate_trim)
 from .identification import (SupportBounds, stratum_weight,
                              unconditional_sharp_bound)
 from .smoothing import GFamily, smooth_unconditional_components
@@ -375,7 +374,7 @@ class BenchmarkDesign:
         # bracket (1/8 in x2) would go unsplit
         grid = np.linspace(TRUNC_LO, TRUNC_HI, 65)
         sign = np.sign(gaps(grid))
-        kinks = [brentq(lambda x2: gaps(x2)[k], grid[i], grid[i + 1])
+        kinks = [_brentq(lambda x2: gaps(x2)[k], grid[i], grid[i + 1])
                  for k, i in zip(*np.nonzero(sign[:, :-1] != sign[:, 1:]))]
         return np.unique([TRUNC_LO, TRUNC_HI, *kinks])
 

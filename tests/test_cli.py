@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strata_bounds as sb
-from strata_bounds.cli import main
+from strata_bounds.cli import _jsonable, main
 
 
 def run_cli(capsys, *argv):
@@ -328,8 +328,7 @@ class TestEstimate:
     @pytest.mark.parametrize("argv,message", [
         (("--group-col", "x0"), "named x1..xp"),
         (("--group-col", "y"), "named x1..xp"),
-        (("--group-col", "x1", "--stratum", "nt"), "never-taker stratum"),
-    ], ids=["x0", "not_a_covariate", "nt"])
+    ], ids=["x0", "not_a_covariate"])
     def test_bad_group_col_exits_2_before_reading_data(self, capsys, tmp_path,
                                                        argv, message):
         code, out, err = run_cli(capsys, "estimate",
@@ -337,6 +336,27 @@ class TestEstimate:
         assert code == 2 and out == ""
         rec = json.loads(err.splitlines()[-1])
         assert rec["error"] == "InvalidConfig" and message in rec["message"]
+
+    def test_never_taker_group_records_are_plug_ins_on_the_group(
+            self, capsys, sample_csv):
+        _, _, path = sample_csv
+        code, out, _ = run_cli(capsys, "estimate", path, "--folds", "2",
+                               "--stratum", "nt", "--group-col", "x1")
+        assert code == 0
+        records = json.loads(out)
+        table = sb.ObservationTable.from_csv(path)
+        bundle = sb.crossfit(table, sb.LearnerSpec(folds=2, seed=0))
+        support = sb.SupportBounds.from_table(table)
+        cfg = sb.EstimationConfig(stratum=sb.Stratum.NT)
+        values = np.unique(table.x[:, 0])
+        assert len(values) >= 2 and len(records) == 1 + len(values)
+        for rec, g in zip(records[1:], values):
+            assert rec.pop("group") == float(g)
+            rows = table.x[:, 0] == g
+            want = sb.estimate_sharp(table.select(rows), bundle.select(rows),
+                                     cfg, support)
+            assert rec == json.loads(json.dumps(_jsonable(want.to_dict())))
+            assert rec["diagnostics"] == {"plug_in": True}
 
     def test_group_col_past_the_last_covariate_exits_2(self, capsys,
                                                         sample_csv):
@@ -577,15 +597,34 @@ class TestEntryPoint:
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # population targets are plug-ins on covariate atoms; no adaptive
-        # quadrature is paid for at import
-        code = ("import sys, strata_bounds, strata_bounds.cli; "
-                "print('scipy.integrate' in sys.modules)")
+    def test_heavy_scipy_stays_unloaded(self, tmp_path):
+        # only scipy.special is needed: the root finder is in-package and
+        # population targets are plug-ins on covariate atoms, so neither
+        # importing the package nor running a command pays for the rest
+        code = f"""
+import sys
+import strata_bounds as sb, strata_bounds.cli
+HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.integrate")
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+before = loaded()
+table = sb.dgp_sample(sb.DgpConfig(n=400, shares=(0.5, 0.0, 0.5),
+                                   replications=1, base_seed=3), 0)
+data = {str(tmp_path / "data.csv")!r}
+table.to_csv(data)
+for argv in (["estimate", data, "--folds", "2",
+              "--method", "sharp,trim,switch,smooth"],
+             ["simulate", "--n", "400", "--reps", "2", "--threads", "1",
+              "--out", {str(tmp_path / "m.csv")!r},
+              "--power-out", {str(tmp_path / "p.csv")!r}],
+             ["bounds-curve", "--h", "0.05,0.01"]):
+    assert strata_bounds.cli.main(argv) == 0, argv
+print((before, loaded()))
+"""
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines()[-1] == "([], [])"
 
 
 METHODS = ("sharp", "trim", "switch", "smooth", "inefficient")

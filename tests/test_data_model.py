@@ -1,4 +1,6 @@
+import contextlib
 import io
+import json
 import re
 
 import numpy as np
@@ -6,7 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import strata_bounds as sb
+from strata_bounds import nuisance
+from strata_bounds.cli import main
 from strata_bounds.data_model import XMINUS, XPLUS, XZERO, partition_labels
+from test_shared_pieces import CLI_FLAGS, _crossfit_draw
 
 
 def make_table(n=12, seed=0, all_selected=False):
@@ -133,6 +138,36 @@ class TestNuisanceBundle:
         args = (np.full(3, 0.5), np.full(3, 0.5), np.full(3, 0.5), zero_tail)
         assert sb.NuisanceBundle(*args, provenance="oracle").default_eps0() == 0.0
         assert sb.NuisanceBundle(*args, provenance="cross_fitted").default_eps0() > 0
+
+    def test_group_clamp_counts_are_the_groups_own(self, tmp_path,
+                                                     monkeypatch):
+        table, _, _ = _crossfit_draw()
+        path = tmp_path / "d.csv"
+        table.to_csv(str(path))
+        fitted = []   # (m, s0, s1) as the cross-fit hands them over
+
+        class Recording(sb.NuisanceBundle):
+            def __init__(self, m, s0, s1, *args, **kwargs):
+                fitted.append((m, s0, s1))
+                super().__init__(m, s0, s1, *args, **kwargs)
+
+        monkeypatch.setattr(nuisance, "NuisanceBundle", Recording)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["estimate", str(path), "--method", "sharp",
+                         "--group-col", "x1", *CLI_FLAGS]) == 0
+        full, *groups = json.loads(out.getvalue())
+        (m, s0, s1), = fitted
+        values = np.unique(table.x[:, 0])
+        assert [rec["group"] for rec in groups] == list(values)
+        counts = [rec["diagnostics"]["n_clamped"] for rec in groups]
+        assert full["diagnostics"]["n_clamped"] == sum(counts) > max(counts)
+        for count, g in zip(counts, values):
+            rows = table.x[:, 0] == g
+            alone = sb.NuisanceBundle(m[rows], s0[rows], s1[rows], zero_tail,
+                                      provenance="cross_fitted")
+            assert count == alone.n_clamped
 
     @pytest.mark.parametrize("column", ["m", "s0", "s1"])
     def test_non_finite_probability_raises(self, column):

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 import strata_bounds as sb
@@ -8,7 +12,8 @@ from strata_bounds.data_model import (SHARE_FLOOR, NuisanceBundle,
                                       ObservationTable)
 from strata_bounds.errors import (AllTrimmedError, EmptyCellError,
                                   PartitionError, ZeroShareError)
-from strata_bounds.estimation import (EstimationConfig, default_rho,
+from strata_bounds import simulation
+from strata_bounds.estimation import (EstimationConfig, _brentq, default_rho,
                                       estimate_inefficient, estimate_sharp,
                                       estimate_smooth, estimate_switch,
                                       estimate_trim, im_critical_value,
@@ -91,6 +96,82 @@ class TestImbensManski:
             imbens_manski_interval(1.0, 0.5, 0.1, 0.1)
         with pytest.raises(ValueError):
             imbens_manski_interval(0.0, 1.0, -0.1, 0.1)
+
+
+def _solved(solve, f, a, b, **kwargs) -> str:
+    """The root's bytes (as hex), or the error's type and message."""
+    try:
+        return solve(f, a, b, **kwargs).hex()
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestBrentq:
+    """The in-package root finder returns what ``scipy.optimize.brentq``
+    returns, byte for byte, and raises what it raises."""
+
+    def test_im_brackets(self):
+        rng = np.random.default_rng(14)
+        for i in range(12000):
+            alpha = (0.01, 0.05, 0.1, rng.uniform(0.001, 0.5))[i % 4]
+            ratio = 10.0 ** rng.uniform(-4.0, 3.0)
+            z_two = float(ndtri(1.0 - alpha / 2.0))
+
+            def f(c):
+                return ndtr(c + ratio) - ndtr(-c) - (1.0 - alpha)
+
+            want = _solved(brentq, f, 0.0, z_two, xtol=1e-10)
+            assert _solved(_brentq, f, 0.0, z_two, xtol=1e-10) == want
+            if f(0.0) < 0.0 < f(z_two):
+                assert im_critical_value(ratio, 1.0, alpha).hex() == want
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    @pytest.mark.parametrize("h", [None, 0.05, 0.01])
+    @pytest.mark.parametrize("panel", ["a", "b", "c"])
+    def test_panel_ends(self, monkeypatch, panel, h, gamma):
+        design = sb.BenchmarkDesign(sb.DgpConfig(
+            shares=sb.PANEL_SHARES[panel], gamma=gamma))
+        ends = design._panel_ends(h)
+        assert ends.size > 2
+        monkeypatch.setattr(simulation, "_brentq", brentq)
+        assert ends.tobytes() == design._panel_ends(h).tobytes()
+
+    def test_random_functions(self):
+        # scales down to 1e-300 underflow the extrapolation's denominator
+        rng = np.random.default_rng(3)
+        for i in range(2000):
+            c = rng.normal(size=2)
+            r = rng.uniform(-1.0, 1.0)
+            scale = 10.0 ** rng.uniform(-300.0, 300.0) if i % 3 == 0 else 1.0
+            shape = (lambda x: (x - r) * ((c[0] + c[1] * x * x) ** 2 + 1e-3),
+                     lambda x: math.exp(c[0] * x) - math.exp(c[0] * r),
+                     lambda x: math.tanh(10.0 * c[1] * (x - r)) + 1e-9 * c[0],
+                     lambda x: float(np.sign(x - r)))[i % 4]
+
+            def f(x):
+                return scale * shape(x)
+
+            a, b = r - rng.uniform(0.0, 3.0), r + rng.uniform(0.0, 3.0)
+            kwargs = {"xtol": (2e-12, 1e-10, 5e-324, 1e-3)[i % 4],
+                      "maxiter": int(rng.integers(1, 100))}
+            assert _solved(_brentq, f, a, b, **kwargs) == \
+                _solved(brentq, f, a, b, **kwargs)
+
+    @pytest.mark.parametrize("f,a,b,kwargs", [
+        (lambda x: math.nan, 0.0, 1.0, {}),
+        (lambda x: math.nan if 0.4 < x < 0.9 else x - 0.7, 0.0, 1.0, {}),
+        (lambda x: x - 2.0, 0, 1, {}),
+        (lambda x: 1e-200, 0.0, 1.0, {}),
+        (lambda x: x ** 3 - 0.3, 0.0, 1.0, {"maxiter": 2}),
+        (lambda x: x - 0.3, 1.0, 0.0, {}),
+        (lambda x: -0.0 if x == 0.0 else x, 0.0, 1.0, {}),
+        (lambda x: 1e-300 * (x - 0.3) ** 3, 0.0, 1.0, {}),
+    ], ids=["nan_at_a", "nan_inside", "no_sign_change",
+            "underflowing_product", "no_convergence", "reversed_bracket",
+            "negative_zero", "underflowing_step"])
+    def test_edge_cases(self, f, a, b, kwargs):
+        assert _solved(_brentq, f, a, b, **kwargs) == \
+            _solved(brentq, f, a, b, **kwargs)
 
 
 def oracle_setup(shares=(0.5, 0.0, 0.5), n=4000, seed=8):
