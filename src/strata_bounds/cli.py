@@ -21,21 +21,15 @@ import numpy as np
 from . import __version__
 from .data_model import ObservationTable, Stratum, validate
 from .errors import StrataBoundsError
-from .estimation import (EstimationConfig, estimate_inefficient,
-                         estimate_sharp, estimate_smooth, estimate_switch,
-                         estimate_trim)
+from .estimation import EstimationConfig
 from .identification import SupportBounds
 from .nuisance import CellSpec, LearnerSpec, crossfit, load_external_nuisances
-from .simulation import (DgpConfig, PANEL_SHARES, dgp_sample,
-                         oracle_nuisances, run_experiment,
+from .simulation import (METHODS, DgpConfig, PANEL_SHARES, dgp_sample,
+                         oracle_nuisances, run_experiment, run_method,
                          write_metrics_csv, write_power_csv)
 from .smoothing import GFamily
 
 EXIT_OK, EXIT_INPUT, EXIT_ESTIMATION = 0, 2, 3
-
-#: The ``estimate`` methods, each with the per-method knobs it reads.
-METHOD_KNOBS = {"sharp": (), "trim": ("eps_trim", "trim_variant"),
-                "switch": ("rho",), "smooth": ("h",), "inefficient": ()}
 
 #: ``bounds-curve`` flags read only with ``--data`` and only without it,
 #: each with the default it takes when unset.
@@ -148,11 +142,11 @@ def cmd_estimate(args) -> int:
     _echo_resolved(resolved)
     methods = [m.strip() for m in str(resolved["method"]).split(",")]
     for method in methods:
-        if method not in METHOD_KNOBS:
+        if method not in METHODS:
             return _fail(EXIT_INPUT, "UnknownMethod", method)
     # a knob set explicitly (flag or config file) that no listed method
     # reads would change nothing
-    for method, knobs in METHOD_KNOBS.items():
+    for method, knobs in METHODS.items():
         if method in methods:
             continue
         for knob in knobs:
@@ -180,27 +174,15 @@ def cmd_estimate(args) -> int:
                      f"group column must be one of x1..x{table.p}")
 
     def records(table, bundle):
-        """Every listed method's records on one (table, bundle) pair. The
-        support limits are the full sample's, so a group reads them too."""
+        """Every listed method's records (smooth's once per h) on one (table,
+        bundle) pair. A group reads the full sample's support limits too."""
         out = []
         for method in methods:
-            if method == "sharp":
-                out.append(estimate_sharp(table, bundle, cfg, support))
-            elif method == "trim":
-                out.append(estimate_trim(table, bundle, cfg,
-                                         eps_trim=resolved["eps_trim"],
-                                         variant=resolved["trim_variant"],
-                                         support=support))
-            elif method == "switch":
-                out.append(estimate_switch(table, bundle, cfg,
-                                           rho=resolved["rho"], support=support))
-            elif method == "smooth":
-                for h in resolved["h"]:
-                    out.append(estimate_smooth(table, bundle,
-                                               GFamily(h=float(h)), cfg))
-            else:
-                out.append(estimate_inefficient(table, bundle, cfg, support))
-        return [est.to_dict() for est in out]
+            knobs = {arg: resolved[knob] for knob, arg in METHODS[method].items()}
+            grid = [{"h": h} for h in knobs["h"]] if "h" in knobs else [knobs]
+            out += [run_method(method, table, bundle, cfg, support, **kw).to_dict()
+                    for kw in grid]
+        return out
 
     where = ""   # names the group whose estimators are running
     try:
@@ -304,6 +286,7 @@ def cmd_bounds_curve(args) -> int:
         return _fail(EXIT_INPUT, "EmptyGrid", "provide at least one h")
     try:
         families = [GFamily(h=float(h)) for h in args.h]
+        cfg = EstimationConfig(alpha=args.alpha)
     except ValueError as exc:
         return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
     own, other = CURVE_FLAGS if args.data else CURVE_FLAGS[::-1]
@@ -327,11 +310,10 @@ def cmd_bounds_curve(args) -> int:
         except ValueError as exc:
             return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
 
-    cfg = EstimationConfig(alpha=args.alpha)
     rows = ["h,lower,upper,ci_effect_lo,ci_effect_hi,error"]
     for family in families:
         try:
-            est = estimate_smooth(table, bundle, family, cfg)
+            est = run_method("smooth", table, bundle, cfg, None, h=family.h)
             rows.append(",".join([repr(family.h), repr(est.lower), repr(est.upper),
                                   repr(est.ci_effect[0]), repr(est.ci_effect[1]),
                                   ""]))
@@ -352,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="bound estimates from a CSV sample")
     est.add_argument("data", help="input CSV (y,s,d,weight,x1..xp)")
     est.add_argument("--config", help="JSON config file")
-    est.add_argument("--method",
-                     help="comma list of sharp|trim|switch|smooth|inefficient")
+    est.add_argument("--method", help="comma list of " + "|".join(METHODS))
     est.add_argument("--stratum", choices=["at", "c", "def", "nt", "em"])
     est.add_argument("--side", choices=["l", "u", "both"])
     est.add_argument("--h", type=_float_list, help="comma list of h values")

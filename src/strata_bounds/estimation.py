@@ -40,6 +40,15 @@ def default_rho(n: int) -> float:
     return n ** (-0.25) / math.log(n)
 
 
+def _band_width(name, value) -> float:
+    """``value`` as a float; ``ValueError`` naming ``name`` unless it is a
+    finite number >= 0."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+    return value
+
+
 def _normalized(w: np.ndarray) -> np.ndarray:
     """Weights scaled to sum to one; a total that is not positive (zero,
     or NaN) raises ``ZeroShareError``."""
@@ -223,6 +232,10 @@ class EstimationConfig:
     dominance: bool = False
     inefficient: bool = False
 
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+
     def spec(self, side: Side) -> StratumSpec:
         return StratumSpec(self.stratum, side, self.dominance)
 
@@ -327,7 +340,7 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
     labels = bundle.labels()
     band = labels == XZERO
     if eps_trim is not None:
-        band = band | (np.abs(bundle.p0 - 1.0) <= eps_trim)
+        band = band | (np.abs(bundle.p0 - 1.0) <= _band_width("eps_trim", eps_trim))
     survivors = ~band
     n_surv = int(survivors.sum())
     if n_surv == 0:
@@ -366,9 +379,7 @@ def estimate_switch(table: ObservationTable, bundle: NuisanceBundle,
     """Swap in the point-identified moment inside the shrinking band."""
     if support is None:
         support = SupportBounds.from_table(table)
-    if rho == "auto":
-        rho = default_rho(table.n)
-    rho = float(rho)
+    rho = _band_width("rho", default_rho(table.n) if rho == "auto" else rho)
     labels = bundle.labels()
     band = (labels == XZERO) | (np.abs(bundle.p0 - 1.0) <= rho)
 
@@ -397,10 +408,14 @@ def smooth_ratio_estimate(rows, weights):
 def estimate_smooth(table: ObservationTable, bundle: NuisanceBundle,
                     family: GFamily,
                     config: EstimationConfig = EstimationConfig()) -> BoundsEstimate:
-    """Smoothed outer-bound estimator; defined for the always-taker stratum."""
+    """Smoothed outer-bound estimator; defined for the always-taker stratum
+    and the efficient moments only (``PartitionError`` otherwise)."""
     if config.stratum is not Stratum.AT:
         raise PartitionError("smoothed moments are provided for the "
                              "always-taker stratum")
+    if config.inefficient:
+        raise PartitionError("smoothed moments have no known-propensity "
+                             "variant")
 
     def side_estimate(side):
         return smooth_ratio_estimate(eif_smooth(table, bundle, family, side),

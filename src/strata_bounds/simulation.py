@@ -24,8 +24,9 @@ from scipy.special import ndtr, ndtri
 from .data_model import (XPLUS, NuisanceBundle, ObservationTable, Side, Stratum,
                          StratumSpec)
 from .errors import StrataBoundsError
-from .estimation import (EstimationConfig, _brentq, estimate_sharp,
-                         estimate_smooth, estimate_switch, estimate_trim)
+from .estimation import (EstimationConfig, _brentq, estimate_inefficient,
+                         estimate_sharp, estimate_smooth, estimate_switch,
+                         estimate_trim)
 from .identification import (SupportBounds, stratum_weight,
                              unconditional_sharp_bound)
 from .smoothing import GFamily, smooth_unconditional_components
@@ -94,15 +95,42 @@ def _mix_censored_var(p0, gamma, level):
 # ---------------------------------------------------------------------------
 # configuration
 
+#: Every estimation method, each mapping the ``estimate`` knobs it reads to
+#: its estimator's keyword arguments.
+METHODS = {"sharp": {}, "trim": {"eps_trim": "eps_trim", "trim_variant": "variant"},
+           "switch": {"rho": "rho"}, "smooth": {"h": "h"}, "inefficient": {}}
+
+
+def run_method(method, table, bundle, config, support, **knobs):
+    """``method``'s record, its estimator called with ``knobs``. Estimators
+    are looked up in this module's namespace at call time, where the
+    benchmark tracer patches them: that is why the dispatch lives here."""
+    if method == "sharp":
+        return estimate_sharp(table, bundle, config, support)
+    if method == "trim":
+        return estimate_trim(table, bundle, config, support=support, **knobs)
+    if method == "switch":
+        return estimate_switch(table, bundle, config, support=support, **knobs)
+    if method == "smooth":
+        return estimate_smooth(table, bundle, GFamily(h=float(knobs["h"])), config)
+    return estimate_inefficient(table, bundle, config, support)
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """One estimator configuration in the benchmarking roster."""
 
     name: str
-    method: str                       # sharp | trim | switch | smooth
+    method: str                       # a ``METHODS`` key
     moments: str = "efficient"        # efficient | known_ps
     h: Optional[float] = None
     variant: str = "drop"             # trim only
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.method == "smooth" and self.moments == "known_ps":
+            raise ValueError("smoothed moments use the efficient family")
 
 
 def paper_roster(h_grid: Sequence[float] = (0.05, 0.01, 1e-9)) -> tuple:
@@ -149,6 +177,7 @@ class DgpConfig:
         object.__setattr__(self, "shares", shares)
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
+        EstimationConfig(alpha=self.alpha)  # raises unless 0 < alpha < 1
         if not self.estimators:
             object.__setattr__(self, "estimators", paper_roster(self.h_grid))
 
@@ -430,31 +459,17 @@ def oracle_target(config: DgpConfig) -> OracleTarget:
 _REC_FIELDS = ("lower", "upper", "se_lower", "se_upper", "ci_lo")
 
 
-def _estimate_one(est: EstimatorSpec, table, bundle, support, alpha):
-    cfg = EstimationConfig(stratum=Stratum.AT, alpha=alpha,
-                           inefficient=(est.moments == "known_ps"))
-    if est.method == "switch":
-        return estimate_switch(table, bundle, cfg, support=support)
-    if est.method == "trim":
-        return estimate_trim(table, bundle, cfg, variant=est.variant,
-                             support=support)
-    if est.method == "smooth":
-        if est.moments == "known_ps":
-            raise ValueError("smoothed moments use the efficient family")
-        return estimate_smooth(table, bundle, GFamily(h=est.h), cfg)
-    if est.method == "sharp":
-        return estimate_sharp(table, bundle, cfg, support)
-    raise ValueError(f"unknown method {est.method!r}")
-
-
 def _replication_worker(config: DgpConfig, rep_index: int) -> dict:
     table = dgp_sample(config, rep_index)
     bundle = oracle_nuisances(config)(table)
     support = oracle_support(config, table)
     out = {}
     for est in config.estimators:
+        cfg = EstimationConfig(alpha=config.alpha, inefficient=est.moments == "known_ps")
+        knobs = {a: getattr(est, a) for a in METHODS[est.method].values()
+                 if hasattr(est, a)}   # the spec's fields the method reads
         try:
-            be = _estimate_one(est, table, bundle, support, config.alpha)
+            be = run_method(est.method, table, bundle, cfg, support, **knobs)
             out[est.name] = (be.lower, be.upper, be.se_lower, be.se_upper,
                              be.ci_effect[0])
         except StrataBoundsError as exc:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strata_bounds as sb
 from strata_bounds.cli import _jsonable, main
+from strata_bounds.simulation import METHODS
 
 
 def run_cli(capsys, *argv):
@@ -301,6 +302,27 @@ class TestEstimate:
         assert rec["error"] == "InvalidConfig"
         assert rec["message"].startswith(f"{knob} ")
 
+    @pytest.mark.parametrize("argv,knob", [
+        (("--method", "switch", "--rho=-1"), "rho"),
+        (("--method", "switch", "--rho", "nan"), "rho"),
+        (("--method", "switch", "--rho", "inf"), "rho"),
+        (("--method", "trim", "--eps-trim=-0.5"), "eps_trim"),
+        (("--method", "trim", "--eps-trim", "nan"), "eps_trim"),
+        (("--method", "trim", "--eps-trim", "inf"), "eps_trim"),
+    ], ids=["rho_negative", "rho_nan", "rho_inf", "eps_trim_negative",
+            "eps_trim_nan", "eps_trim_inf"])
+    def test_band_width_out_of_range_exits_2(self, capsys, sample_csv, argv,
+                                             knob):
+        # these used to exit 0: a negative or NaN width switched or trimmed
+        # nothing, and rho inf switched every row
+        _, _, path = sample_csv
+        code, out, err = run_cli(capsys, "estimate", path, "--folds", "2",
+                                 *argv)
+        assert code == 2 and out == ""
+        rec = json.loads(err.splitlines()[-1])
+        assert rec["error"] == "ValueError"
+        assert rec["message"].startswith(f"{knob} must be a finite number >= 0")
+
     def test_side_hides_the_other_bound(self, capsys, sample_csv):
         _, _, path = sample_csv
         argv = ("estimate", path, "--folds", "2", "--method", "sharp,trim")
@@ -591,6 +613,25 @@ def test_cells_discrete_outside_the_covariates_exits_2(capsys, sample_csv,
                               f"1..{table.p}, got {value!r}")
 
 
+@pytest.mark.parametrize("alpha", ["0", "1", "2", "-0.1", "nan"])
+@pytest.mark.parametrize("command", ["estimate", "simulate", "bounds-curve"])
+def test_alpha_outside_the_unit_interval_exits_2(capsys, tmp_path, sample_csv,
+                                                 command, alpha):
+    # estimate and simulate used to exit 0 (null intervals, a size of 0.667);
+    # bounds-curve ended in a traceback
+    argv = {"estimate": ("estimate", sample_csv[2], "--folds", "2"),
+            "simulate": ("simulate", "--n", "50", "--reps", "2", "--out",
+                         str(tmp_path / "m.csv"), "--power-out",
+                         str(tmp_path / "p.csv")),
+            "bounds-curve": ("bounds-curve", "--dgp-n", "300", "--h", "0.05")}
+    code, out, err = run_cli(capsys, *argv[command], f"--alpha={alpha}")
+    assert code == 2 and out == ""
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": "ValueError",
+        "message": f"alpha must be in (0, 1), got {float(alpha)}"}
+    assert not (tmp_path / "m.csv").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "strata_bounds.cli",
@@ -627,9 +668,6 @@ print((before, loaded()))
         assert proc.stdout.splitlines()[-1] == "([], [])"
 
 
-METHODS = ("sharp", "trim", "switch", "smooth", "inefficient")
-
-
 @st.composite
 def fuzz_runs(draw):
     """A small random sample, sometimes with an external nuisance file
@@ -664,8 +702,8 @@ def fuzz_runs(draw):
             weight[np.flatnonzero(indifferent)[:1]] = 1.0
     table = sb.ObservationTable(y=np.where(s == 1, y, np.nan), s=s, d=d, x=x,
                                 weight=weight)
-    methods = draw(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3,
-                            unique=True))
+    methods = draw(st.lists(st.sampled_from(list(METHODS)), min_size=1,
+                            max_size=3, unique=True))
     flags = ["--folds", str(draw(st.sampled_from([2, 3, 5]))),
              "--cells-bins", str(draw(st.integers(1, 4))),
              "--seed", str(draw(st.integers(0, 3)))]

@@ -335,6 +335,28 @@ class TestEstimators:
             estimate_smooth(table, bundle, GFamily(h=0.05),
                             EstimationConfig(stratum=sb.Stratum.C))
 
+    def test_smooth_has_no_known_propensity_variant(self):
+        # the config flag used to be ignored: the efficient record came back
+        # labelled smooth
+        config, table, bundle, support = oracle_setup(shares=sb.PANEL_SHARES["b"],
+                                                      n=500)
+        with pytest.raises(PartitionError, match="known-propensity"):
+            estimate_smooth(table, bundle, GFamily(h=0.05),
+                            EstimationConfig(inefficient=True))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.1, math.nan])
+    def test_alpha_outside_the_unit_interval_raises(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            EstimationConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
+    def test_band_widths_are_finite_and_nonnegative(self, value):
+        config, table, bundle, support = oracle_setup(n=300)
+        with pytest.raises(ValueError, match="rho must be a finite number"):
+            estimate_switch(table, bundle, rho=value, support=support)
+        with pytest.raises(ValueError, match="eps_trim must be a finite number"):
+            estimate_trim(table, bundle, eps_trim=value, support=support)
+
     def test_ci_nesting_on_estimates(self):
         config, table, bundle, support = oracle_setup(shares=(0.4, 0.2, 0.4))
         cfg = EstimationConfig()

@@ -3,7 +3,8 @@ import pytest
 from scipy.special import ndtr
 
 import strata_bounds as sb
-from strata_bounds.simulation import (_mix_ppf, _mix_tail, dgp_sample,
+from strata_bounds.simulation import (METHODS, _mix_ppf, _mix_tail,
+                                      _replication_worker, dgp_sample,
                                       oracle_target, run_experiment,
                                       write_metrics_csv, write_power_csv)
 
@@ -19,6 +20,40 @@ class TestDgpConfig:
             sb.DgpConfig(shares=(0.5, -0.1, 0.6))
         with pytest.raises(ValueError):
             sb.DgpConfig(gamma=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.1, float("nan")])
+    def test_alpha_validation(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            sb.DgpConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("args,message", [
+        (("bogus", "bogus"), "unknown method 'bogus'"),
+        (("smooth_known", "smooth", "known_ps", 0.05),
+         "smoothed moments use the efficient family"),
+    ], ids=["unknown_method", "smooth_known_ps"])
+    def test_bad_roster_entry_fails_where_it_is_built(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            sb.EstimatorSpec(*args)
+
+    def test_every_method_runs_in_the_roster(self):
+        # each entry's record is its estimator's on the replication's draw
+        roster = tuple(sb.EstimatorSpec(m, m, h=0.05) for m in METHODS)
+        config = sb.DgpConfig(n=300, shares=sb.PANEL_SHARES["b"],
+                              replications=1, base_seed=4, estimators=roster)
+        table = dgp_sample(config, 0)
+        bundle = sb.oracle_nuisances(config)(table)
+        support = sb.oracle_support(config, table)
+        cfg = sb.EstimationConfig()
+        want = {
+            "sharp": sb.estimate_sharp(table, bundle, cfg, support),
+            "trim": sb.estimate_trim(table, bundle, cfg, support=support),
+            "switch": sb.estimate_switch(table, bundle, cfg, support=support),
+            "smooth": sb.estimate_smooth(table, bundle, sb.GFamily(h=0.05), cfg),
+            "inefficient": sb.estimate_inefficient(table, bundle, cfg, support),
+        }
+        assert _replication_worker(config, 0) == {
+            m: (est.lower, est.upper, est.se_lower, est.se_upper,
+                est.ci_effect[0]) for m, est in want.items()}
 
     def test_separation_flag(self):
         assert sb.DgpConfig(gamma=1.0).separated

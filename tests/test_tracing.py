@@ -1,13 +1,14 @@
 """The benchmark tracer sees every estimator call.
 
-``perfbench/tracing.py`` patches the ``estimate_*`` names where ``cli`` and
-``simulation`` look them up. An estimator call dispatched from anywhere
-else would leave the ``estimation.estimators`` layer silently empty, so
-this test installs the tracer (loaded from its file, unchanged) and counts
-one span per estimator call: on ``estimate`` with every method and
-``--group-col``, and on one Monte Carlo replication. A successful
-estimator call packages exactly one record through ``estimation._estimate``,
-which gives the count to compare with.
+``perfbench/tracing.py`` patches the ``estimate_*`` names in ``simulation``,
+where ``run_method`` looks them up for every command and the replication
+worker. An estimator call dispatched from anywhere else would leave the
+``estimation.estimators`` layer silently empty, so this test installs the
+tracer (loaded from its file, unchanged) and counts one span per estimator
+call: on ``estimate`` with every method and ``--group-col``, on
+``bounds-curve``, and on one Monte Carlo replication. A successful estimator
+call packages exactly one record through ``estimation._estimate``, which
+gives the count to compare with.
 """
 
 import importlib.util
@@ -73,6 +74,16 @@ def test_estimate_with_groups_traces_every_estimator(traced, capsys,
     assert len(records) == 6 * (1 + len(np.unique(table.x[:, 0])))
     assert len(packaged) == len(records)
     assert _estimator_spans(tracer) == len(records)
+
+
+def test_bounds_curve_traces_one_estimator_per_h(traced, capsys):
+    tracer, packaged = traced
+    code, out, _ = run_cli(capsys, "bounds-curve", "--dgp-n", "400",
+                           "--h", "0.2,0.05,0.01")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 3
+    assert packaged == ["smooth"] * 3
+    assert _estimator_spans(tracer) == 3
 
 
 def test_replication_traces_every_estimator(traced):
