@@ -11,14 +11,15 @@ truncated-mean augmentation from the moments.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtr, ndtri
 from .data_model import (SHARE_FLOOR, BoundsEstimate, NuisanceBundle,
                          ObservationTable, Side, Stratum, StratumSpec, XPLUS,
                          XZERO)
@@ -156,6 +157,13 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+@functools.lru_cache(maxsize=8)
+def _normal_quantile(p: float) -> float:
+    """``ndtri(p)`` as a float, kept for the few levels every estimate
+    asks for again."""
+    return float(ndtri(p))
+
+
 def im_critical_value(delta: float, se: float, alpha: float = 0.05) -> float:
     """Critical value interpolating one- and two-sided coverage.
 
@@ -163,12 +171,12 @@ def im_critical_value(delta: float, se: float, alpha: float = 0.05) -> float:
     (``xtol=1e-10``) on ``[0, z_{1-alpha/2}]``; the point-identified limit
     gives the two-sided value and a wide identified set the one-sided one.
     """
-    z_two = float(ndtri(1.0 - alpha / 2.0))
+    z_two = _normal_quantile(1.0 - alpha / 2.0)
     delta = max(float(delta), 0.0)
     if not np.isfinite(delta):
-        return float(ndtri(1.0 - alpha))
+        return _normal_quantile(1.0 - alpha)
     if se <= 0.0:
-        return float(ndtri(1.0 - alpha)) if delta > 0 else z_two
+        return _normal_quantile(1.0 - alpha) if delta > 0 else z_two
     ratio = delta / se
 
     def f(c):
@@ -263,7 +271,7 @@ def _estimate(side_estimate, method, n_effective, config, h=None,
     if upper < lower and upper - lower > -1e-10:
         upper = lower  # numerical guard at point identification
     alpha = config.alpha
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = _normal_quantile(1.0 - alpha / 2.0)
     # estimated ends can cross on degenerate samples; the critical value
     # then uses the point-identified (zero-width) limit
     return BoundsEstimate(

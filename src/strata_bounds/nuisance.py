@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .data_model import NuisanceBundle, ObservationTable
 from .errors import EmptyCellError, EmptyTailError, SeparationWarning
 

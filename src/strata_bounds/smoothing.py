@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .data_model import SHARE_FLOOR, NuisanceBundle, Side
 from .errors import DegenerateTrimError, ZeroShareError
 from .identification import at_tails

@@ -186,45 +186,45 @@ DIGESTS = {
     "eif_regular/a/em-u-dom":
         "65245750e43ca78846ba80c559e935028361ee26fac5db87403e027ab382087a",
     "moment_rows/b/at-l":
-        "3794a09033df5071b82526e385644913ac322f12374f51a751a7c559bf04c66a",
+        "08eddabf5385e19f39335e1a93228404573b630770f1124c577107da1d0d5c52",
     "moment_rows/b/at-l-dom":
-        "a8e25547d10a60646fd5bd0604a43d3624202554d5ad09856af5ebcd9efc2728",
+        "b9f3e14da7a2fc57b65066ca1ff6563adf697223a6f1ffa027494074fb840cbe",
     "moment_rows/b/at-u":
-        "6efbe917d5fe76803c24eb6ff77e61db4f587488ff98ecd0d7f5c3639f6c8bd0",
+        "bfc1cda2de9dea2fddd16af0636c5d3630ae5189ab24356133b79654dd6ee9d1",
     "moment_rows/b/at-u-dom":
-        "0b391175c4ec8c3bb94bed30713235d0b71b2b3fc1361225f2fcfd843761ca07",
+        "84ee1b2529e6ffd5664d2f3e49ce72886de535af883346edf198bbf53f18d71d",
     "moment_rows/b/c-l":
-        "29bf09e2d3257270312c8b4e62c3f100f84cd65b51e3f8b15118013e75471d47",
+        "8286570e39d06d753573e119acbbbbff2084224227d38d8e43ffce89dc384223",
     "moment_rows/b/c-l-dom":
-        "93dd56ac8c38bef1064912500b0b3fea5ac906112ae6abccfcb5757c2bbaf0b5",
+        "343f26a11be27b8cc9ed9adf76e4e49dee32fa53adc9f5b34a288044867fd648",
     "moment_rows/b/c-u":
-        "b553ec70b58ec0c4f1c5831993452c1e3cea2872289896248bcdb73a898f34d0",
+        "8112b1f8397beab385db7d564fb5e0262a11bba1bcf3484dd46666ff0e06d409",
     "moment_rows/b/c-u-dom":
-        "82a817fecee6a99a8e1331157aa65cb00d0ce5b38bc03ec52f7f10fb1c2a6e62",
+        "6ed4a9877f950d510c66ccc6da56deb1e9f0fb787797dc91c29cfbf64865e60c",
     "moment_rows/b/def-l":
-        "1f34ac4494fdfd7d2d23d7946dd6f22154de37b4a47f10e1ddbee226fa12f33e",
+        "ca7f10bcaa6c8a39dc3c80a6b0e0795ba86b3a9198fffae5937e151cbca2c7ac",
     "moment_rows/b/def-l-dom":
-        "1f34ac4494fdfd7d2d23d7946dd6f22154de37b4a47f10e1ddbee226fa12f33e",
+        "ca7f10bcaa6c8a39dc3c80a6b0e0795ba86b3a9198fffae5937e151cbca2c7ac",
     "moment_rows/b/def-u":
-        "aec6a262807845529be46cc4858c8195c8348d2433065df04981db7efac89e41",
+        "2779455f9257bfb564a4be1c0a982048280a07616842683bafd98e751498b2fb",
     "moment_rows/b/def-u-dom":
-        "dc2819546bb340d4cff3b193556a3d830c67e39cbee703c435339b3161819241",
+        "014d7e086529fb0b5e7f6c09ee7fa2eaf01bdf4efa952396d61732200a496bbb",
     "moment_rows/b/em-l":
-        "92f27d7fe73df9882edfce2a6d7cc105908e5bebb791a6673fc6d4d613b2cebf",
+        "ad8e5c32a5b6c3db2482b120cb3e931196a3020add6183e5e770b0e070cdf7d9",
     "moment_rows/b/em-l-dom":
-        "ee5d58b8b584a6f8f73d0c08e6d9cf83ecb553a6424b81104876ac399facde94",
+        "149b0a67ac2b5fb1d0ff693d4c710b264a31398dd6680c28277beb6bc55fda4a",
     "moment_rows/b/em-u":
-        "827e579fcebc990353ddda6d0864e298d414594bbb0540beb984e111205a91eb",
+        "49eaff50d899584feed409cdab11ca596b3f228aae75de741da40e74b8b03fc9",
     "moment_rows/b/em-u-dom":
-        "7e5b8745a7cc58414a01e18c873a93d2bb12510cc5cd447e03f1f7ae2edce73a",
+        "c445784830e7c9c9e121f499b5456a8027be34eda946a81b8b35a288e5625109",
     "smooth/b/l-h0.05":
-        "6697f9e982d0e961f61e86031014c15ff80e6e6182d50efef2ffa8bc0ac3405c",
+        "5b77fe0b598897344c654913fcb9cb374ab2e600f833e6206a1ae468f11510f2",
     "smooth/b/l-h0.5":
-        "a8f406283c1f2f34771d0f1756fba8ba53b2ef0b6671bda0bd526eecdbe7481d",
+        "9c821c90cd1c4d733bd4631e70962cd8c16019521602e35f23efc86f687546bb",
     "smooth/b/u-h0.05":
-        "1eedf83d0215d851099cdd6b2c17096c0b9813277d2d9ad87eb61565b3b0239a",
+        "5e0b44f2247a1613694c903cf31819b51d76fa1be9ecdf97e1f031ef3f1ad175",
     "smooth/b/u-h0.5":
-        "cefa23157f1450416bebfb9824cd73ff728afa1248cbd2e2ba70e5d0907b86dc",
+        "c6c4a762ffa1ef0ce4fbfdb53fb7b473bbfc454ea32807c072109fd6da0c12aa",
 }
 
 

@@ -74,9 +74,9 @@ CASES = (("crossfit", "x1"), ("oracle", "x1"), ("oracle", "x3"))
 
 SHARP_GROUP_DIGESTS = {
     "crossfit/x1/at":
-        "f5013242e04d440f97bf228d9b4b5a3a61e246128c69660424a86b3fd49e129a",
+        "f78c09a61858b594a6267852ae6dafc0a3ebe8546b8530afc8f75b1488401ca5",
     "crossfit/x1/at/dom":
-        "2dc45ee0c9073e9a3ee631435f3a196f5f6620bdc6adffde63c2628a034b1150",
+        "59045db89d45df8fe378b3206981d49d846069414de3cd28dd7773a056bec6fc",
     "crossfit/x1/c":
         "c4f54dafda4acd09d4029208c0ba771646fb5c5a4ff370b2989bb51ad77023c6",
     "crossfit/x1/c/dom":
