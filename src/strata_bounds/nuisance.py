@@ -30,13 +30,16 @@ logger = logging.getLogger("strata_bounds")
 def _fit_logistic(X, y, w, tol: float = 1e-8, max_iter: int = 100):
     """Weighted logistic regression by damped Newton iterations.
 
-    Stops at gradient norm <= tol or after max_iter steps; warns on
-    quasi-separation (fitted index beyond +-30).
+    Stops at gradient norm <= tol * total weight or after max_iter steps;
+    warns on quasi-separation (fitted index beyond +-30). The tolerance,
+    the line search's slack and the ridge all scale with the total weight,
+    so weights times a power of two give the same coefficients.
     """
     Xd = np.column_stack([np.ones(len(y)), X])
     coef = np.zeros(Xd.shape[1])
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
+    total = float(np.sum(w))
 
     def nll(eta):
         return float(np.sum(w * (np.logaddexp(0.0, eta) - y * eta)))
@@ -46,17 +49,17 @@ def _fit_logistic(X, y, w, tol: float = 1e-8, max_iter: int = 100):
     for _ in range(max_iter):
         p = expit(eta)
         grad = Xd.T @ (w * (p - y))
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= tol * total:
             break
         hess = Xd.T @ (Xd * (w * p * (1.0 - p))[:, None])
-        hess += 1e-10 * np.eye(Xd.shape[1])
+        hess += 1e-10 * total * np.eye(Xd.shape[1])
         step = np.linalg.solve(hess, grad)
         scale = 1.0
         while scale > 1e-6:
             cand = coef - scale * step
             cand_eta = Xd @ cand
             cand_loss = nll(cand_eta)
-            if cand_loss <= loss + 1e-12:
+            if cand_loss <= loss + 1e-12 * total:
                 coef, eta, loss = cand, cand_eta, cand_loss
                 break
             scale /= 2.0

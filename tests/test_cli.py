@@ -787,8 +787,8 @@ class TestGoldenOutput:
              "--cells-discrete", "1", "--cells-bins", "3", "--folds", "5",
              "--seed", "1")
     DIGESTS = {
-        0: "74f6cd28333c0338d6b8d8a72e712deac957888b01bb352585c4d4df9b9ad16f",
-        124: "2562b8cdb678da163a0cc748e54dfc98c22b2450067e04b1b61e5ae5d9b97941",
+        0: "2b6b3b17b75c4803308f0338e7e3c5a7c57f61b6d1aa7ebbde4e78e0ed5fecd4",
+        124: "2c4e9e5b35f8e64617bf0dffd8879fe01bd707411f8f59038795ee9e30aa7e21",
     }
 
     @pytest.mark.parametrize("rep", sorted(DIGESTS))

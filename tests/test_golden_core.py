@@ -186,45 +186,45 @@ DIGESTS = {
     "eif_regular/a/em-u-dom":
         "65245750e43ca78846ba80c559e935028361ee26fac5db87403e027ab382087a",
     "moment_rows/b/at-l":
-        "08eddabf5385e19f39335e1a93228404573b630770f1124c577107da1d0d5c52",
+        "4dc51980fa1564f67a30fcd83d9caddaaed51c95331b6d65f9f22bdea9bb4832",
     "moment_rows/b/at-l-dom":
-        "b9f3e14da7a2fc57b65066ca1ff6563adf697223a6f1ffa027494074fb840cbe",
+        "5855fc9590dae9c7cc78a122de6133dbf518bcb8758b26d535ff20bfc988be72",
     "moment_rows/b/at-u":
-        "bfc1cda2de9dea2fddd16af0636c5d3630ae5189ab24356133b79654dd6ee9d1",
+        "1cb0ece66c1d44c22a4f3f0f816e957b889c7d33c2570bbb4143d26aa86bdd13",
     "moment_rows/b/at-u-dom":
-        "84ee1b2529e6ffd5664d2f3e49ce72886de535af883346edf198bbf53f18d71d",
+        "367983340e0cd86965d7ffd8e0146509b9952eb56ceb0057e0f302fcb85ea626",
     "moment_rows/b/c-l":
-        "8286570e39d06d753573e119acbbbbff2084224227d38d8e43ffce89dc384223",
+        "baeb6e4a16d891e78cc34d225aa3f9be1f95af4553cddd7f8e525277f5e55e17",
     "moment_rows/b/c-l-dom":
-        "343f26a11be27b8cc9ed9adf76e4e49dee32fa53adc9f5b34a288044867fd648",
+        "88abb35e5bb0779cb047838becea567adadfe275efe7d7939106583521b7d33f",
     "moment_rows/b/c-u":
-        "8112b1f8397beab385db7d564fb5e0262a11bba1bcf3484dd46666ff0e06d409",
+        "27319306432813a841d1ff7ded7736cbab04d2a6014390c9b903a8d1e25bbad2",
     "moment_rows/b/c-u-dom":
-        "6ed4a9877f950d510c66ccc6da56deb1e9f0fb787797dc91c29cfbf64865e60c",
+        "b17967532cd09a54653a1d41aa5e3074420857ffbf652ba4031623fda7ccd730",
     "moment_rows/b/def-l":
-        "ca7f10bcaa6c8a39dc3c80a6b0e0795ba86b3a9198fffae5937e151cbca2c7ac",
+        "3be10ca817e77f3d60efbc26a5a6b1653cebe76fe92e07e2a1c1a68a54cdd6e2",
     "moment_rows/b/def-l-dom":
-        "ca7f10bcaa6c8a39dc3c80a6b0e0795ba86b3a9198fffae5937e151cbca2c7ac",
+        "3be10ca817e77f3d60efbc26a5a6b1653cebe76fe92e07e2a1c1a68a54cdd6e2",
     "moment_rows/b/def-u":
-        "2779455f9257bfb564a4be1c0a982048280a07616842683bafd98e751498b2fb",
+        "337552ab948bb50963a0edd1b73ac70d3ef67a03d9f29f21af75c08c1b143680",
     "moment_rows/b/def-u-dom":
-        "014d7e086529fb0b5e7f6c09ee7fa2eaf01bdf4efa952396d61732200a496bbb",
+        "756fd4c24669386f28b6a231aa1a595c818b5823ef50cd829c091d9f21f108e5",
     "moment_rows/b/em-l":
-        "ad8e5c32a5b6c3db2482b120cb3e931196a3020add6183e5e770b0e070cdf7d9",
+        "b567532c119716d9fde40a30bfd70a3c62c618ccb5efa6f4055bd6d9afdbb94f",
     "moment_rows/b/em-l-dom":
-        "149b0a67ac2b5fb1d0ff693d4c710b264a31398dd6680c28277beb6bc55fda4a",
+        "c05ead5ca4d9bf62a5dff637c3e28a28bf3a1d9057a996ac7637de9832547964",
     "moment_rows/b/em-u":
-        "49eaff50d899584feed409cdab11ca596b3f228aae75de741da40e74b8b03fc9",
+        "29dee240fb443f89ed3bb431c663e59cbb0f79636db47137333b13bc87d2cbe4",
     "moment_rows/b/em-u-dom":
-        "c445784830e7c9c9e121f499b5456a8027be34eda946a81b8b35a288e5625109",
+        "6691d6199c8f1a10d11f07500aa0df529a91097e053cd968a8740243a5a2b934",
     "smooth/b/l-h0.05":
-        "5b77fe0b598897344c654913fcb9cb374ab2e600f833e6206a1ae468f11510f2",
+        "b1dc3f91726f0e1c6be82760573246fece398de6b6a483505c74464061271f7b",
     "smooth/b/l-h0.5":
-        "9c821c90cd1c4d733bd4631e70962cd8c16019521602e35f23efc86f687546bb",
+        "4d3289e1d9437a44aa99ada30b93291710825a8bfe1a80c3f230baa9b12a5e02",
     "smooth/b/u-h0.05":
-        "5e0b44f2247a1613694c903cf31819b51d76fa1be9ecdf97e1f031ef3f1ad175",
+        "78a50d9ad92d432ed9ac8732b01d30250b2bff8af6a1756fddfccee88e7d2473",
     "smooth/b/u-h0.5":
-        "c6c4a762ffa1ef0ce4fbfdb53fb7b473bbfc454ea32807c072109fd6da0c12aa",
+        "64d3ba74968f8b66a64af38019c1ae00970486e17dad5de9e895389dfa6a0f07",
 }
 
 

@@ -74,9 +74,9 @@ CASES = (("crossfit", "x1"), ("oracle", "x1"), ("oracle", "x3"))
 
 SHARP_GROUP_DIGESTS = {
     "crossfit/x1/at":
-        "f78c09a61858b594a6267852ae6dafc0a3ebe8546b8530afc8f75b1488401ca5",
+        "251658ba491bea760b87aac0cfe1a9ec17d19400aec8540886379a2461a68417",
     "crossfit/x1/at/dom":
-        "59045db89d45df8fe378b3206981d49d846069414de3cd28dd7773a056bec6fc",
+        "191d0d93cecd1886b6250f39ac432b8eabbb3e6c60cbf7531a2434a7aab31146",
     "crossfit/x1/c":
         "c4f54dafda4acd09d4029208c0ba771646fb5c5a4ff370b2989bb51ad77023c6",
     "crossfit/x1/c/dom":

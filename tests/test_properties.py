@@ -1,4 +1,5 @@
-"""Invariances the estimators claim, checked on seeded oracle draws.
+"""Invariances the estimators claim, checked on seeded oracle draws and,
+for weight units, on cross-fitted ``estimate`` runs.
 
 Oracle bundles keep cross-fitting folds out of the comparisons. The
 standard error treats ``weight`` as a sampling weight, so an integer
@@ -6,12 +7,17 @@ weight k is not equivalent to k duplicate rows for the SEs; only the
 point estimates would agree, and no test asserts that equivalence.
 """
 
+import contextlib
+import io
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import strata_bounds as sb
 from strata_bounds import EstimationConfig, Side, Stratum, StratumSpec
+from strata_bounds.cli import main
 
 PANELS = ((0.5, 0.0, 0.5), (1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4))
 N = 300
@@ -55,6 +61,39 @@ def test_weight_scaling_leaves_estimates_and_ses_unchanged(shares, seed, scale):
                 lambda t: sb.estimate_switch(t, bundle, cfg, support=support),
                 lambda t: sb.estimate_smooth(t, bundle, sb.GFamily(h=0.05), cfg)):
         assert _close(_summary(fit(scaled)), _summary(fit(base)))
+
+
+def _estimate_stdout(table, directory, name):
+    path = f"{directory}/{name}.csv"
+    table.to_csv(path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["estimate", path, "--method", "sharp,trim,switch,smooth",
+                     "--h", "0.05", "--cells-discrete", "1", "--cells-bins",
+                     "3", "--folds", "3", "--seed", "1"])
+    return code, out.getvalue()
+
+
+@settings(max_examples=15, deadline=None)
+@given(shares=panels, seed=seeds, n=st.integers(min_value=200, max_value=600),
+       k=st.integers(min_value=-6, max_value=6))
+def test_weight_power_of_two_leaves_crossfit_stdout_unchanged(shares, seed,
+                                                              n, k):
+    # the logistic fits' stopping rule is relative to the total weight, so
+    # rescaling by a power of two changes no bit anywhere in the chain
+    config = sb.DgpConfig(n=n, shares=shares, replications=1, base_seed=seed)
+    table = sb.dgp_sample(config, 0)
+    rng = np.random.default_rng(seed)
+    y0 = rng.standard_normal(n)  # the design's control outcome is constant
+    table = sb.ObservationTable(
+        np.where(table.s == 1, np.where(table.d == 0, y0, table.y), np.nan),
+        table.s, table.d, table.x, rng.uniform(0.5, 2.0, n))
+    with tempfile.TemporaryDirectory() as directory:
+        base = _estimate_stdout(table, directory, "base")
+        scaled = _estimate_stdout(_with_weight(table, table.weight * 2.0 ** k),
+                                  directory, "scaled")
+    assert scaled == base
 
 
 @settings(max_examples=25, deadline=None)
