@@ -130,8 +130,15 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.moments not in ("efficient", "known_ps"):
+            raise ValueError(f"unknown moments {self.moments!r}")
+        if self.variant not in ("drop", "retain"):
+            raise ValueError(f"unknown trim variant {self.variant!r}")
         if self.method == "smooth" and self.moments == "known_ps":
             raise ValueError("smoothed moments use the efficient family")
+        if self.method == "smooth" and not (
+                isinstance(self.h, (int, float)) and 0.0 < self.h < math.inf):
+            raise ValueError(f"smooth needs a finite h > 0, got {self.h!r}")
 
 
 def paper_roster(h_grid: Sequence[float] = (0.05, 0.01, 1e-9)) -> tuple:

@@ -30,7 +30,18 @@ class TestDgpConfig:
         (("bogus", "bogus"), "unknown method 'bogus'"),
         (("smooth_known", "smooth", "known_ps", 0.05),
          "smoothed moments use the efficient family"),
-    ], ids=["unknown_method", "smooth_known_ps"])
+        # these three used to fail in every replication, or (known) to run
+        # the efficient moments without a word
+        (("s", "smooth"), "smooth needs a finite h > 0, got None"),
+        (("s", "smooth", "efficient", 0.0), "finite h > 0, got 0.0"),
+        (("s", "smooth", "efficient", float("nan")), "finite h > 0, got nan"),
+        (("s", "smooth", "efficient", float("inf")), "finite h > 0, got inf"),
+        (("t", "trim", "efficient", None, "bogus"),
+         "unknown trim variant 'bogus'"),
+        (("k", "switch", "known"), "unknown moments 'known'"),
+    ], ids=["unknown_method", "smooth_known_ps", "smooth_without_h",
+            "smooth_h_zero", "smooth_h_nan", "smooth_h_inf", "bad_variant",
+            "bad_moments"])
     def test_bad_roster_entry_fails_where_it_is_built(self, args, message):
         with pytest.raises(ValueError, match=message):
             sb.EstimatorSpec(*args)
