@@ -95,6 +95,7 @@ def _ratio(x, num, den, scale):
 
 
 def _map_c(fn, v):
+    """``fn`` (``math.exp`` or ``math.log``) on each value of ``v``."""
     return np.fromiter(map(fn, v.tolist()), float, v.size)
 
 

@@ -30,8 +30,6 @@ class TestDgpConfig:
         (("bogus", "bogus"), "unknown method 'bogus'"),
         (("smooth_known", "smooth", "known_ps", 0.05),
          "smoothed moments use the efficient family"),
-        # these three used to fail in every replication, or (known) to run
-        # the efficient moments without a word
         (("s", "smooth"), "smooth needs a finite h > 0, got None"),
         (("s", "smooth", "efficient", 0.0), "finite h > 0, got 0.0"),
         (("s", "smooth", "efficient", float("nan")), "finite h > 0, got nan"),
