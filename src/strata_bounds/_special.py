@@ -8,8 +8,9 @@ of operations (plain multiply and add, no fused multiply-add), and ``exp``
 and ``log`` from the C library through ``math``. numpy's vectorized
 ``exp`` and ``log`` round differently from the C library on some inputs,
 so the array paths call ``math`` on just the rows whose branch needs it.
-A Python or numpy scalar or a 0-d array takes a pure-``math`` path and
-returns ``np.float64``; other input is read as a float64 array.
+``ndtr`` of a Python or numpy scalar or a 0-d array takes a pure-``math``
+path; both functions return ``np.float64`` for such input, as scipy does,
+and read other input as a float64 array.
 """
 
 from __future__ import annotations
@@ -110,9 +111,14 @@ def _scalar(a):
 # ---------------------------------------------------------------------------
 # ndtr
 
-def _ndtr1(a: float) -> float:
-    # the critical-value solve calls this about 164 times per replication,
-    # so the two common branches evaluate their polynomials unrolled
+def ndtr_float(a: float) -> float:
+    """``ndtr`` of one float, as a float. The critical-value solve calls
+    this about 130 times per replication, so the two common branches
+    evaluate their polynomials unrolled."""
+    if a >= 9.0:
+        # the upper tail is below 1.2e-19 here, far under half an ulp of 1
+        # (2**-54), so Cephes' 1 - y is exactly 1
+        return 1.0
     if a != a:
         return math.nan
     x = a * _SQRTH
@@ -142,36 +148,31 @@ def _ndtr1(a: float) -> float:
 
 def ndtr(a):
     """Standard normal cdf, byte for byte ``scipy.special.ndtr``."""
-    if type(a) is float:  # the critical-value solve's calls
-        return np.float64(_ndtr1(a))
     s = _scalar(a)
     if s is not None:
-        return np.float64(_ndtr1(s))
+        return np.float64(ndtr_float(s))
     x = np.asarray(a, dtype=float) * _SQRTH
     out = np.abs(x)  # NaN rows match no branch and stay NaN
     z = out.reshape(-1)
     xs = x.reshape(-1)
-    inner = np.flatnonzero(z < _SQRTH)
-    outer = np.flatnonzero(z >= _SQRTH)
-    if inner.size:
-        v = xs[inner]
-        y = _ratio(v * v, _T, _U, v)
-        y *= 0.5
-        y += 0.5
-        z[inner] = y
-    if not outer.size:
-        return out
-    v = z[outer]
-    y = np.zeros(v.size)  # erfc(v), left at 0 where exp(-v^2) underflows
-    mid = np.flatnonzero(v < 1.0)
-    if mid.size:
-        w = v[mid]
-        y[mid] = 1.0 - _ratio(w * w, _T, _U, w)
-    if mid.size < v.size:
+    small = np.flatnonzero(z < 1.0)
+    large = np.flatnonzero(z >= 1.0)
+    if small.size:
+        # erf(|x|) / 2 serves both signs: Cephes gives 0.5 + erf(x) / 2 below
+        # SQRTH and 1 - erfc(|x|) / 2 = 1 - (0.5 - erf / 2) above it for x > 0
+        v = z[small]
+        h = _ratio(v * v, _T, _U, v)
+        h *= 0.5
+        lower = 0.5 - h
+        upper = np.where(v < _SQRTH, 0.5 + h, 1.0 - lower)
+        z[small] = np.where(xs[small] > 0, upper, lower)
+    if large.size:
+        v = z[large]
         with np.errstate(over="ignore"):
             e = -v
             e *= v
-        live = np.flatnonzero((v >= 1.0) & (e >= -_MAXLOG))
+        y = np.zeros(v.size)  # erfc(v), left at 0 where exp(-v^2) underflows
+        live = np.flatnonzero(e >= -_MAXLOG)
         w = v[live]
         ex = _map_c(math.exp, e[live])
         near = w < 8.0
@@ -179,47 +180,17 @@ def ndtr(a):
             y[live] = _ratio(w, _P, _Q, ex)
         else:
             y[live] = np.where(near, _ratio(w, _P, _Q, ex), _ratio(w, _R, _S, ex))
-    y *= 0.5
-    np.subtract(1.0, y, out=y, where=xs[outer] > 0)
-    z[outer] = y
+        y *= 0.5
+        np.subtract(1.0, y, out=y, where=xs[large] > 0)
+        z[large] = y
     return out
 
 
 # ---------------------------------------------------------------------------
 # ndtri
 
-def _ndtri1(y0: float) -> float:
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if y0 < 0.0 or y0 > 1.0:
-        return math.nan
-    code = True
-    y = y0
-    if y > _UPPER:
-        y = 1.0 - y
-        code = False
-    if y > _EXPM2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * _ratio(y2, _P0, _Q0, y2)) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))  # a NaN y0 arrives here
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = _ratio(z, _P1, _Q1, z)
-    else:
-        x1 = _ratio(z, _P2, _Q2, z)
-    x = x0 - x1
-    return -x if code else x
-
-
 def ndtri(y0):
     """Standard normal quantile, byte for byte ``scipy.special.ndtri``."""
-    s = _scalar(y0)
-    if s is not None:
-        return np.float64(_ndtri1(s))
     p = np.asarray(y0, dtype=float)
     out = np.empty(p.shape)
     o = out.reshape(-1)
@@ -259,7 +230,7 @@ def ndtri(y0):
         # does from the lower tail's arithmetic; the rest is out of range
         o[rest] = np.where(v == 0.0, -np.inf, np.where(
             v == 1.0, np.inf, np.where(np.isnan(v), -v, np.nan)))
-    return out
+    return out[()]
 
 
 # ---------------------------------------------------------------------------

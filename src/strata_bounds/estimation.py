@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._special import ndtr, ndtri
+from ._special import ndtr_float, ndtri
 from .data_model import (SHARE_FLOOR, BoundsEstimate, NuisanceBundle,
                          ObservationTable, Side, Stratum, StratumSpec, XPLUS,
                          XZERO)
@@ -95,17 +95,20 @@ def ratio_estimate(psi_b, psi_s, weights):
     return beta, se
 
 
-def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100,
+            fa=None, fb=None):
     """Root of ``f`` in the bracket ``[a, b]`` by Brent's (1973) method.
 
     A transcription of scipy's C ``brentq`` (the same branch order, the
     same sign-bit test, each ``f`` value taken as a C double), so it
     returns the same root bytes and raises the same errors: ``ValueError``
     for a NaN value or a bracket without a sign change, ``RuntimeError``
-    when ``maxiter`` steps do not converge.
+    when ``maxiter`` steps do not converge. A caller that has already
+    evaluated ``f(a)`` or ``f(b)`` passes it as ``fa`` or ``fb``.
     """
-    def call(x):
-        fx = f(x)
+    def call(x, fx=None):
+        if fx is None:
+            fx = f(x)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
@@ -113,7 +116,7 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
 
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = call(xpre, fa), call(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -177,16 +180,17 @@ def im_critical_value(delta: float, se: float, alpha: float = 0.05) -> float:
         return _normal_quantile(1.0 - alpha)
     if se <= 0.0:
         return _normal_quantile(1.0 - alpha) if delta > 0 else z_two
-    ratio = delta / se
+    ratio = float(delta / se)
 
     def f(c):
-        return ndtr(c + ratio) - ndtr(-c) - (1.0 - alpha)
+        return ndtr_float(c + ratio) - ndtr_float(-c) - (1.0 - alpha)
 
-    if f(0.0) >= 0.0:
+    f_zero, f_two = f(0.0), f(z_two)
+    if f_zero >= 0.0:
         return 0.0
-    if f(z_two) <= 0.0:  # point-identified limit: the root sits at the end
+    if f_two <= 0.0:  # point-identified limit: the root sits at the end
         return z_two
-    return _brentq(f, 0.0, z_two, xtol=1e-10)
+    return _brentq(f, 0.0, z_two, xtol=1e-10, fa=f_zero, fb=f_two)
 
 
 def _effect_interval(lower, upper, se_lower, se_upper, alpha):

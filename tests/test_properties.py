@@ -93,6 +93,7 @@ def test_weight_power_of_two_leaves_crossfit_stdout_unchanged(shares, seed,
         base = _estimate_stdout(table, directory, "base")
         scaled = _estimate_stdout(_with_weight(table, table.weight * 2.0 ** k),
                                   directory, "scaled")
+    assert base[0] == 0  # a failed run's empty stdout would prove nothing
     assert scaled == base
 
 

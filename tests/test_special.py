@@ -32,7 +32,7 @@ NDTR_EDGES = np.array([
     0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
     2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
     *_around(SQRT2, -SQRT2, 8 * SQRT2, -8 * SQRT2, 1.0, -1.0,
-             37.5, -37.5, 38.5, -38.5)])
+             37.5, -37.5, 38.5, -38.5, 9.0)])
 
 NDTRI_EDGES = np.array([
     0.0, -0.0, 1.0, np.nan, -np.nan, np.inf, -np.inf, -1.0, 2.0, -1e-300,
