@@ -7,10 +7,10 @@ same bytes: the same coefficients, the same branch points, the same order
 of operations (plain multiply and add, no fused multiply-add), and ``exp``
 and ``log`` from the C library through ``math``. numpy's vectorized
 ``exp`` and ``log`` round differently from the C library on some inputs,
-so the array paths call ``math`` on just the rows whose branch needs it.
-``ndtr`` of a Python or numpy scalar or a 0-d array takes a pure-``math``
-path; both functions return ``np.float64`` for such input, as scipy does,
-and read other input as a float64 array.
+so they call ``math`` on just the rows whose branch needs it. Both read
+their input as a float64 array and return ``np.float64`` for a scalar or a
+0-d array, as scipy does. ``ndtr_float`` is ``ndtr`` of one float in pure
+``math``, for the critical-value solve's many scalar calls.
 """
 
 from __future__ import annotations
@@ -100,14 +100,6 @@ def _map_c(fn, v):
     return np.fromiter(map(fn, v.tolist()), float, v.size)
 
 
-def _scalar(a):
-    """``a`` as a float if it is a number or a 0-d array, else None."""
-    if isinstance(a, (float, int, np.number)) or (
-            isinstance(a, np.ndarray) and not a.ndim):
-        return float(a)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # ndtr
 
@@ -148,13 +140,9 @@ def ndtr_float(a: float) -> float:
 
 def ndtr(a):
     """Standard normal cdf, byte for byte ``scipy.special.ndtr``."""
-    s = _scalar(a)
-    if s is not None:
-        return np.float64(ndtr_float(s))
-    x = np.asarray(a, dtype=float) * _SQRTH
-    out = np.abs(x)  # NaN rows match no branch and stay NaN
-    z = out.reshape(-1)
-    xs = x.reshape(-1)
+    a = np.asarray(a, dtype=float)
+    xs = a.reshape(-1) * _SQRTH
+    z = np.abs(xs)  # NaN rows match no branch and stay NaN
     small = np.flatnonzero(z < 1.0)
     large = np.flatnonzero(z >= 1.0)
     if small.size:
@@ -183,7 +171,7 @@ def ndtr(a):
         y *= 0.5
         np.subtract(1.0, y, out=y, where=xs[large] > 0)
         z[large] = y
-    return out
+    return z.reshape(a.shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The in-package special functions against ``scipy.special``.
 
 ``ndtr`` and ``ndtri`` must return scipy's bytes, NaN signs included, on
-every input, through both the scalar and the array path; ``expit`` must
-stay within 4 ulp of scipy's.
+every input, for scalar and array input alike, and so must the pure-math
+``ndtr_float``; ``expit`` must stay within 4 ulp of scipy's.
 """
 
 import math
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from strata_bounds._special import expit, ndtr, ndtri
+from strata_bounds._special import expit, ndtr, ndtr_float, ndtri
 
 SQRT2 = math.sqrt(2.0)
 EXPM2 = 0.13533528323661269189
@@ -81,6 +81,14 @@ def test_scalar_path_matches_scipy_bytes(request, fn, ref, edges, fixture,
     got = [fn(wrap(v)) for v in inputs.tolist()]
     assert all(type(v) is np.float64 for v in got)
     mismatch = _bits(got) != _bits(ref(inputs))
+    assert not mismatch.any(), inputs[mismatch][:5]
+
+
+def test_ndtr_float_matches_scipy_bytes(ndtr_inputs):
+    inputs = np.concatenate([NDTR_EDGES, ndtr_inputs[::10]])
+    got = [ndtr_float(v) for v in inputs.tolist()]
+    assert all(type(v) is float for v in got)
+    mismatch = _bits(got) != _bits(sc.ndtr(inputs))
     assert not mismatch.any(), inputs[mismatch][:5]
 
 
