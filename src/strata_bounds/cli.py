@@ -57,8 +57,9 @@ def _keep_freed_heap():
     more than 128 KiB there is free, until freeing one large block raises
     that limit to twice the block's size. Without the raise, a
     50-replication ``simulate`` at n = 2,000 faults about 7,000 pages in
-    again, and spends about 20 ms of system time doing so. Importing scipy
-    used to free such a block. Other allocators ignore this.
+    again and spends about 20 ms of system time doing so (on a shared
+    2-vCPU guest). A process that has imported scipy has usually freed
+    such a block already. Other allocators ignore this.
     """
     np.empty(16 << 20, dtype=np.uint8)
 
