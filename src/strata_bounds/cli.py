@@ -33,7 +33,7 @@ EXIT_OK, EXIT_INPUT, EXIT_ESTIMATION = 0, 2, 3
 
 #: ``bounds-curve`` flags read only with ``--data`` and only without it,
 #: each with the default it takes when unset.
-CURVE_FLAGS = ({"folds": 5, "weights_col": "weight", "nuisance_file": None,
+CURVE_FLAGS = ({"folds": 5, "weights_col": None, "nuisance_file": None,
                 "nuisance_oracle": False, "cells_discrete": None,
                 "cells_bins": 1}, {"panel": "a", "dgp_n": 2000})
 
@@ -359,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--folds", type=int)
     est.add_argument("--alpha", type=float)
     est.add_argument("--seed", type=int)
-    est.add_argument("--weights-col", default="weight")
+    est.add_argument("--weights-col",
+                     help="weights column (default: 'weight' if present)")
     est.add_argument("--nuisance-file", help="external per-row nuisance CSV")
     est.add_argument("--nuisance-oracle", action="store_true",
                      help="treat the external nuisances as exact")

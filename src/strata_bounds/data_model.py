@@ -11,6 +11,7 @@ import enum
 import logging
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -138,15 +139,25 @@ class ObservationTable:
     # Header: y,s,d,weight,x1..xp. Missing y is an empty field or "NA".
 
     @classmethod
-    def from_csv(cls, path_or_buffer, weights_col: str = "weight") -> "ObservationTable":
+    def from_csv(cls, path_or_buffer,
+                 weights_col: Optional[str] = None) -> "ObservationTable":
         """Table from a CSV with the header above. Column names are unique,
         and the covariates (the columns named ``x`` and digits) are exactly
         ``x1..xp``, in any order; a duplicate, a gap or a name such as
-        ``x01`` raises ``ValueError`` naming the column. A blank line, a row
-        whose field count differs from the header's, or a field that does
-        not parse (``s`` and ``d`` as 8-bit integers, the rest as floats)
-        raises ``ValueError`` naming the data row (counted from 1 below the
-        header) and, for a field, its column."""
+        ``x01`` raises ``ValueError`` naming the column. The weights are
+        read from ``weights_col``, which the header must hold, or without
+        it from a column named ``weight`` if there is one; an empty weight
+        field, or no weights column, weighs 1. A file without data rows, a
+        blank line, a row whose field count differs from the header's, or a
+        field that does not parse (``s`` and ``d`` as 8-bit integers, the
+        rest as floats) raises ``ValueError`` naming the data row (counted
+        from 1 below the header) and, for a field, its column.
+
+        One ``np.loadtxt`` call parses the rows. Where it fails (on a field
+        it does not accept, such as a quoted one, an empty weight or
+        ``1_000``, which ``float`` reads), a loop over ``csv.reader`` rows
+        reads the file instead: it raises the error above or returns the
+        values that ``float`` and ``int`` give."""
         close = False
         if isinstance(path_or_buffer, (str, bytes)):
             fh = open(path_or_buffer, "r", encoding="utf-8", newline="")
@@ -154,8 +165,8 @@ class ObservationTable:
         else:
             fh = path_or_buffer
         try:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            lines = iter(fh)
+            header = next(csv.reader(lines), None)
             if header is None:
                 raise ValueError("data file is empty")
             cols = {name: j for j, name in enumerate(header)}
@@ -165,6 +176,10 @@ class ObservationTable:
             for required in ("y", "s", "d"):
                 if required not in cols:
                     raise ValueError(f"missing required column {required!r}")
+            if weights_col is None:
+                weights_col = "weight"
+            elif weights_col not in cols:
+                raise ValueError(f"missing weights column {weights_col!r}")
             xnames = [c for c in header if re.fullmatch("x[0-9]+", c)]
             xcols = [f"x{k}" for k in range(1, len(xnames) + 1)]
             for c in xnames:
@@ -172,35 +187,18 @@ class ObservationTable:
                     raise ValueError(f"covariate column {c!r} is not one of "
                                      f"x1..x{len(xcols)}: covariates are named "
                                      f"x1..xp with none missing")
-            rows = list(reader)
+            lines = list(lines)
         finally:
             if close:
                 fh.close()
-        n = len(rows)
-        y = np.full(n, np.nan)
-        s = np.zeros(n, dtype=np.int8)
-        d = np.zeros(n, dtype=np.int8)
-        w = np.ones(n)
-        x = np.zeros((n, len(xcols)))
-        width = len(header)
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"data row {i + 1} is blank" if not row else
-                                 f"data row {i + 1} has {len(row)} fields, "
-                                 f"the header has {width}")
-            try:
-                raw_y = row[cols["y"]].strip()
-                if raw_y not in ("", "NA"):
-                    y[i] = float(raw_y)
-                s[i] = int(row[cols["s"]])
-                d[i] = int(row[cols["d"]])
-                if weights_col in cols and row[cols[weights_col]].strip() != "":
-                    w[i] = float(row[cols[weights_col]])
-                for j, c in enumerate(xcols):
-                    x[i, j] = float(row[cols[c]])
-            except (ValueError, OverflowError):
-                raise _field_error(i, row, cols, weights_col, xcols) from None
-        return cls(y, s, d, x, w)
+        if not lines:
+            raise ValueError("data file has no data rows")
+        try:
+            columns = _parse_bulk(lines, header, cols, weights_col, xcols)
+        except (ValueError, OverflowError, Warning):
+            columns = _parse_rows(csv.reader(lines), header, cols, weights_col,
+                                  xcols)
+        return cls(*columns)
 
     def to_csv(self, path_or_buffer) -> None:
         close = False
@@ -220,6 +218,78 @@ class ObservationTable:
         finally:
             if close:
                 fh.close()
+
+
+#: Lines that ``csv.reader`` reads as an empty row and ``np.loadtxt`` skips.
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+
+
+def _missing_y(field: str) -> float:
+    """A ``y`` field's value; an empty or ``NA`` field is missing (NaN)."""
+    raw = field.strip()
+    return math.nan if raw in ("", "NA") else float(raw)
+
+
+def _parse_bulk(lines, header, cols, weights_col, xcols) -> tuple:
+    """``(y, s, d, x, w)`` of the data ``lines`` from one ``np.loadtxt``
+    call: ``y`` as ``_missing_y`` reads it, ``s`` and ``d`` as 8-bit
+    integers, every other column as floats. Where numpy's parser and
+    ``float``/``int`` with ``csv.reader`` could disagree, it raises
+    (``ValueError``, or an older numpy's ``Warning`` for an integer written
+    as a float): on a quoted field (quoting is off), a blank line, a ragged
+    row, an empty weight, a field it does not parse, and a weights column
+    that is also ``y``, ``s`` or ``d``."""
+    if not _BLANK_LINES.isdisjoint(lines):
+        raise ValueError("blank line")
+    if weights_col in ("y", "s", "d"):
+        raise ValueError("weights read from an outcome or flag column")
+    ints = (cols["s"], cols["d"])
+    dtype = np.dtype([(f"f{j}", np.int8 if j in ints else float)
+                      for j in range(len(header))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          converters={cols["y"]: _missing_y}, ndmin=1)
+
+    def column(name):
+        return np.ascontiguousarray(data[f"f{cols[name]}"])
+
+    x = np.empty((len(data), len(xcols)))
+    for j, c in enumerate(xcols):
+        x[:, j] = data[f"f{cols[c]}"]
+    w = column(weights_col) if weights_col in cols else np.ones(len(data))
+    return column("y"), column("s"), column("d"), x, w
+
+
+def _parse_rows(rows, header, cols, weights_col, xcols) -> tuple:
+    """``(y, s, d, x, w)`` of the ``csv.reader`` data ``rows``, one field
+    at a time; raises ``ValueError`` for the first bad row or field."""
+    rows = list(rows)
+    n = len(rows)
+    y = np.full(n, np.nan)
+    s = np.zeros(n, dtype=np.int8)
+    d = np.zeros(n, dtype=np.int8)
+    w = np.ones(n)
+    x = np.zeros((n, len(xcols)))
+    width = len(header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"data row {i + 1} is blank" if not row else
+                             f"data row {i + 1} has {len(row)} fields, "
+                             f"the header has {width}")
+        try:
+            raw_y = row[cols["y"]].strip()
+            if raw_y not in ("", "NA"):
+                y[i] = float(raw_y)
+            s[i] = int(row[cols["s"]])
+            d[i] = int(row[cols["d"]])
+            if weights_col in cols and row[cols[weights_col]].strip() != "":
+                w[i] = float(row[cols[weights_col]])
+            for j, c in enumerate(xcols):
+                x[i, j] = float(row[cols[c]])
+        except (ValueError, OverflowError):
+            raise _field_error(i, row, cols, weights_col, xcols) from None
+    return y, s, d, x, w
 
 
 def _field_error(i, row, cols, weights_col, xcols) -> ValueError:

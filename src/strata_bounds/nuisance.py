@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,32 +28,38 @@ logger = logging.getLogger("strata_bounds")
 # ---------------------------------------------------------------------------
 # logistic probability learner
 
-def _fit_logistic(X, y, w, tol: float = 1e-8, max_iter: int = 100):
-    """Weighted logistic regression by damped Newton iterations.
+def _design(x) -> np.ndarray:
+    """The logistic design matrix ``[1, x]`` of covariate rows ``x``."""
+    return np.column_stack([np.ones(len(x)), x])
+
+
+def _fit_logistic(Xd, y, w, tol: float = 1e-8, max_iter: int = 100):
+    """Weighted logistic regression of ``y`` on the design matrix ``Xd``
+    (see ``_design``) by damped Newton iterations.
 
     Stops at gradient norm <= tol * total weight or after max_iter steps;
     warns on quasi-separation (fitted index beyond +-30). The tolerance,
     the line search's slack and the ridge all scale with the total weight,
     so weights times a power of two give the same coefficients.
     """
-    Xd = np.column_stack([np.ones(len(y)), X])
     coef = np.zeros(Xd.shape[1])
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     total = float(np.sum(w))
+    ridge = 1e-10 * total * np.eye(Xd.shape[1])
 
     def nll(eta):
-        return float(np.sum(w * (np.logaddexp(0.0, eta) - y * eta)))
+        return float((w * (np.logaddexp(0.0, eta) - y * eta)).sum())
 
     eta = Xd @ coef
     loss = nll(eta)
     for _ in range(max_iter):
         p = expit(eta)
         grad = Xd.T @ (w * (p - y))
-        if np.linalg.norm(grad) <= tol * total:
+        if math.sqrt(grad @ grad) <= tol * total:
             break
         hess = Xd.T @ (Xd * (w * p * (1.0 - p))[:, None])
-        hess += 1e-10 * total * np.eye(Xd.shape[1])
+        hess += ridge
         step = np.linalg.solve(hess, grad)
         scale = 1.0
         while scale > 1e-6:
@@ -72,22 +79,29 @@ def _fit_logistic(X, y, w, tol: float = 1e-8, max_iter: int = 100):
 
 
 def logistic_predict(coef, X):
-    Xd = np.column_stack([np.ones(X.shape[0]), X])
-    return expit(Xd @ coef)
+    return expit(_design(X) @ coef)
+
+
+def _fit_selection(Xd, table: ObservationTable, rows, arm: int):
+    """Coefficients of P(S=1 | X) on the ``rows`` (indices) of ``table``,
+    which are its rows of arm ``arm`` that a fit reads; ``Xd`` is the
+    table's design matrix."""
+    if not len(rows):
+        raise EmptyCellError(f"no rows in treatment arm {arm}")
+    return _fit_logistic(Xd.take(rows, axis=0), table.s.take(rows),
+                         table.weight.take(rows))
 
 
 def fit_selection(table: ObservationTable, arm: int):
     """Fit P(S=1 | X) on one treatment arm; returns an x -> probability map."""
-    mask = table.d == arm
-    if not mask.any():
-        raise EmptyCellError(f"no rows in treatment arm {arm}")
-    coef = _fit_logistic(table.x[mask], table.s[mask], table.weight[mask])
+    coef = _fit_selection(_design(table.x), table,
+                          np.flatnonzero(table.d == arm), arm)
     return lambda X: logistic_predict(coef, np.atleast_2d(X))
 
 
 def fit_propensity(table: ObservationTable):
     """Fit P(D=1 | X) on the full sample."""
-    coef = _fit_logistic(table.x, table.d, table.weight)
+    coef = _fit_logistic(_design(table.x), table.d, table.weight)
     return lambda X: logistic_predict(coef, np.atleast_2d(X))
 
 
@@ -138,9 +152,12 @@ class _CellIndex:
         levels, and whether the value is one of them: ``np.isclose`` to the
         first level not below it or, failing that, to the level before."""
         lv = self.levels[j]
-        hi = np.clip(np.searchsorted(lv, col), 0, len(lv) - 1)
-        idx = np.where(np.isclose(lv[hi], col), hi, np.maximum(hi - 1, 0))
-        return idx, np.isclose(lv[idx], col)
+        hi = np.minimum(np.searchsorted(lv, col), len(lv) - 1)
+        close = _isclose(lv[hi], col)
+        if close.all():
+            return hi, close
+        idx = np.where(close, hi, np.maximum(hi - 1, 0))
+        return idx, _isclose(lv[idx], col)
 
     def keys(self, x) -> np.ndarray:
         """Cell ids: the row-major flat index of each row's per-column
@@ -160,7 +177,7 @@ class _CellIndex:
             dims.append(len(self.edges[j]) + 1)
         if not parts:
             return np.zeros(x.shape[0], dtype=np.int64)
-        keys = np.ravel_multi_index(parts, dims).astype(np.int64)
+        keys = np.ravel_multi_index(parts, dims).astype(np.int64, copy=False)
         keys[unseen] = _UNSEEN_LEVEL
         return keys
 
@@ -174,6 +191,17 @@ class _CellIndex:
             if not ok.all():
                 return EmptyCellError(f"unseen level in discrete column {j}: "
                                       f"{np.unique(x[~ok, j])[:5]}")
+
+
+def _isclose(a, b):
+    """``np.isclose(a, b)`` for float arrays, by its own formula; equal
+    values, the usual case, are close."""
+    equal = a == b
+    if equal.all():
+        return equal
+    with np.errstate(invalid="ignore"):
+        close = np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)
+    return close & np.isfinite(b) | equal
 
 
 def _weighted_quantile(values, weights, qs):
@@ -192,61 +220,54 @@ def _quantile_pos(cw, u):
     return np.minimum(pos, len(cw) - 1)
 
 
-def _sorted_cell(y, w):
-    """Outcomes in ascending order with their cumulative weights and
-    cumulative weighted outcomes."""
-    order = np.argsort(y, kind="stable")
-    yv, wv = y[order], w[order]
-    return yv, np.cumsum(wv), np.cumsum(wv * yv)
-
-
-#: The one-row segment that ends every ``_Cells``. The rows of a group that
-#: raises ``EmptyCellError`` read it, so a call can evaluate all its rows
-#: before it walks the groups.
-_PLACEHOLDER = (np.zeros(1), np.ones(1), np.zeros(1))
-
-
 class _Cells:
-    """Sorted cells laid end to end in flat arrays; a plan lays out every
-    cell it can read, of every fold, in one ``_Cells``.
+    """Sorted cells laid end to end in flat arrays.
 
-    Segment ``k`` holds one cell's ``_sorted_cell`` triple at flat indices
+    Segment ``k`` holds one cell's outcomes in ascending order, each with
+    its cumulative weight and cumulative weighted outcome, at flat indices
     ``start[k]`` to ``start[k] + length[k] - 1`` of ``y``, ``cw`` and
     ``cy``. ``first[i]`` and ``last[i]`` are the flat indices where the run
     of outcomes tied with ``y[i]`` begins and ends; a run never leaves its
     segment, so they are ``np.searchsorted(yv, yv[i], "left")`` and
     ``np.searchsorted(yv, yv[i], "right") - 1`` within the cell (NaNs tie
-    with each other, as in numpy's sort order). The last segment is always
-    ``_PLACEHOLDER``.
+    with each other, as in numpy's sort order). The last segment is one row
+    of outcome 0 and weight 1, which the rows of a group that raises
+    ``EmptyCellError`` read, so a call can evaluate all its rows before it
+    walks the groups.
     """
 
-    def __init__(self, y, cw, cy, start, length, first, last):
-        self.y, self.cw, self.cy = y, cw, cy
-        self.start, self.length = start, length
-        self.first, self.last = first, last
-
-    @classmethod
-    def of(cls, cells) -> "_Cells":
-        """The ``_sorted_cell`` triples ``cells`` in order, then the
-        placeholder."""
-        y, cw, cy = (np.concatenate(col) for col in zip(*cells, _PLACEHOLDER))
-        length = np.array([len(cell[0]) for cell in cells] + [1])
+    def __init__(self, y, w, segments):
+        """The cells whose table rows, in ascending outcome order, are the
+        index arrays ``segments``, then the placeholder; ``y`` and ``w`` are
+        the table's outcomes and weights. Each segment's cumulative sums
+        are taken on that segment alone."""
+        length = np.array([len(seg) for seg in segments] + [1])
         start = np.cumsum(length) - length
+        rows = np.concatenate(segments + [np.zeros(0, dtype=np.int64)])
+        self.y = np.append(y.take(rows), 0.0)
+        wv = np.append(w.take(rows), 1.0)
+        wy = wv * self.y
+        self.cw, self.cy = np.empty_like(wv), np.empty_like(wv)
+        for a, b in zip(start.tolist(), (start + length).tolist()):
+            wv[a:b].cumsum(out=self.cw[a:b])
+            wy[a:b].cumsum(out=self.cy[a:b])
+        self.start, self.length = start, length
+        y = self.y
         new = np.ones(len(y), dtype=bool)
         new[1:] = (y[1:] != y[:-1]) & ~(np.isnan(y[1:]) & np.isnan(y[:-1]))
         new[start] = True
         idx = np.arange(len(y))
-        first = np.maximum.accumulate(np.where(new, idx, 0))
+        self.first = np.maximum.accumulate(np.where(new, idx, 0))
         ends = np.append(new[1:], True)
-        last = np.minimum.accumulate(np.where(ends, idx, len(y))[::-1])[::-1]
-        return cls(y, cw, cy, start, length, first, last)
+        self.last = np.minimum.accumulate(
+            np.where(ends, idx, len(y))[::-1])[::-1]
 
 
 @dataclass(frozen=True)
 class _Group:
     """The rows of an evaluation plan that one cell of arm ``d`` serves.
 
-    ``seg`` is the cell's segment in the plan's ``_Cells``, or ``None`` when
+    ``seg`` is the cell's segment in the arm's ``_Cells``, or ``None`` when
     evaluating the rows raises ``EmptyCellError``: through ``index`` for
     an unseen discrete level, or because the arm had no training rows
     (``index`` is ``None``).
@@ -257,6 +278,88 @@ class _Group:
     seg: Optional[int]
     index: Optional[_CellIndex]
     lenient: bool
+
+
+@dataclass(frozen=True)
+class _CellFit:
+    """The cells that one training set fits for one arm: the cell index
+    (``None`` when the arm holds no training row of positive weight), the
+    segment of each training cell in the arm's ``_Cells`` by key, the
+    arm-level surface under key -1 last, and the cell key of every table
+    row."""
+
+    index: Optional[_CellIndex]
+    segs: dict
+    keys: np.ndarray
+
+    def keys_of(self, x) -> np.ndarray:
+        """The cell keys of the rows of ``x``; without an index, key -2,
+        whose rows raise."""
+        if self.index is None:
+            return np.full(len(x), _UNSEEN_LEVEL, dtype=np.int64)
+        return self.index.keys(x)
+
+    def groups(self, d: int, keys, lenient: bool) -> tuple:
+        """Each row's group id, and the groups of the rows with cell
+        ``keys``, in key order: rows with an unseen discrete level or of an
+        arm without training rows (key -2, which raises), rows of a cell
+        with no training rows of the arm (the arm-level surface, key -1),
+        then the cells in ascending key order."""
+        segs = self.segs
+        uniq, gid = np.unique(keys, return_inverse=True)
+        seen = np.array([key in segs or key == _UNSEEN_LEVEL
+                         for key in uniq.tolist()])
+        if not seen.all():
+            uniq, gid = np.unique(np.where(seen[gid], keys, _ARM_LEVEL),
+                                  return_inverse=True)
+        return gid, [_Group(d, key, segs.get(key), self.index, lenient)
+                     for key in uniq.tolist()]
+
+
+def _arm_cells(table: ObservationTable, d: int, spec: CellSpec,
+               trains) -> tuple:
+    """The ``_CellFit`` of arm ``d`` on each training set, and one
+    ``_Cells`` with the cells of all of them.
+
+    ``trains`` are boolean masks over the table's rows; a set's training
+    rows are its selected rows of arm ``d``. The cell index is fitted on
+    them in table order (its weighted-quantile edges depend on the order of
+    tied covariate values). Each cell is the set's rows of that key taken
+    from one stable sort of the arm by outcome, which is the stable sort
+    of the cell by outcome; a cell whose rows all weigh zero is left out.
+    All the set's rows, in outcome order, make the arm-level surface.
+    """
+    w = table.weight
+    arm = np.flatnonzero((table.s == 1) & (table.d == d))
+    by_y = arm.take(np.argsort(table.y.take(arm), kind="stable"))
+    fits, segments = [], []
+    for train in trains:
+        rows = arm.compress(train.take(arm))
+        w_rows = w.take(rows)
+        if not (w_rows > 0).any():
+            # the error waits for evaluation: a fold's fit may never be
+            # asked about the arm it lacks
+            fits.append(_CellFit(None, {}, np.full(table.n, _UNSEEN_LEVEL)))
+            continue
+        index = _CellIndex(table.x.take(rows, axis=0), w_rows, spec)
+        keys = index.keys(table.x)
+        ordered = by_y.compress(train.take(by_y))
+        cells = ordered.take(np.argsort(keys.take(ordered), kind="stable"))
+        cell_keys = keys.take(cells)
+        # a key below every cell key starts the first cell
+        firsts = np.flatnonzero(np.diff(cell_keys, prepend=_UNSEEN_LEVEL - 1))
+        weighed = np.logical_or.reduceat(w.take(cells) > 0, firsts)
+        segs = {}
+        for key, a, b, keep in zip(cell_keys[firsts].tolist(), firsts.tolist(),
+                                   firsts[1:].tolist() + [len(cells)],
+                                   weighed.tolist()):
+            if keep:
+                segs[key] = len(segments)
+                segments.append(cells[a:b])
+        segs[_ARM_LEVEL] = len(segments)
+        segments.append(ordered)
+        fits.append(_CellFit(index, segs, keys))
+    return fits, _Cells(table.y, w, segments)
 
 
 class _Plan:
@@ -272,30 +375,25 @@ class _Plan:
     tail. Rows whose group raises read the placeholder segment until then.
     """
 
-    def __init__(self, d: int, parts, x: np.ndarray):
-        """The plan for arm ``d`` over ``(surface, rows)`` parts: each
-        part's rows of ``x`` grouped by ``surface.groups``, with group ids
-        and segments counted on from the parts before it, and every part's
-        cells laid out in one ``_Cells``."""
+    def __init__(self, cells: _Cells, parts, x: np.ndarray):
+        """The plan over ``(rows, gid, groups)`` parts of the rows of
+        ``x``, each grouped as ``_CellFit.groups`` does, with group ids
+        counted on from the parts before it."""
         self.gid = np.empty(len(x), dtype=np.int64)
-        self.groups, cells = [], []
-        for surface, rows in parts:
-            part_gid, part_groups = surface.groups(d, x[rows])
-            self.gid[rows] = part_gid + len(self.groups)
-            self.groups += [g if g.seg is None
-                            else replace(g, seg=g.seg + len(cells))
-                            for g in part_groups]
-            cells += surface.cells[d].values()
+        self.groups = []
+        for rows, gid, groups in parts:
+            self.gid[rows] = gid + len(self.groups)
+            self.groups += groups
         self.x = x
-        self.cells = _Cells.of(cells)
-        # a raising group reads the placeholder, the segment after the cells
-        seg = np.array([len(cells) if g.seg is None else g.seg
+        self.cells = cells
+        # a raising group reads the placeholder, the last segment
+        seg = np.array([len(cells.start) - 1 if g.seg is None else g.seg
                         for g in self.groups], dtype=np.int64)
-        self.start = self.cells.start[seg]
-        self.length = self.cells.length[seg]
+        self.start = cells.start[seg]
+        self.length = cells.length[seg]
         end = self.start + self.length - 1
-        self.total_w = self.cells.cw[end]
-        self.total_y = self.cells.cy[end]
+        self.total_w = cells.cw[end]
+        self.total_y = cells.cy[end]
         self.cell_less = np.array([g.seg is None for g in self.groups])
         self.arm_level = np.array([g.key == _ARM_LEVEL for g in self.groups])
 
@@ -402,67 +500,25 @@ class CellOutcomeSurface:
     that holds positive weight: a cell whose rows all weigh zero is left
     out like an empty one, and so is an arm, whose rows then raise.
 
-    A call lays out the arm's cells in one ``_Cells``, groups its rows by
-    cell and evaluates them in one pass.
+    Each arm's cells are laid out as ``crossfit`` lays out one fold's; a
+    call groups its rows by cell and evaluates them in one pass.
     """
 
     def __init__(self, table: ObservationTable, spec: CellSpec):
         self.spec = spec
-        sel = table.s == 1
-        self.index = {}
-        self.cells = {}
-        self.segs = {}
-        for d in (0, 1):
-            mask = sel & (table.d == d)
-            if not (table.weight[mask] > 0).any():
-                # error deferred to evaluation time: half-sample fits may
-                # legitimately never be asked about the missing arm
-                self.index[d] = None
-                self.cells[d] = {}
-                self.segs[d] = {}
-                continue
-            xi = table.x[mask]
-            wi = table.weight[mask]
-            yi = table.y[mask]
-            cidx = _CellIndex(xi, wi, spec)
-            keys = cidx.keys(xi)
-            cells = {int(key): _sorted_cell(yi[keys == key], wi[keys == key])
-                     for key in np.unique(keys) if (wi[keys == key] > 0).any()}
-            cells[_ARM_LEVEL] = _sorted_cell(yi, wi)
-            self.index[d] = cidx
-            self.cells[d] = cells
-            self.segs[d] = {key: k for k, key in enumerate(cells)}
-
-    def groups(self, d, x) -> tuple:
-        """Each row's group id, and the groups of the rows of ``x`` by
-        training cell of arm ``d``, in cell-key order: rows with an unseen
-        discrete level (key -2, which raises), rows of a cell with no
-        training rows of the arm (the arm-level surface, key -1), then the
-        cells in ascending key order."""
-        x = np.atleast_2d(x)
-        lenient = self.spec.lenient_tails
-        index = self.index[d]
-        if index is None:
-            return (np.zeros(x.shape[0], dtype=np.int64),
-                    [_Group(d, _UNSEEN_LEVEL, None, None, lenient)])
-        segs = self.segs[d]
-        keys = index.keys(x)
-        uniq, gid = np.unique(keys, return_inverse=True)
-        seen = np.array([key in segs or key == _UNSEEN_LEVEL
-                         for key in uniq.tolist()])
-        if not seen.all():
-            uniq, gid = np.unique(np.where(seen[gid], keys, _ARM_LEVEL),
-                                  return_inverse=True)
-        return gid, [_Group(d, key, segs.get(key), index, lenient)
-                     for key in uniq.tolist()]
+        every = [np.ones(table.n, dtype=bool)]
+        self.arms = {d: _arm_cells(table, d, spec, every) for d in (0, 1)}
 
     def tail(self, x, j, d, u) -> tuple:
         """Quantiles and ``j`` truncated means of arm ``d`` at the rows of
-        ``x`` (grouped as ``groups`` does) and levels ``u``."""
+        ``x``, grouped by training cell as ``_CellFit.groups`` does, and
+        levels ``u``."""
         x = np.atleast_2d(x)
+        (fit,), cells = self.arms[d]
         rows = np.arange(len(x))
-        return _Plan(d, [(self, rows)], x).tail(rows, j,
-                                                np.asarray(u, dtype=float))
+        gid, groups = fit.groups(d, fit.keys_of(x), self.spec.lenient_tails)
+        plan = _Plan(cells, [(rows, gid, groups)], x)
+        return plan.tail(rows, j, np.asarray(u, dtype=float))
 
     def quantile(self, x, d, u) -> np.ndarray:
         return self.tail(x, 1, d, u)[0]
@@ -500,39 +556,53 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
     the complementary folds; truncated-mean surfaces reuse the quantile
     surface fitted on the same training folds.
 
-    The outcome surfaces are evaluated through one plan per arm, built on
-    the first call for the arm from each fold's surface and held-out rows:
-    every row's group over (fold, training cell of that fold), with rows
-    of an unseen cell on that fold's arm-level surface, and every fold's
-    cells laid out once. A call then evaluates all its rows in one
-    vectorized pass and reports the groups it read in (fold, cell) order.
+    The table's design matrix ``[1, x]`` is built once; each fold's three
+    logistic fits and their held-out predictions read its rows. Each arm's
+    cells of every fold are laid out in one ``_Cells`` (see
+    ``_arm_cells``): the arm's selected rows are sorted by outcome once,
+    and each fold's cell index is fitted once and keys every row, training
+    and held-out alike. The outcome surfaces are evaluated through one plan
+    per arm, built on the first call for the arm: every held-out row's
+    group over (fold, training cell of that fold), with rows of an unseen
+    cell on that fold's arm-level surface. A call then evaluates all its
+    rows in one vectorized pass and reports the groups it read in (fold,
+    cell) order.
     """
     n = table.n
     folds = fold_assignments(n, spec.folds, spec.seed)
     m = np.empty(n)
     s0 = np.empty(n)
     s1 = np.empty(n)
-    held_out = []
-    surfaces = []
+    design = _design(table.x)
+    in_arm = [table.d == arm for arm in (0, 1)]
+    held_out, trains = [], []
     for k in range(spec.folds):
-        hold = folds == k
-        train = table.select(~hold)
-        sel0 = fit_selection(train, 0)
-        sel1 = fit_selection(train, 1)
-        s0[hold] = sel0(table.x[hold])
-        s1[hold] = sel1(table.x[hold])
+        train = folds != k
+        hold = np.flatnonzero(~train)
+        x_hold = design.take(hold, axis=0)
+        for arm, out in ((0, s0), (1, s1)):
+            rows = np.flatnonzero(train & in_arm[arm])
+            coef = _fit_selection(design, table, rows, arm)
+            out[hold] = expit(x_hold @ coef)
         if spec.propensity_known is not None:
             m[hold] = spec.propensity_known
         else:
-            prop = fit_propensity(train)
-            m[hold] = prop(table.x[hold])
-        held_out.append(np.flatnonzero(hold))
-        surfaces.append(CellOutcomeSurface(train, spec.cells))
+            rows = np.flatnonzero(train)
+            coef = _fit_logistic(design.take(rows, axis=0), table.d.take(rows),
+                                 table.weight.take(rows))
+            m[hold] = expit(x_hold @ coef)
+        held_out.append(hold)
+        trains.append(train)
+    arms = {d: _arm_cells(table, d, spec.cells, trains) for d in (0, 1)}
+    lenient = spec.cells.lenient_tails
     plans = {}
 
     def tail_fn(rows, j, d, u):
         if d not in plans:
-            plans[d] = _Plan(d, zip(surfaces, held_out), table.x)
+            fits, cells = arms[d]
+            parts = [(hold, *fit.groups(d, fit.keys[hold], lenient))
+                     for fit, hold in zip(fits, held_out)]
+            plans[d] = _Plan(cells, parts, table.x)
         return plans[d].tail(rows, j, u)
 
     return NuisanceBundle(m, s0, s1, tail_fn, provenance="cross_fitted")

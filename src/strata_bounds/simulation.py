@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -512,6 +511,9 @@ def run_experiment(config: DgpConfig, threads: int = 1) -> ExperimentResult:
     reps = range(config.replications)
     worker = partial(_replication_worker, config)
     if threads and threads > 1:
+        # imported here: the pool's modules cost start-up that a
+        # single-threaded run never uses
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, config.replications // (8 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             raw = list(pool.map(worker, reps, chunksize=chunk))

@@ -1,14 +1,16 @@
 """Shared test machinery: closed-form outcome mixtures, a discrete design
 with exact conditional-moment enumeration, a discrete-grid process for
 brute-force bound checks, reference loops for the cell outcome surfaces
-(per row, and the per-fold cross-fitted loop) and the nuisance CSV
-reader, the survivor-subset trim estimator, and a scalar quadrature reference for the benchmark design's
-population targets."""
+(per row, and the per-fold cross-fitted loop), the data CSV reader and the
+nuisance CSV reader, the survivor-subset trim estimator, and a scalar
+quadrature reference for the benchmark design's population targets."""
 
 import csv
 import logging
 import math
+import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -22,8 +24,7 @@ from strata_bounds.errors import AllTrimmedError, EmptyCellError, EmptyTailError
 from strata_bounds.estimation import _estimate, ratio_estimate
 from strata_bounds.influence import eif_regular
 from strata_bounds.identification import SupportBounds
-from strata_bounds.nuisance import (CellOutcomeSurface, _quantile_pos,
-                                    fold_assignments)
+from strata_bounds.nuisance import _CellIndex, _quantile_pos, fold_assignments
 from strata_bounds.simulation import (TRUNC_HI, TRUNC_LO, _TRUNC_MASN,
                                       DesignAtoms, DgpConfig,
                                       _mix_censored_var, _mix_ppf, _mix_tail)
@@ -348,8 +349,39 @@ def direct_grid_bound(points, stratum, side, dominance):
 
 
 # ---------------------------------------------------------------------------
-# reference evaluations of the cell outcome surfaces: per-row loops, and
-# the per-fold cross-fitted loop that groups each fold's rows per call
+# reference evaluations of the cell outcome surfaces: cells sorted one at a
+# time, per-row loops, and the per-fold cross-fitted loop that groups each
+# fold's rows per call
+
+def _sorted_cell(y, w):
+    """Outcomes in ascending order with their cumulative weights and
+    cumulative weighted outcomes."""
+    order = np.argsort(y, kind="stable")
+    yv, wv = y[order], w[order]
+    return yv, np.cumsum(wv), np.cumsum(wv * yv)
+
+
+def reference_surface(table, spec):
+    """The cells of ``CellOutcomeSurface(table, spec)``, each arm's sorted
+    one cell at a time: ``index[d]``, the arm's cell index (``None`` when
+    no selected row of the arm weighs more than zero), and ``cells[d]``,
+    each cell key's ``_sorted_cell`` triple over the arm's training rows
+    of that key (left out when they all weigh zero), then the arm-level
+    surface of all the arm's rows under key -1."""
+    index, cells = {}, {}
+    for d in (0, 1):
+        mask = (table.s == 1) & (table.d == d)
+        xi, wi, yi = table.x[mask], table.weight[mask], table.y[mask]
+        if not (wi > 0).any():
+            index[d], cells[d] = None, {}
+            continue
+        index[d] = _CellIndex(xi, wi, spec)
+        keys = index[d].keys(xi)
+        cells[d] = {int(key): _sorted_cell(yi[keys == key], wi[keys == key])
+                    for key in np.unique(keys) if (wi[keys == key] > 0).any()}
+        cells[d][-1] = _sorted_cell(yi, wi)
+    return SimpleNamespace(spec=spec, index=index, cells=cells)
+
 
 def reference_keys(surface, d, x):
     """Cell keys of the rows of ``x`` in arm ``d``, recomputed column by
@@ -499,9 +531,9 @@ def grouped_trunc_mean(surface, x, j, d, u):
 
 
 def crossfit_surfaces(table, spec):
-    """The fold ids and the per-fold outcome surfaces of ``crossfit``."""
+    """The fold ids and the per-fold reference surfaces of ``crossfit``."""
     folds = fold_assignments(table.n, spec.folds, spec.seed)
-    return folds, [CellOutcomeSurface(table.select(folds != k), spec.cells)
+    return folds, [reference_surface(table.select(folds != k), spec.cells)
                    for k in range(spec.folds)]
 
 
@@ -582,6 +614,85 @@ def reference_interp(levels, values, u):
     for i in range(len(values)):
         out[i] = np.interp(u[i], levels, values[i])
     return out
+
+
+def reference_from_csv(path_or_buffer, weights_col=None):
+    """``ObservationTable.from_csv`` as one loop over ``csv.reader`` rows
+    that parses each field with ``float`` or ``int``: the columns ``(y, s,
+    d, x, w)``, or the ``ValueError`` for the header, for a file without
+    data rows, or for the first bad row or field."""
+    close = False
+    if isinstance(path_or_buffer, (str, bytes)):
+        fh = open(path_or_buffer, "r", encoding="utf-8", newline="")
+        close = True
+    else:
+        fh = path_or_buffer
+    try:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("data file is empty")
+        cols = {name: j for j, name in enumerate(header)}
+        if len(cols) < len(header):
+            dup = next(c for j, c in enumerate(header) if cols[c] != j)
+            raise ValueError(f"duplicate column {dup!r} in the header")
+        for required in ("y", "s", "d"):
+            if required not in cols:
+                raise ValueError(f"missing required column {required!r}")
+        if weights_col is None:
+            weights_col = "weight"
+        elif weights_col not in cols:
+            raise ValueError(f"missing weights column {weights_col!r}")
+        xnames = [c for c in header if re.fullmatch("x[0-9]+", c)]
+        xcols = [f"x{k}" for k in range(1, len(xnames) + 1)]
+        for c in xnames:
+            if c not in xcols:
+                raise ValueError(f"covariate column {c!r} is not one of "
+                                 f"x1..x{len(xcols)}: covariates are named "
+                                 f"x1..xp with none missing")
+        rows = list(reader)
+    finally:
+        if close:
+            fh.close()
+    if not rows:
+        raise ValueError("data file has no data rows")
+    n = len(rows)
+    y = np.full(n, np.nan)
+    s = np.zeros(n, dtype=np.int8)
+    d = np.zeros(n, dtype=np.int8)
+    w = np.ones(n)
+    x = np.zeros((n, len(xcols)))
+    width = len(header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"data row {i + 1} is blank" if not row else
+                             f"data row {i + 1} has {len(row)} fields, "
+                             f"the header has {width}")
+        try:
+            raw_y = row[cols["y"]].strip()
+            if raw_y not in ("", "NA"):
+                y[i] = float(raw_y)
+            s[i] = int(row[cols["s"]])
+            d[i] = int(row[cols["d"]])
+            if weights_col in cols and row[cols[weights_col]].strip() != "":
+                w[i] = float(row[cols[weights_col]])
+            for j, c in enumerate(xcols):
+                x[i, j] = float(row[cols[c]])
+        except (ValueError, OverflowError):
+            parsers = [("y", lambda v: v.strip() in ("", "NA") or float(v)),
+                       ("s", lambda v: np.int8(int(v))),
+                       ("d", lambda v: np.int8(int(v)))]
+            if weights_col in cols:
+                parsers.append((weights_col,
+                                lambda v: v.strip() == "" or float(v)))
+            parsers += [(c, float) for c in xcols]
+            for name, parse in parsers:
+                try:
+                    parse(row[cols[name]])
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"data row {i + 1}, column {name!r}: "
+                                     f"{exc}") from None
+    return y, s, d, x, w
 
 
 def reference_read_nuisance_csv(path):

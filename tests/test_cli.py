@@ -641,12 +641,15 @@ class TestEntryPoint:
     def test_heavy_scipy_stays_unloaded(self, tmp_path):
         # the special functions, the root finder and the population targets
         # are all in-package, so neither importing the package nor running
-        # a command loads any scipy module
+        # a command loads any scipy module; the process pool and its
+        # multiprocessing modules load only for simulate --threads > 1
         code = f"""
 import sys
 import strata_bounds as sb, strata_bounds.cli
+HEAVY = ("scipy", "concurrent.futures.process", "multiprocessing")
 def loaded():
-    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    return [m for m in sys.modules
+            if any(m == h or m.startswith(h + ".") for h in HEAVY)]
 seen = [loaded()]
 table = sb.dgp_sample(sb.DgpConfig(n=400, shares=(0.5, 0.0, 0.5),
                                    replications=1, base_seed=3), 0)

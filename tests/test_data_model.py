@@ -1,16 +1,19 @@
 import contextlib
+import csv
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import strata_bounds as sb
 from strata_bounds import nuisance
 from strata_bounds.cli import main
 from strata_bounds.data_model import XMINUS, XPLUS, XZERO, partition_labels
+from helpers import reference_from_csv
 from test_shared_pieces import CLI_FLAGS, _crossfit_draw
 
 
@@ -240,6 +243,34 @@ class TestCsv:
         with pytest.raises(ValueError, match="data file is empty"):
             sb.ObservationTable.from_csv(io.StringIO(""))
 
+    def test_named_weights_column_must_exist(self, tmp_path, capsys):
+        data = "y,s,d,weight,x1\n1,1,1,2.0,0.3\n"
+        with pytest.raises(ValueError, match="missing weights column 'wgt'"):
+            sb.ObservationTable.from_csv(io.StringIO(data), weights_col="wgt")
+        t = sb.ObservationTable.from_csv(io.StringIO(data), weights_col="x1")
+        assert t.weight.tolist() == [0.3]
+        # the default column stays optional
+        t = sb.ObservationTable.from_csv(io.StringIO("y,s,d,x1\n1,1,1,0.3\n"))
+        assert t.weight.tolist() == [1.0]
+        table, _, _ = _crossfit_draw()
+        path = tmp_path / "d.csv"
+        table.to_csv(str(path))
+        assert main(["estimate", str(path), "--weights-col", "wgt",
+                     *CLI_FLAGS]) == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "InvalidData", "message": "missing weights column 'wgt'"}
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path, capsys,
+                                               recwarn):
+        path = tmp_path / "d.csv"
+        path.write_text("y,s,d,weight,x1\n")
+        with pytest.raises(ValueError, match="^data file has no data rows$"):
+            sb.ObservationTable.from_csv(str(path))
+        assert main(["estimate", str(path), *CLI_FLAGS]) == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "InvalidData", "message": "data file has no data rows"}
+        assert not recwarn.list
+
     def test_reads_what_it_read_before(self):
         # empty and NA outcomes, an empty weight, quoted and padded fields
         data = ('y,s,d,weight,x2,x1\n,0,1,,0.5,1\nNA,0,0,2, 1e-3 ,-2\n'
@@ -249,3 +280,83 @@ class TestCsv:
         assert t.weight.tolist() == [1.0, 2.0, 0.25]
         assert t.x.tolist() == [[1.0, 0.5], [-2.0, 1e-3], [7.0, -0.0]]
         assert t.s.tolist() == [0, 0, 1] and t.d.tolist() == [1, 0, 1]
+
+
+# fields that numpy's parser and ``float``/``int`` may read differently:
+# quotes, padding, underscores, signs, overflow, NaN signs and infinities
+_FIELDS = {
+    "y": ["", "NA", " NA ", " ", "1.5", " 2 ", '"3.5"', "-nan", "nan", "inf",
+          "-inf", "1_000", "+1", "abc", "1e999", "-0.0", '""'],
+    "s": ["0", "1", "+1", " 1 ", "1.0", "300", "-1", "1_0", "", '"1"', "x",
+          "-0"],
+    "weight": ["1.0", "", " ", "2", "0", "-nan", "inf", "1_000", '"2"', "abc",
+               " 0.5 ", "+3"],
+    "x": ["0.5", "-1e-3", " 7 ", "-nan", "inf", "1_000", "", '"1"', "abc",
+          "-0.0", "+2", "1e999", ' "1"', "1 2"],
+}
+
+
+@st.composite
+def csv_files(draw):
+    """A data CSV text that is usually valid, with fields drawn from
+    ``_FIELDS`` (mostly their first, plain entries), columns in any order,
+    sometimes no weight column or an extra one, and sometimes a blank
+    line, a ragged row or CRLF/CR line endings."""
+    p = draw(st.integers(0, 2))
+    names = ["y", "s", "d"] + [f"x{k + 1}" for k in range(p)]
+    if draw(st.booleans()):
+        names.append("weight")
+    if draw(st.integers(0, 4)) == 0:
+        names.append("id")
+    names = draw(st.permutations(names))
+    plain = st.integers(0, 5).map(lambda k: max(k - 3, 0))
+
+    def field(name):
+        kind = "s" if name in ("s", "d") else "x" if name[0] == "x" else name
+        pool = _FIELDS.get(kind, ["7", "-1.5", "a"])
+        if draw(st.integers(0, 5)):
+            return pool[draw(plain)]
+        return draw(st.sampled_from(pool))
+
+    rows = [[field(name) for name in names]
+            for _ in range(draw(st.integers(0, 6)))]
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    if rows and draw(st.integers(0, 5)) == 0:
+        k = draw(st.integers(1, len(rows)))
+        lines[k] = draw(st.sampled_from(["", " ", lines[k] + ",1",
+                                         lines[k].rpartition(",")[0]]))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, draw(st.sampled_from([None, "weight"]))
+
+
+def read_columns(reader, source, weights_col):
+    """The bytes and dtypes of the columns a reader returns, or the type
+    and message of what it raises."""
+    try:
+        out = reader(source, weights_col=weights_col)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, sb.ObservationTable):
+        out = (out.y, out.s, out.d, out.x, out.weight)
+    return [(col.dtype.str, col.shape, col.tobytes()) for col in out]
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "d.csv"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=csv_files())
+def test_bulk_reader_parity_with_the_row_loop(csv_path, case):
+    text, weights_col = case
+    path = csv_path
+    path.write_bytes(text.encode())
+    for source in (lambda: str(path), lambda: io.StringIO(text, newline=""),
+                   lambda: io.StringIO(text)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_columns(sb.ObservationTable.from_csv, source(),
+                               weights_col)
+        assert got == read_columns(reference_from_csv, source(), weights_col)

@@ -7,7 +7,8 @@ import pytest
 import strata_bounds as sb
 from helpers import (crossfit_surfaces, grouped_trunc_mean, reference_crossfit,
                      reference_interp, reference_keys, reference_quantile,
-                     reference_read_nuisance_csv, reference_trunc_mean)
+                     reference_read_nuisance_csv, reference_surface,
+                     reference_trunc_mean)
 from strata_bounds.cli import main as cli_main
 from strata_bounds.data_model import ObservationTable
 from strata_bounds.errors import EmptyCellError, EmptyTailError, SeparationWarning
@@ -15,7 +16,7 @@ from strata_bounds.influence import eif_smooth
 from strata_bounds.nuisance import (CellOutcomeSurface, CellSpec, LearnerSpec,
                                     crossfit, fit_selection, fold_assignments,
                                     load_external_nuisances, _CellIndex,
-                                    _interp_rows, _read_nuisance_csv,
+                                    _interp_rows, _isclose, _read_nuisance_csv,
                                     _weighted_quantile)
 from strata_bounds.smoothing import GFamily
 
@@ -154,48 +155,54 @@ class TestVectorizedSurfaces:
     @pytest.mark.parametrize("seed", range(6))
     def test_byte_identical_to_reference(self, seed):
         t = tied_cell_table(seed)
-        surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0,), n_bins=3))
+        cells = CellSpec(discrete_cols=(0,), n_bins=3)
+        surf, ref = CellOutcomeSurface(t, cells), reference_surface(t, cells)
         rng = np.random.default_rng(100 + seed)
         x = t.x[rng.integers(0, t.n, 250)]
         u = np.concatenate([EDGE_LEVELS, rng.integers(0, 21, 94) / 20.0,
                             rng.random(150)])
         for d in (0, 1):
             assert outcome(surf.quantile, x, d, u) == \
-                outcome(reference_quantile, surf, x, d, u)
+                outcome(reference_quantile, ref, x, d, u)
             for j in (0, 1):
                 assert outcome(surf.trunc_mean, x, j, d, u) == \
-                    outcome(reference_trunc_mean, surf, x, j, d, u)
+                    outcome(reference_trunc_mean, ref, x, j, d, u)
 
     def test_unseen_cell_same_error_as_reference(self):
         t = tied_cell_table(1)
         keep = ~((t.x[:, 0] == 2) & (t.d == 1))
-        surf = CellOutcomeSurface(t.select(np.flatnonzero(keep)),
-                                  CellSpec(discrete_cols=(0,), n_bins=3))
+        kept = t.select(np.flatnonzero(keep))
+        cells = CellSpec(discrete_cols=(0,), n_bins=3)
+        surf = CellOutcomeSurface(kept, cells)
+        ref = reference_surface(kept, cells)
         # column 0 level 2 stays known through arm 0; arm 1 never saw it
         x = np.array([[0.0, 0.1], [2.0, 3.0], [1.0, -0.2], [2.0, -3.0]])
         u = np.full(4, 0.5)
         got = outcome(surf.quantile, x, 1, u)
         assert got[0] is EmptyCellError
-        assert got == outcome(reference_quantile, surf, x, 1, u)
+        assert got == outcome(reference_quantile, ref, x, 1, u)
         for j in (0, 1):
             assert outcome(surf.trunc_mean, x, j, 1, u) == \
-                outcome(reference_trunc_mean, surf, x, j, 1, u)
+                outcome(reference_trunc_mean, ref, x, j, 1, u)
         # an unseen discrete level fails in the key lookup, for both
         x_new = np.array([[5.0, 0.0]])
         assert outcome(surf.quantile, x_new, 0, u[:1]) == \
-            outcome(reference_quantile, surf, x_new, 0, u[:1])
+            outcome(reference_quantile, ref, x_new, 0, u[:1])
 
 
 class TestEmptyTails:
     """Zero-weight rows at the bottom of a cell leave its lower tail empty
     at small levels."""
 
+    def _table(self):
+        return ObservationTable(y=np.array([1.0, 2.0, 3.0, 4.0]),
+                                s=np.ones(4, int), d=np.ones(4, int),
+                                x=np.zeros((4, 1)),
+                                weight=np.array([0.0, 1.0, 1.0, 1.0]))
+
     def _surface(self, lenient):
-        t = ObservationTable(y=np.array([1.0, 2.0, 3.0, 4.0]),
-                             s=np.ones(4, int), d=np.ones(4, int),
-                             x=np.zeros((4, 1)),
-                             weight=np.array([0.0, 1.0, 1.0, 1.0]))
-        return CellOutcomeSurface(t, CellSpec(lenient_tails=lenient))
+        return CellOutcomeSurface(self._table(),
+                                  CellSpec(lenient_tails=lenient))
 
     def test_strict_raises(self):
         surf = self._surface(lenient=False)
@@ -210,7 +217,8 @@ class TestEmptyTails:
             got = surf.trunc_mean(x, 1, 1, u)
         assert got[1:].tolist() == [3.0] * 4   # weighted mean of 2, 3, 4
         assert got[0] == 2.5                   # mean of 2 and 3
-        assert got.tobytes() == reference_trunc_mean(surf, x, 1, 1, u).tobytes()
+        ref = reference_surface(self._table(), CellSpec(lenient_tails=True))
+        assert got.tobytes() == reference_trunc_mean(ref, x, 1, 1, u).tobytes()
         assert len(caplog.records) == 1
         assert "4 rows" in caplog.records[0].getMessage()
 
@@ -221,13 +229,14 @@ class TestEmptyTails:
         t = ObservationTable(y=np.arange(1.0, 6.0), s=np.ones(5, int),
                              d=np.ones(5, int), x=x_train,
                              weight=np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
-        surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0, 1),
-                                              lenient_tails=False))
+        cells = CellSpec(discrete_cols=(0, 1), lenient_tails=False)
+        surf, ref = CellOutcomeSurface(t, cells), reference_surface(t, cells)
         u = np.full(2, 1e-13)
         for x in ([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]]):
             got = outcome(surf.trunc_mean, np.array(x), 1, 1, u)
             assert got[0] is EmptyTailError
-            assert got == outcome(reference_trunc_mean, surf, np.array(x), 1, 1, u)
+            assert got == outcome(reference_trunc_mean, ref, np.array(x), 1,
+                                  1, u)
 
 
 class TestUnseenCells:
@@ -241,6 +250,7 @@ class TestUnseenCells:
                              s=np.ones(5, int), d=np.ones(5, int), x=x_train,
                              weight=np.array([1.0, 2.0, 1.0, 1.0, 0.5]))
         surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0, 1)))
+        ref = reference_surface(t, CellSpec(discrete_cols=(0, 1)))
         pooled = CellOutcomeSurface(t, CellSpec())
         x = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         u = np.array([0.3, 0.3, 0.8])
@@ -260,8 +270,8 @@ class TestUnseenCells:
             assert got[unseen].tobytes() == \
                 evaluate(pooled, j, x[unseen], u[unseen]).tobytes()
             assert got[1] == evaluate(surf, j, x[[1]], u[[1]])[0]
-            want = reference_quantile(surf, x, 1, u) if j is None \
-                else reference_trunc_mean(surf, x, j, 1, u)
+            want = reference_quantile(ref, x, 1, u) if j is None \
+                else reference_trunc_mean(ref, x, j, 1, u)
             assert got.tobytes() == want.tobytes()
 
     def test_crossfit_draw_with_unseen_held_out_cell(self):
@@ -347,6 +357,13 @@ class TestCellKeys:
         x_new = np.array([[1 - 1e-9], [1 + 1e-9], [2 + 1e-9], [-1e-9],
                           [0.5], [3.0]])
         assert index.keys(x_new).tolist() == [1, 1, 2, 0, -2, -2]
+
+    def test_inline_closeness_is_np_isclose(self):
+        edge = np.array([0.0, -0.0, 1.0, 1 + 1e-9, 1 + 1e-4, -1.0, 1e-9, 5e-324,
+                         1e308, np.inf, -np.inf, np.nan])
+        a, b = np.repeat(edge, len(edge)), np.tile(edge, len(edge))
+        assert _isclose(a, b).tolist() == np.isclose(a, b).tolist()
+        assert _isclose(edge, edge).tolist() == np.isclose(edge, edge).tolist()
 
 
 class TestFolds:
@@ -575,12 +592,90 @@ class TestCrossfitPlan:
                              "(arm 1 lower tail)")
 
 
-def surface_outcomes(surface, x, u):
-    """Every call of a ``CellOutcomeSurface`` on ``x`` at levels ``u``, and
-    of the per-row reference loops, as bytes or the error raised."""
+CONTROL_SPEC = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=2),
+                           folds=3, seed=2)
+
+
+def control_arm_table(seed, control_rows_in_one_fold):
+    """A draw whose outcomes vary in both arms, with ties (rounded
+    outcomes) and zero weights. Level 3 of the discrete covariate sits on
+    four selected rows of fold 0, in the lowest bin, and two of fold 1, in
+    the highest bin, half of them treated. Fold 1 holds no selected
+    control row or, with ``control_rows_in_one_fold``, fold 2 holds every
+    selected control row, so its training folds hold none. So the control
+    cells of fold 0 never saw level 3, and the treated cells of folds 0
+    and 1 saw it, but not in the bin of their own rows of level 3."""
+    rng = np.random.default_rng(seed)
+    n = 360
+    folds = fold_assignments(n, CONTROL_SPEC.folds, CONTROL_SPEC.seed)
+    x = np.column_stack([rng.integers(0, 3, n), rng.normal(size=n)])
+    d = rng.integers(0, 2, n)
+    s = (rng.random(n) < 0.7).astype(int)
+    w = rng.choice([0.0, 0.5, 1.0, 2.5], n, p=[0.1, 0.3, 0.4, 0.2])
+    for k, rows, x2 in ((0, 4, -5.0), (1, 2, 5.0)):
+        rare = np.flatnonzero(folds == k)[:rows]
+        x[rare] = [3.0, x2]
+        d[rare], s[rare], w[rare] = np.arange(rows) % 2, 1, 1.0
+    control = d == 0
+    s[control & (folds != 2 if control_rows_in_one_fold else folds == 1)] = 0
+    y = np.round(rng.normal(size=n) + x[:, 0] - 0.5 * control, 1)
+    return ObservationTable(y=np.where(s == 1, y, np.nan), s=s, d=d, x=x,
+                            weight=w), folds
+
+
+class TestControlArmParity:
+    """The benchmark design's control outcome is identically 0, so its
+    digests cannot see a control-arm mistake; here both arms vary."""
+
+    @pytest.mark.parametrize("one_fold", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_both_arms_byte_identical_to_reference(self, caplog, seed,
+                                                   one_fold):
+        t, folds = control_arm_table(seed, one_fold)
+        assert len(np.unique(t.y[(t.s == 1) & (t.d == 0)])) > 10
+        bundle = crossfit(t, CONTROL_SPEC)
+        ref = reference_crossfit(t, CONTROL_SPEC, bundle)
+        rng = np.random.default_rng(seed)
+        rows = bundle.all_rows()
+        unseen = (folds == 0) & (t.x[:, 0] == 3.0)
+        clean = np.flatnonzero(~unseen)
+        repeats = rng.choice(clean, 500)
+        edge = np.array([0.0, 1e-13, 0.3, 1.0, np.nan])
+        for u in [np.resize(edge, t.n)] + [np.full(t.n, v) for v in edge]:
+            for r in (rows, clean, repeats):
+                uu = np.resize(u, len(r))
+                got = warnings_of(caplog, lambda: evaluations(bundle, r, uu))
+                assert got == warnings_of(caplog,
+                                          lambda: evaluations(ref, r, uu))
+                assert evaluations(bundle, r, uu) == evaluations(ref, r, uu)
+        # the control tails raise on the unseen level, and the treated
+        # tails read the arm-level surface for the rows of level 3
+        u = np.full(t.n, 0.3)
+        logs = warnings_of(caplog, lambda: bundle.tail(rows, 1, 1, u))
+        assert logs == ["4 rows in arm 1 fall in cells with no training rows; "
+                        "using the arm-level surface",
+                        "2 rows in arm 1 fall in cells with no training rows; "
+                        "using the arm-level surface"]
+        got = evaluations(bundle, rows, u)
+        assert [isinstance(g, tuple) for g in got] == [True, True, False,
+                                                       False]
+        assert "unseen level" in got[0][1]
+        # with one fold holding every control row, that fold's rows raise
+        fold2 = np.flatnonzero(folds == 2)
+        control = evaluations(bundle, fold2, u[fold2])[:2]
+        assert all(isinstance(g, tuple) == one_fold for g in control)
+
+
+def surface_outcomes(table, cells, x, u):
+    """Every call of the ``CellOutcomeSurface`` fitted on ``table`` on
+    ``x`` at levels ``u``, and of the per-row reference loops on its
+    reference surface, as bytes or the error raised."""
+    surface = CellOutcomeSurface(table, cells)
+    ref = reference_surface(table, cells)
+
     def reference_tail(x, j, d, u):
-        return (reference_quantile(surface, x, d, u),
-                reference_trunc_mean(surface, x, j, d, u))
+        return (reference_quantile(ref, x, d, u),
+                reference_trunc_mean(ref, x, j, d, u))
 
     got, want = [], []
     for d in (0, 1):
@@ -594,7 +689,7 @@ def assert_matches_references(caplog, table, cells, u, folds=3):
     """The surface fitted on ``table`` against the per-row loops on all its
     rows, and ``crossfit`` against the per-fold loop (values, errors and
     log lines), at levels ``u``."""
-    got, want = surface_outcomes(CellOutcomeSurface(table, cells), table.x, u)
+    got, want = surface_outcomes(table, cells, table.x, u)
     assert got == want
     spec = LearnerSpec(cells=cells, folds=folds, seed=3)
     bundle = crossfit(table, spec)
@@ -641,7 +736,7 @@ class TestSegmentedSearch:
         u = np.array([1.0 - 1e-13, 1e-13, 0.9, 0.2])
         assert surf.trunc_mean(xq, 1, 1, u)[0] == 2.0
         assert surf.trunc_mean(xq, 0, 1, u)[1] == 4.0
-        got, want = surface_outcomes(surf, xq, u)
+        got, want = surface_outcomes(t, CellSpec(discrete_cols=(0,)), xq, u)
         assert got == want
         # and the same layout across the folds of a cross-fit
         big = ObservationTable(y=np.tile(y, 12), s=np.ones(72, int),
@@ -686,9 +781,9 @@ class TestSegmentedSearch:
             return rng.choice(np.concatenate([cw / total, hits]), size)
 
         cells = CellSpec()
-        surf = CellOutcomeSurface(t, cells)
-        got, want = surface_outcomes(surf, t.x,
-                                     step_levels(surf.cells[1][0][1], n))
+        ref = reference_surface(t, cells)
+        got, want = surface_outcomes(t, cells, t.x,
+                                     step_levels(ref.cells[1][0][1], n))
         assert got == want
         spec = LearnerSpec(cells=cells, folds=2, seed=3)
         folds, surfaces = crossfit_surfaces(t, spec)
@@ -722,8 +817,7 @@ class TestSegmentedSearch:
                              x=np.repeat(np.arange(4.0), 2)[:, None],
                              weight=np.array([1.0, 2.0] * 4))
         u = np.array([0.0, 1e-13, 0.3, 0.5, 0.7, 1 - 1e-13, 1.0, 0.5])
-        got, want = surface_outcomes(
-            CellOutcomeSurface(t, CellSpec(discrete_cols=(0,))), t.x, u)
+        got, want = surface_outcomes(t, CellSpec(discrete_cols=(0,)), t.x, u)
         assert got == want
         assert all(isinstance(g, bytes) for g in got)
         # cross-fitted bins that hold one or two training rows each
@@ -756,8 +850,8 @@ class TestSegmentedSearch:
         t = ObservationTable(y=np.arange(1.0, 6.0), s=np.ones(5, int),
                              d=np.ones(5, int), x=x_train,
                              weight=np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
-        surf = CellOutcomeSurface(t, CellSpec(discrete_cols=(0, 1),
-                                              lenient_tails=False))
+        cells = CellSpec(discrete_cols=(0, 1), lenient_tails=False)
+        surf = CellOutcomeSurface(t, cells)
         x = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         u = np.full(3, 1e-13)
         got = []
@@ -769,7 +863,8 @@ class TestSegmentedSearch:
                         "rows; using the arm-level surface"]
         want = []
         assert warnings_of(caplog, lambda: want.append(
-            outcome(grouped_trunc_mean, surf, x, 1, 1, u))) == logs
+            outcome(grouped_trunc_mean, reference_surface(t, cells), x, 1, 1,
+                    u))) == logs
         assert want == got
 
 
