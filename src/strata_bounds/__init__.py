@@ -12,8 +12,8 @@ from .data_model import (BoundsEstimate, NuisanceBundle, ObservationTable,
                          Side, Stratum, StratumSpec, ValidationReport,
                          partition_labels, validate)
 from .errors import (AllTrimmedError, DegenerateTrimError, EmptyCellError,
-                     EmptyTailError, InfiniteMomentError, PartitionError,
-                     SeparationWarning, StrataBoundsError, ZeroShareError)
+                     InfiniteMomentError, PartitionError, SeparationWarning,
+                     StrataBoundsError, ZeroShareError)
 from .estimation import (EstimationConfig, default_rho, estimate_inefficient,
                          estimate_sharp, estimate_smooth, estimate_switch,
                          estimate_trim, im_critical_value,
@@ -25,7 +25,7 @@ from .influence import (InfluenceRows, SmoothInfluenceRows,
                         degenerate_at_moments, efficiency_bound,
                         efficiency_gap, eif_regular, eif_smooth)
 from .nuisance import (CellOutcomeSurface, CellSpec, LearnerSpec, crossfit,
-                       fit_propensity, fit_selection, fold_assignments,
+                       fit_selection, fold_assignments,
                        load_external_nuisances)
 from .simulation import (BenchmarkDesign, DgpConfig, EstimatorSpec,
                          ExperimentResult, OracleTarget, PANEL_SHARES,

@@ -11,6 +11,7 @@ sets the log level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -340,7 +341,10 @@ def cmd_bounds_curve(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(prog="strata-bounds",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -406,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _Failure as exc:

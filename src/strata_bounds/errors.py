@@ -31,9 +31,5 @@ class EmptyCellError(StrataBoundsError):
     level with no training observations."""
 
 
-class EmptyTailError(StrataBoundsError):
-    """No training observation fell inside a requested truncation region."""
-
-
 class SeparationWarning(UserWarning):
     """A fitted logistic index exceeded the quasi-separation threshold."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._special import expit
 from .data_model import NuisanceBundle, ObservationTable
-from .errors import EmptyCellError, EmptyTailError, SeparationWarning
+from .errors import EmptyCellError, SeparationWarning
 
 logger = logging.getLogger("strata_bounds")
 
@@ -78,10 +78,6 @@ def _fit_logistic(Xd, y, w, tol: float = 1e-8, max_iter: int = 100):
     return coef
 
 
-def logistic_predict(coef, X):
-    return expit(_design(X) @ coef)
-
-
 def _fit_selection(Xd, table: ObservationTable, rows, arm: int):
     """Coefficients of P(S=1 | X) on the ``rows`` (indices) of ``table``,
     which are its rows of arm ``arm`` that a fit reads; ``Xd`` is the
@@ -96,13 +92,7 @@ def fit_selection(table: ObservationTable, arm: int):
     """Fit P(S=1 | X) on one treatment arm; returns an x -> probability map."""
     coef = _fit_selection(_design(table.x), table,
                           np.flatnonzero(table.d == arm), arm)
-    return lambda X: logistic_predict(coef, np.atleast_2d(X))
-
-
-def fit_propensity(table: ObservationTable):
-    """Fit P(D=1 | X) on the full sample."""
-    coef = _fit_logistic(_design(table.x), table.d, table.weight)
-    return lambda X: logistic_predict(coef, np.atleast_2d(X))
+    return lambda X: expit(_design(np.atleast_2d(X)) @ coef)
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +103,15 @@ class CellSpec:
     """How to partition the covariate space into evaluation cells.
 
     ``discrete_cols`` are used as-is; every other column is cut at its
-    weighted training quantiles into ``n_bins`` bins. ``lenient_tails``
-    substitutes the cell mean (with a log entry) when a truncation region
-    contains no training mass instead of raising.
+    weighted training quantiles into ``n_bins`` bins, at least one.
     """
 
     discrete_cols: tuple = ()
     n_bins: int = 1
-    lenient_tails: bool = True
+
+    def __post_init__(self):
+        if self.n_bins < 1:
+            raise ValueError(f"n_bins must be at least 1, got {self.n_bins}")
 
 
 #: Cell key of a row with a discrete level that the arm's training rows
@@ -223,35 +214,37 @@ def _quantile_pos(cw, u):
 class _Cells:
     """Sorted cells laid end to end in flat arrays.
 
-    Segment ``k`` holds one cell's outcomes in ascending order, each with
-    its cumulative weight and cumulative weighted outcome, at flat indices
-    ``start[k]`` to ``start[k] + length[k] - 1`` of ``y``, ``cw`` and
-    ``cy``. ``first[i]`` and ``last[i]`` are the flat indices where the run
-    of outcomes tied with ``y[i]`` begins and ends; a run never leaves its
-    segment, so they are ``np.searchsorted(yv, yv[i], "left")`` and
+    Segment ``k`` holds the outcomes of cell ``key[k]`` (``_ARM_LEVEL`` for
+    an arm-level surface) in ascending order, each with its cumulative
+    weight and cumulative weighted outcome, at flat indices ``start[k]`` to
+    ``start[k] + length[k] - 1`` of ``y``, ``cw`` and ``cy``; ``total_w[k]``
+    and ``total_y[k]`` are its last cumulative sums. ``first[i]`` and
+    ``last[i]`` are the flat indices where the run of outcomes tied with
+    ``y[i]`` begins and ends; a run never leaves its segment, so they are
+    ``np.searchsorted(yv, yv[i], "left")`` and
     ``np.searchsorted(yv, yv[i], "right") - 1`` within the cell (NaNs tie
-    with each other, as in numpy's sort order). The last segment is one row
-    of outcome 0 and weight 1, which the rows of a group that raises
-    ``EmptyCellError`` read, so a call can evaluate all its rows before it
-    walks the groups.
+    with each other, as in numpy's sort order).
     """
 
-    def __init__(self, y, w, segments):
-        """The cells whose table rows, in ascending outcome order, are the
-        index arrays ``segments``, then the placeholder; ``y`` and ``w`` are
-        the table's outcomes and weights. Each segment's cumulative sums
+    def __init__(self, y, w, keys, segments):
+        """The cells with keys ``keys`` whose table rows, in ascending
+        outcome order, are the index arrays ``segments``; ``y`` and ``w``
+        are the table's outcomes and weights. Each segment's cumulative sums
         are taken on that segment alone."""
-        length = np.array([len(seg) for seg in segments] + [1])
+        self.key = np.array(keys, dtype=np.int64)
+        length = np.array([len(seg) for seg in segments], dtype=np.int64)
         start = np.cumsum(length) - length
         rows = np.concatenate(segments + [np.zeros(0, dtype=np.int64)])
-        self.y = np.append(y.take(rows), 0.0)
-        wv = np.append(w.take(rows), 1.0)
+        self.y = y.take(rows)
+        wv = w.take(rows)
         wy = wv * self.y
         self.cw, self.cy = np.empty_like(wv), np.empty_like(wv)
         for a, b in zip(start.tolist(), (start + length).tolist()):
             wv[a:b].cumsum(out=self.cw[a:b])
             wy[a:b].cumsum(out=self.cy[a:b])
         self.start, self.length = start, length
+        end = start + length - 1
+        self.total_w, self.total_y = self.cw[end], self.cy[end]
         y = self.y
         new = np.ones(len(y), dtype=bool)
         new[1:] = (y[1:] != y[:-1]) & ~(np.isnan(y[1:]) & np.isnan(y[:-1]))
@@ -264,56 +257,26 @@ class _Cells:
 
 
 @dataclass(frozen=True)
-class _Group:
-    """The rows of an evaluation plan that one cell of arm ``d`` serves.
-
-    ``seg`` is the cell's segment in the arm's ``_Cells``, or ``None`` when
-    evaluating the rows raises ``EmptyCellError``: through ``index`` for
-    an unseen discrete level, or because the arm had no training rows
-    (``index`` is ``None``).
-    """
-
-    d: int
-    key: int
-    seg: Optional[int]
-    index: Optional[_CellIndex]
-    lenient: bool
-
-
-@dataclass(frozen=True)
 class _CellFit:
     """The cells that one training set fits for one arm: the cell index
     (``None`` when the arm holds no training row of positive weight), the
     segment of each training cell in the arm's ``_Cells`` by key, the
-    arm-level surface under key -1 last, and the cell key of every table
-    row."""
+    arm-level surface under key -1, and the cell key of every table row."""
 
     index: Optional[_CellIndex]
     segs: dict
     keys: np.ndarray
 
-    def keys_of(self, x) -> np.ndarray:
-        """The cell keys of the rows of ``x``; without an index, key -2,
-        whose rows raise."""
-        if self.index is None:
-            return np.full(len(x), _UNSEEN_LEVEL, dtype=np.int64)
-        return self.index.keys(x)
-
-    def groups(self, d: int, keys, lenient: bool) -> tuple:
-        """Each row's group id, and the groups of the rows with cell
-        ``keys``, in key order: rows with an unseen discrete level or of an
-        arm without training rows (key -2, which raises), rows of a cell
-        with no training rows of the arm (the arm-level surface, key -1),
-        then the cells in ascending key order."""
-        segs = self.segs
-        uniq, gid = np.unique(keys, return_inverse=True)
-        seen = np.array([key in segs or key == _UNSEEN_LEVEL
-                         for key in uniq.tolist()])
-        if not seen.all():
-            uniq, gid = np.unique(np.where(seen[gid], keys, _ARM_LEVEL),
-                                  return_inverse=True)
-        return gid, [_Group(d, key, segs.get(key), self.index, lenient)
-                     for key in uniq.tolist()]
+    def segments(self, keys) -> np.ndarray:
+        """The segment that serves each row of cell ``keys``: its cell's,
+        the arm-level surface's for a cell with no training rows of the arm,
+        or -1 for a row that raises ``EmptyCellError`` (key -2: a discrete
+        level never seen in training, or an arm without training rows)."""
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        arm_level = self.segs.get(_ARM_LEVEL)
+        seg = [-1 if key == _UNSEEN_LEVEL else self.segs.get(key, arm_level)
+               for key in uniq.tolist()]
+        return np.array(seg, dtype=np.int64)[inverse]
 
 
 def _arm_cells(table: ObservationTable, d: int, spec: CellSpec,
@@ -324,15 +287,16 @@ def _arm_cells(table: ObservationTable, d: int, spec: CellSpec,
     ``trains`` are boolean masks over the table's rows; a set's training
     rows are its selected rows of arm ``d``. The cell index is fitted on
     them in table order (its weighted-quantile edges depend on the order of
-    tied covariate values). Each cell is the set's rows of that key taken
-    from one stable sort of the arm by outcome, which is the stable sort
-    of the cell by outcome; a cell whose rows all weigh zero is left out.
-    All the set's rows, in outcome order, make the arm-level surface.
+    tied covariate values). All the set's rows, in outcome order, make the
+    arm-level surface, laid out first. Then each cell, in ascending key
+    order, is the set's rows of that key taken from one stable sort of the
+    arm by outcome, which is the stable sort of the cell by outcome; a cell
+    whose rows all weigh zero is left out.
     """
     w = table.weight
     arm = np.flatnonzero((table.s == 1) & (table.d == d))
     by_y = arm.take(np.argsort(table.y.take(arm), kind="stable"))
-    fits, segments = [], []
+    fits, seg_keys, segments = [], [], []
     for train in trains:
         rows = arm.compress(train.take(arm))
         w_rows = w.take(rows)
@@ -344,62 +308,46 @@ def _arm_cells(table: ObservationTable, d: int, spec: CellSpec,
         index = _CellIndex(table.x.take(rows, axis=0), w_rows, spec)
         keys = index.keys(table.x)
         ordered = by_y.compress(train.take(by_y))
+        segs = {_ARM_LEVEL: len(segments)}
+        seg_keys.append(_ARM_LEVEL)
+        segments.append(ordered)
         cells = ordered.take(np.argsort(keys.take(ordered), kind="stable"))
         cell_keys = keys.take(cells)
         # a key below every cell key starts the first cell
         firsts = np.flatnonzero(np.diff(cell_keys, prepend=_UNSEEN_LEVEL - 1))
         weighed = np.logical_or.reduceat(w.take(cells) > 0, firsts)
-        segs = {}
         for key, a, b, keep in zip(cell_keys[firsts].tolist(), firsts.tolist(),
                                    firsts[1:].tolist() + [len(cells)],
                                    weighed.tolist()):
             if keep:
                 segs[key] = len(segments)
+                seg_keys.append(key)
                 segments.append(cells[a:b])
-        segs[_ARM_LEVEL] = len(segments)
-        segments.append(ordered)
         fits.append(_CellFit(index, segs, keys))
-    return fits, _Cells(table.y, w, segments)
+    return fits, _Cells(table.y, w, seg_keys, segments)
 
 
 class _Plan:
-    """Rows grouped by training cell: row ``i`` of ``x`` belongs to
-    ``groups[gid[i]]``, whose outcomes are a segment of ``cells``.
+    """The segment of arm ``d``'s ``cells`` that serves each row of ``x``:
+    row ``i``, held out in fold ``fold[i]``, reads segment ``seg[i]`` (see
+    ``_CellFit.segments``), or raises ``EmptyCellError`` when ``seg[i]`` is
+    -1; ``fits`` are the arm's ``_CellFit`` of each fold.
 
-    A call evaluates one tail of all its rows in one vectorized pass: a
-    binary search that runs in every row's segment at once finds the
+    A call first raises for the lowest fold among its rows that raise.
+    Otherwise it evaluates one tail of all its rows in one vectorized pass:
+    a binary search that runs in every row's segment at once finds the
     quantile positions, and the tie runs give the truncation boundaries.
-    It then raises for the first group without a cell, or walks the groups
-    it read in their order, which is evaluation order, to log the
-    arm-level surface and empty tails and to raise for a strict empty
-    tail. Rows whose group raises read the placeholder segment until then.
+    Last it logs, in segment order, which is (fold, cell) order, the
+    arm-level surfaces and the empty tails it read.
     """
 
-    def __init__(self, cells: _Cells, parts, x: np.ndarray):
-        """The plan over ``(rows, gid, groups)`` parts of the rows of
-        ``x``, each grouped as ``_CellFit.groups`` does, with group ids
-        counted on from the parts before it."""
-        self.gid = np.empty(len(x), dtype=np.int64)
-        self.groups = []
-        for rows, gid, groups in parts:
-            self.gid[rows] = gid + len(self.groups)
-            self.groups += groups
-        self.x = x
-        self.cells = cells
-        # a raising group reads the placeholder, the last segment
-        seg = np.array([len(cells.start) - 1 if g.seg is None else g.seg
-                        for g in self.groups], dtype=np.int64)
-        self.start = cells.start[seg]
-        self.length = cells.length[seg]
-        end = self.start + self.length - 1
-        self.total_w = cells.cw[end]
-        self.total_y = cells.cy[end]
-        self.cell_less = np.array([g.seg is None for g in self.groups])
-        self.arm_level = np.array([g.key == _ARM_LEVEL for g in self.groups])
+    def __init__(self, cells: _Cells, d: int, fits, fold, seg, x):
+        self.cells, self.d, self.fits = cells, d, fits
+        self.fold, self.seg, self.x = fold, seg, x
 
-    def _locate(self, rows, u):
-        """The group of each queried row and the flat index of its
-        left-continuous quantile at level ``u``: the row's cell position
+    def _locate(self, seg, u):
+        """The flat index of the left-continuous quantile at level ``u`` of
+        each row of segment ``seg``: the row's cell position
         ``np.searchsorted(cw, u * total - 1e-12 * total, side="left")``,
         capped at the cell's last index.
 
@@ -408,12 +356,13 @@ class _Plan:
         target inside it. Cumulative weights never decrease (weights are
         non-negative), so with numpy's comparison, which puts NaN above
         every number, it lands where ``np.searchsorted`` does."""
-        g = self.gid[rows]
-        start, length, total = self.start[g], self.length[g], self.total_w[g]
+        cells = self.cells
+        start, length = cells.start[seg], cells.length[seg]
+        total = cells.total_w[seg]
         v = u * total - 1e-12 * total
         nan = np.isnan(v)
         nan = nan if nan.any() else None
-        cw = self.cells.cw
+        cw = cells.cw
 
         def below(idx):
             probe = cw.take(idx)
@@ -426,60 +375,59 @@ class _Plan:
             mid = base + (n >> 1)
             base = np.where(below(mid), mid, base)
             n = n - (n >> 1)
-        return g, np.minimum(base + below(base), start + length - 1)
+        return np.minimum(base + below(base), start + length - 1)
 
-    def _walk(self, rows, g, j, empty):
-        """Log or raise for the groups that the rows read: first
-        ``EmptyCellError`` for the first group without a cell, then in group
-        order one warning for each arm-level group and, for the ``empty``
-        rows of tail ``j``, an ``EmptyTailError`` when the group is strict
-        or a warning."""
-        counts = np.bincount(g, minlength=len(self.groups))
-        cell_less = np.flatnonzero(counts * self.cell_less)
-        if cell_less.size:
-            k = int(cell_less[0])
-            if self.groups[k].index is None:
-                raise EmptyCellError(
-                    f"no selected training rows in arm {self.groups[k].d}")
-            raise self.groups[k].index.unseen_level_error(self.x[rows[g == k]])
-        n_empty = np.bincount(g[empty], minlength=len(self.groups))
-        for k in np.flatnonzero(counts * self.arm_level + n_empty).tolist():
-            group = self.groups[k]
-            if group.key == _ARM_LEVEL:
+    def _log(self, seg, j, empty):
+        """Log in segment order one warning for each arm-level surface that
+        the rows read and one for each segment where the ``empty`` rows of
+        tail ``j`` found no observation in the truncation region."""
+        keys = self.cells.key
+        counts = np.bincount(seg, minlength=len(keys))
+        n_empty = np.bincount(seg[empty], minlength=len(keys))
+        for k in np.flatnonzero(counts * (keys == _ARM_LEVEL) + n_empty).tolist():
+            key = int(keys[k])
+            if key == _ARM_LEVEL:
                 logger.warning("%d rows in arm %d fall in cells with no "
                                "training rows; using the arm-level surface",
-                               int(counts[k]), group.d)
+                               int(counts[k]), self.d)
             if n_empty[k]:
-                what = f"arm {group.d} {'lower' if j == 1 else 'upper'} tail"
-                if not group.lenient:
-                    raise EmptyTailError(
-                        f"no observation in truncation region ({what})")
+                what = f"arm {self.d} {'lower' if j == 1 else 'upper'} tail"
                 logger.warning("empty truncation region (%s) in cell %d for "
-                               "%d rows; using the cell mean", what, group.key,
+                               "%d rows; using the cell mean", what, key,
                                int(n_empty[k]))
 
     def tail(self, rows, j: int, u) -> tuple:
         """Left-continuous quantiles of the queried rows' cells at levels
         ``u``, one level per row, and the truncated means below (``j=1``) or
         above (``j=0``) them, every tied observation at the threshold
-        included. An empty truncation region takes the cell mean (with a
-        log entry), or raises ``EmptyTailError`` when the cell spec is
-        strict."""
-        g, pos = self._locate(rows, u)
+        included. An empty truncation region takes the cell mean, with a
+        log entry."""
+        seg = self.seg[rows]
+        cell_less = seg < 0
+        if cell_less.any():
+            fold = self.fold[rows]
+            k = int(fold[cell_less].min())
+            index = self.fits[k].index
+            if index is None:
+                raise EmptyCellError(
+                    f"no selected training rows in arm {self.d}")
+            raise index.unseen_level_error(self.x[rows[cell_less
+                                                       & (fold == k)]])
+        pos = self._locate(seg, u)
         cells = self.cells
-        total_w, total_y = self.total_w[g], self.total_y[g]
+        total_w, total_y = cells.total_w[seg], cells.total_y[seg]
         if j == 1:
             hi = cells.last[pos]
             num, den = cells.cy[hi], cells.cw[hi]
             full = u >= 1.0
         else:
             lo = cells.first[pos]
-            below = lo > self.start[g]
+            below = lo > cells.start[seg]
             num = total_y - np.where(below, cells.cy[lo - 1], 0.0)
             den = total_w - np.where(below, cells.cw[lo - 1], 0.0)
             full = u <= 0.0
         empty = ~full & (den <= 0)
-        self._walk(rows, g, j, empty)
+        self._log(seg, j, empty)
         ok = ~(full | empty)
         b = total_y / total_w
         b[ok] = num[ok] / den[ok]
@@ -500,25 +448,24 @@ class CellOutcomeSurface:
     that holds positive weight: a cell whose rows all weigh zero is left
     out like an empty one, and so is an arm, whose rows then raise.
 
-    Each arm's cells are laid out as ``crossfit`` lays out one fold's; a
-    call groups its rows by cell and evaluates them in one pass.
+    Each arm's cells are laid out as ``crossfit`` lays out one fold's, and
+    a call evaluates its rows through the same ``_Plan``.
     """
 
     def __init__(self, table: ObservationTable, spec: CellSpec):
-        self.spec = spec
         every = [np.ones(table.n, dtype=bool)]
         self.arms = {d: _arm_cells(table, d, spec, every) for d in (0, 1)}
 
     def tail(self, x, j, d, u) -> tuple:
         """Quantiles and ``j`` truncated means of arm ``d`` at the rows of
-        ``x``, grouped by training cell as ``_CellFit.groups`` does, and
-        levels ``u``."""
+        ``x`` and levels ``u``, all of them held out in fold 0."""
         x = np.atleast_2d(x)
         (fit,), cells = self.arms[d]
-        rows = np.arange(len(x))
-        gid, groups = fit.groups(d, fit.keys_of(x), self.spec.lenient_tails)
-        plan = _Plan(cells, [(rows, gid, groups)], x)
-        return plan.tail(rows, j, np.asarray(u, dtype=float))
+        keys = (np.full(len(x), _UNSEEN_LEVEL) if fit.index is None
+                else fit.index.keys(x))
+        plan = _Plan(cells, d, [fit], np.zeros(len(x), dtype=np.int64),
+                     fit.segments(keys), x)
+        return plan.tail(np.arange(len(x)), j, np.asarray(u, dtype=float))
 
     def quantile(self, x, d, u) -> np.ndarray:
         return self.tail(x, 1, d, u)[0]
@@ -563,10 +510,10 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
     and each fold's cell index is fitted once and keys every row, training
     and held-out alike. The outcome surfaces are evaluated through one plan
     per arm, built on the first call for the arm: every held-out row's
-    group over (fold, training cell of that fold), with rows of an unseen
-    cell on that fold's arm-level surface. A call then evaluates all its
-    rows in one vectorized pass and reports the groups it read in (fold,
-    cell) order.
+    segment among the cells of its fold, with rows of an unseen cell on
+    that fold's arm-level surface. A call then evaluates all its rows in
+    one vectorized pass and reports the segments it read in (fold, cell)
+    order.
     """
     n = table.n
     folds = fold_assignments(n, spec.folds, spec.seed)
@@ -594,15 +541,15 @@ def crossfit(table: ObservationTable, spec: LearnerSpec) -> NuisanceBundle:
         held_out.append(hold)
         trains.append(train)
     arms = {d: _arm_cells(table, d, spec.cells, trains) for d in (0, 1)}
-    lenient = spec.cells.lenient_tails
     plans = {}
 
     def tail_fn(rows, j, d, u):
         if d not in plans:
             fits, cells = arms[d]
-            parts = [(hold, *fit.groups(d, fit.keys[hold], lenient))
-                     for fit, hold in zip(fits, held_out)]
-            plans[d] = _Plan(cells, parts, table.x)
+            seg = np.empty(n, dtype=np.int64)
+            for fit, hold in zip(fits, held_out):
+                seg[hold] = fit.segments(fit.keys[hold])
+            plans[d] = _Plan(cells, d, fits, folds, seg, table.x)
         return plans[d].tail(rows, j, u)
 
     return NuisanceBundle(m, s0, s1, tail_fn, provenance="cross_fitted")

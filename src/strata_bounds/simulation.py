@@ -184,6 +184,9 @@ class DgpConfig:
         object.__setattr__(self, "shares", shares)
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
+        if self.replications < 1:
+            raise ValueError(f"replications must be at least 1, got "
+                             f"{self.replications}")
         EstimationConfig(alpha=self.alpha)  # raises unless 0 < alpha < 1
         if not self.estimators:
             object.__setattr__(self, "estimators", paper_roster(self.h_grid))

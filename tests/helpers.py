@@ -20,7 +20,7 @@ from scipy.special import ndtr
 
 from strata_bounds.data_model import (XMINUS, XPLUS, XZERO, NuisanceBundle,
                                       ObservationTable, Side, Stratum)
-from strata_bounds.errors import AllTrimmedError, EmptyCellError, EmptyTailError
+from strata_bounds.errors import AllTrimmedError, EmptyCellError
 from strata_bounds.estimation import _estimate, ratio_estimate
 from strata_bounds.influence import eif_regular
 from strata_bounds.identification import SupportBounds
@@ -380,7 +380,7 @@ def reference_surface(table, spec):
         cells[d] = {int(key): _sorted_cell(yi[keys == key], wi[keys == key])
                     for key in np.unique(keys) if (wi[keys == key] > 0).any()}
         cells[d][-1] = _sorted_cell(yi, wi)
-    return SimpleNamespace(spec=spec, index=index, cells=cells)
+    return SimpleNamespace(index=index, cells=cells)
 
 
 def reference_keys(surface, d, x):
@@ -430,18 +430,11 @@ def reference_quantile(surface, x, d, u):
 
 def reference_trunc_mean(surface, x, j, d, u):
     """``CellOutcomeSurface.trunc_mean`` evaluated one row at a time (an
-    empty truncation region takes the cell mean, or raises when the
-    surface's spec is strict)."""
+    empty truncation region takes the cell mean)."""
     x = np.atleast_2d(x)
     u = np.asarray(u, dtype=float)
     keys = reference_keys(surface, d, x)
     out = np.empty(len(keys))
-
-    def lenient(cy, cw, what):
-        if not surface.spec.lenient_tails:
-            raise EmptyTailError(f"no observation in truncation region ({what})")
-        return cy[-1] / cw[-1]
-
     for i, key in enumerate(keys):
         yv, cw, cy = _reference_cell(surface, d, key)
         total_w, total_y = cw[-1], cy[-1]
@@ -452,19 +445,15 @@ def reference_trunc_mean(surface, x, j, d, u):
         lo = np.searchsorted(yv, q, side="left")
         if j == 1:
             w_at, y_at = cw[hi], cy[hi]
-            if u[i] >= 1.0:
+            if u[i] >= 1.0 or w_at <= 0:
                 out[i] = total_y / total_w
-            elif w_at <= 0:
-                out[i] = lenient(cy, cw, f"arm {d} lower tail")
             else:
                 out[i] = y_at / w_at
         else:
             w_above = total_w - (cw[lo - 1] if lo > 0 else 0.0)
             y_above = total_y - (cy[lo - 1] if lo > 0 else 0.0)
-            if u[i] <= 0.0:
+            if u[i] <= 0.0 or w_above <= 0:
                 out[i] = total_y / total_w
-            elif w_above <= 0:
-                out[i] = lenient(cy, cw, f"arm {d} upper tail")
             else:
                 out[i] = y_above / w_above
     return out
@@ -517,9 +506,6 @@ def grouped_trunc_mean(surface, x, j, d, u):
             full = uc <= 0.0
         empty = ~full & (den <= 0)
         if empty.any():
-            if not surface.spec.lenient_tails:
-                raise EmptyTailError(
-                    f"no observation in truncation region ({what})")
             logging.getLogger("strata_bounds").warning(
                 "empty truncation region (%s) in cell %d for %d rows; using "
                 "the cell mean", what, key, int(empty.sum()))

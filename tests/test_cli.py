@@ -469,6 +469,18 @@ class TestSimulate:
         assert code == 2
 
 
+    def test_zero_replications_exit_2(self, capsys, tmp_path):
+        # used to write nan bias, RMSE, size and rejection rates, exit 0
+        code, out, err = run_cli(capsys, "simulate", "--panel", "b", "--n",
+                                 "100", "--reps", "0", "--out",
+                                 str(tmp_path / "m.csv"), "--power-out",
+                                 str(tmp_path / "p.csv"))
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": "replications must be at least 1, got 0"}
+        assert not (tmp_path / "m.csv").exists()
+
     def test_one_row_replications_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--panel", "b", "--n", "1",
                                "--reps", "3", "--out", str(tmp_path / "m.csv"),
@@ -613,6 +625,25 @@ def test_cells_discrete_outside_the_covariates_exits_2(capsys, sample_csv,
                               f"1..{table.p}, got {value!r}")
 
 
+@pytest.mark.parametrize("bins,argv", [
+    (0, ("estimate", "{data}")),
+    (-3, ("estimate", "{data}", "--cells-discrete", "1")),
+    (-2, ("bounds-curve", "--data", "{data}", "--h", "0.05"))])
+def test_cells_bins_below_one_exits_2_before_fitting(capsys, monkeypatch,
+                                                     sample_csv, bins, argv):
+    # each used to exit 0 with the records of one bin
+    def fit(*args):
+        raise AssertionError("crossfit ran")
+    monkeypatch.setattr("strata_bounds.cli.crossfit", fit)
+    code, out, err = run_cli(capsys, *(a.format(data=sample_csv[2])
+                                       for a in argv),
+                             "--cells-bins", str(bins), "--folds", "2")
+    assert code == 2 and out == ""
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": "ValueError",
+        "message": f"n_bins must be at least 1, got {bins}"}
+
+
 @pytest.mark.parametrize("alpha", ["0", "1", "2", "-0.1", "nan"])
 @pytest.mark.parametrize("command", ["estimate", "simulate", "bounds-curve"])
 def test_alpha_outside_the_unit_interval_exits_2(capsys, tmp_path, sample_csv,
@@ -630,6 +661,31 @@ def test_alpha_outside_the_unit_interval_exits_2(capsys, tmp_path, sample_csv,
         "error": "ValueError",
         "message": f"alpha must be in (0, 1), got {float(alpha)}"}
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, sample_csv):
+    # the parser is built once per process; each call's output equals what
+    # a freshly built parser gives
+    from strata_bounds.cli import build_parser
+    metrics = tmp_path / "m.csv"
+    calls = [("estimate", sample_csv[2], "--folds", "2"),
+             ("simulate", "--n", "50", "--reps", "2", "--out", str(metrics),
+              "--power-out", str(tmp_path / "p.csv")),
+             ("bounds-curve", "--dgp-n", "300", "--h", "0.05"),
+             ("estimate", sample_csv[2], "--folds", "3", "--method",
+              "sharp,smooth", "--h", "0.05", "--side", "l", "--seed", "4")]
+    parser = build_parser()
+    shared = [run_cli(capsys, *argv)[:2] for argv in calls]
+    shared_metrics = metrics.read_text()
+    assert build_parser() is parser
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv)[:2])
+    assert build_parser() is not parser
+    assert [code for code, _ in shared] == [0] * 4
+    assert shared == fresh
+    assert metrics.read_text() == shared_metrics
 
 
 class TestEntryPoint:

@@ -11,7 +11,7 @@ from helpers import (crossfit_surfaces, grouped_trunc_mean, reference_crossfit,
                      reference_trunc_mean)
 from strata_bounds.cli import main as cli_main
 from strata_bounds.data_model import ObservationTable
-from strata_bounds.errors import EmptyCellError, EmptyTailError, SeparationWarning
+from strata_bounds.errors import EmptyCellError, SeparationWarning
 from strata_bounds.influence import eif_smooth
 from strata_bounds.nuisance import (CellOutcomeSurface, CellSpec, LearnerSpec,
                                     crossfit, fit_selection, fold_assignments,
@@ -67,6 +67,12 @@ def single_cell_table(y_vals, d=1):
     return ObservationTable(y=np.asarray(y_vals, float), s=np.ones(n, int),
                             d=np.full(n, d), x=np.zeros((n, 1)),
                             weight=np.ones(n))
+
+
+@pytest.mark.parametrize("bins", [0, -3])
+def test_cell_spec_needs_one_bin(bins):
+    with pytest.raises(ValueError, match=f"n_bins must be at least 1, got {bins}"):
+        CellSpec(n_bins=bins)
 
 
 class TestCellSurface:
@@ -131,7 +137,7 @@ def outcome(fn, *args):
         if isinstance(out, tuple):
             return b"".join(part.tobytes() for part in out)
         return out.tobytes()
-    except (EmptyCellError, EmptyTailError) as exc:
+    except EmptyCellError as exc:
         return type(exc), str(exc)
 
 
@@ -200,43 +206,19 @@ class TestEmptyTails:
                                 x=np.zeros((4, 1)),
                                 weight=np.array([0.0, 1.0, 1.0, 1.0]))
 
-    def _surface(self, lenient):
-        return CellOutcomeSurface(self._table(),
-                                  CellSpec(lenient_tails=lenient))
-
-    def test_strict_raises(self):
-        surf = self._surface(lenient=False)
-        with pytest.raises(EmptyTailError, match="arm 1 lower tail"):
-            surf.trunc_mean(np.zeros((3, 1)), 1, 1, np.array([0.5, 1e-13, 0.0]))
-
     def test_lenient_cell_mean_logged_once(self, caplog):
-        surf = self._surface(lenient=True)
+        surf = CellOutcomeSurface(self._table(), CellSpec())
         u = np.array([0.5, 1e-13, 0.0, 1e-13, 0.0])
         x = np.zeros((5, 1))
         with caplog.at_level(logging.WARNING, logger="strata_bounds"):
             got = surf.trunc_mean(x, 1, 1, u)
         assert got[1:].tolist() == [3.0] * 4   # weighted mean of 2, 3, 4
         assert got[0] == 2.5                   # mean of 2 and 3
-        ref = reference_surface(self._table(), CellSpec(lenient_tails=True))
+        ref = reference_surface(self._table(), CellSpec())
         assert got.tobytes() == reference_trunc_mean(ref, x, 1, 1, u).tobytes()
         assert len(caplog.records) == 1
         assert "4 rows" in caplog.records[0].getMessage()
 
-    def test_strict_empty_tail_raises_next_to_unseen_cell(self):
-        # cell (0, 0) has an empty lower tail; no training row falls in
-        # cell (1, 1), whose rows use the arm-level surface
-        x_train = np.array([[0.0, 0.0]] * 3 + [[0.0, 1.0], [1.0, 0.0]])
-        t = ObservationTable(y=np.arange(1.0, 6.0), s=np.ones(5, int),
-                             d=np.ones(5, int), x=x_train,
-                             weight=np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
-        cells = CellSpec(discrete_cols=(0, 1), lenient_tails=False)
-        surf, ref = CellOutcomeSurface(t, cells), reference_surface(t, cells)
-        u = np.full(2, 1e-13)
-        for x in ([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]]):
-            got = outcome(surf.trunc_mean, np.array(x), 1, 1, u)
-            assert got[0] is EmptyTailError
-            assert got == outcome(reference_trunc_mean, ref, np.array(x), 1,
-                                  1, u)
 
 
 class TestUnseenCells:
@@ -516,13 +498,12 @@ class TestCrossfitPlan:
                                                      "l"))
         assert [msg for msg in got if "in arm 1" in msg] == once
 
-    def test_cell_error_before_an_earlier_strict_empty_tail(self):
+    def test_cell_error_before_any_empty_tail_warning(self, caplog):
         # zero-weight rows hold each cell's lowest outcomes, so lower tails
         # at tiny levels are empty; level 7 sits on one treated row of the
         # last fold, whose surfaces never saw it
         t = tied_cell_table(3, n=400)
-        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=2,
-                                          lenient_tails=False),
+        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=2),
                            folds=3, seed=4)
         folds = fold_assignments(t.n, spec.folds, spec.seed)
         x = t.x.copy()
@@ -532,12 +513,14 @@ class TestCrossfitPlan:
         bundle = crossfit(t, spec)
         u = np.full(t.n, 1e-13)
         first = np.flatnonzero(folds == 0)
-        assert outcome(bundle.tail, first, 1, 1, u[first]) == (
-            EmptyTailError,
-            "no observation in truncation region (arm 1 lower tail)")
+        logs = warnings_of(caplog, lambda: bundle.tail(first, 1, 1, u[first]))
+        assert any("empty truncation region (arm 1 lower tail)" in msg
+                   for msg in logs)
         for call in (bundle.tail, bundle.trunc_mean):
-            got = outcome(call, bundle.all_rows(), 1, 1, u)
-            assert got[0] is EmptyCellError and "unseen level" in got[1]
+            got = []
+            assert warnings_of(caplog, lambda: got.append(
+                outcome(call, bundle.all_rows(), 1, 1, u))) == []
+            assert got[0][0] is EmptyCellError and "unseen level" in got[0][1]
 
     def test_unseen_discrete_level_raises_only_where_queried(self):
         # levels 7 and 9 each sit on one selected treated row, so the
@@ -566,15 +549,13 @@ class TestCrossfitPlan:
         assert got == evaluations(ref, clean, u[clean])
         assert all(isinstance(g, bytes) for g in got)
 
-    @pytest.mark.parametrize("lenient", [True, False])
-    def test_empty_tails_match(self, caplog, lenient):
+    def test_empty_tails_match(self, caplog):
         # the zero-weight rows hold the lowest outcomes, so lower tails at
         # tiny levels are empty
         t = tied_cell_table(3, n=400)
         y = np.where(t.weight == 0, -100.0, t.y)
         t = ObservationTable(y=y, s=t.s, d=t.d, x=t.x, weight=t.weight)
-        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=2,
-                                          lenient_tails=lenient),
+        spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=2),
                            folds=3, seed=4)
         bundle = crossfit(t, spec)
         ref = reference_crossfit(t, spec, bundle)
@@ -583,13 +564,7 @@ class TestCrossfitPlan:
         got = warnings_of(caplog, lambda: evaluations(bundle, rows, u))
         assert got == warnings_of(caplog, lambda: evaluations(ref, rows, u))
         assert evaluations(bundle, rows, u) == evaluations(ref, rows, u)
-        lower = outcome(bundle.trunc_mean, rows, 1, 1, u)
-        if lenient:
-            assert any("empty truncation region" in msg for msg in got)
-        else:
-            assert lower == (EmptyTailError,
-                             "no observation in truncation region "
-                             "(arm 1 lower tail)")
+        assert any("empty truncation region" in msg for msg in got)
 
 
 CONTROL_SPEC = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=2),
@@ -842,25 +817,29 @@ class TestSegmentedSearch:
                 assert surf.trunc_mean(np.empty((0, 2)), j, d, u).shape == (0,)
                 assert bundle.trunc_mean(none, j, d, u).shape == (0,)
 
-    def test_arm_level_warning_then_strict_empty_tail(self, caplog):
+    def test_arm_level_warning_then_empty_tail_warning(self, caplog):
         # the rows of cell (1, 1), which no training row holds, read the
-        # arm-level surface (key -1) before cell (0, 0) with its empty
-        # lower tail: the warning is logged, then the error raised
+        # arm-level surface (key -1), laid out before cell (0, 0); both
+        # hold the zero-weight lowest outcome, so their lower tails are
+        # empty: the arm-level warnings come first, whatever the row order
         x_train = np.array([[0.0, 0.0]] * 3 + [[0.0, 1.0], [1.0, 0.0]])
         t = ObservationTable(y=np.arange(1.0, 6.0), s=np.ones(5, int),
                              d=np.ones(5, int), x=x_train,
                              weight=np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
-        cells = CellSpec(discrete_cols=(0, 1), lenient_tails=False)
+        cells = CellSpec(discrete_cols=(0, 1))
         surf = CellOutcomeSurface(t, cells)
         x = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         u = np.full(3, 1e-13)
         got = []
         logs = warnings_of(caplog, lambda: got.append(
             outcome(surf.trunc_mean, x, 1, 1, u)))
-        assert got == [(EmptyTailError, "no observation in truncation "
-                                         "region (arm 1 lower tail)")]
+        assert isinstance(got[0], bytes)
         assert logs == ["2 rows in arm 1 fall in cells with no training "
-                        "rows; using the arm-level surface"]
+                        "rows; using the arm-level surface",
+                        "empty truncation region (arm 1 lower tail) in cell "
+                        "-1 for 2 rows; using the cell mean",
+                        "empty truncation region (arm 1 lower tail) in cell "
+                        "0 for 1 rows; using the cell mean"]
         want = []
         assert warnings_of(caplog, lambda: want.append(
             outcome(grouped_trunc_mean, reference_surface(t, cells), x, 1, 1,

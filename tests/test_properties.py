@@ -1,5 +1,6 @@
 """Invariances the estimators claim, checked on seeded oracle draws and,
-for weight units, on cross-fitted ``estimate`` runs.
+for weight units, outcome units and one-valued groups, on cross-fitted
+``estimate`` runs.
 
 Oracle bundles keep cross-fitting folds out of the comparisons. The
 standard error treats ``weight`` as a sampling weight, so an integer
@@ -9,6 +10,7 @@ point estimates would agree, and no test asserts that equivalence.
 
 import contextlib
 import io
+import json
 import tempfile
 
 import numpy as np
@@ -63,38 +65,98 @@ def test_weight_scaling_leaves_estimates_and_ses_unchanged(shares, seed, scale):
         assert _close(_summary(fit(scaled)), _summary(fit(base)))
 
 
-def _estimate_stdout(table, directory, name):
+ALL_METHODS = ("--method", "sharp,trim,switch,smooth", "--h", "0.05")
+
+
+def _estimate_stdout(table, directory, name, flags=ALL_METHODS):
     path = f"{directory}/{name}.csv"
     table.to_csv(path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main(["estimate", path, "--method", "sharp,trim,switch,smooth",
-                     "--h", "0.05", "--cells-discrete", "1", "--cells-bins",
-                     "3", "--folds", "3", "--seed", "1"])
+        code = main(["estimate", path, *flags, "--cells-discrete", "1",
+                     "--cells-bins", "3", "--folds", "3", "--seed", "1"])
     return code, out.getvalue()
 
 
+def _varied_draw(shares, seed, n):
+    """A draw with a standard normal control outcome (the design's is
+    constant, so a control-arm surface would read one value) and uneven
+    weights."""
+    config = sb.DgpConfig(n=n, shares=shares, replications=1, base_seed=seed)
+    table = sb.dgp_sample(config, 0)
+    rng = np.random.default_rng(seed)
+    y0 = rng.standard_normal(n)
+    return sb.ObservationTable(
+        np.where(table.s == 1, np.where(table.d == 0, y0, table.y), np.nan),
+        table.s, table.d, table.x, rng.uniform(0.5, 2.0, n))
+
+
+crossfit_sizes = st.integers(min_value=200, max_value=600)
+powers = st.integers(min_value=-6, max_value=6)
+
+
 @settings(max_examples=15, deadline=None)
-@given(shares=panels, seed=seeds, n=st.integers(min_value=200, max_value=600),
-       k=st.integers(min_value=-6, max_value=6))
+@given(shares=panels, seed=seeds, n=crossfit_sizes, k=powers)
 def test_weight_power_of_two_leaves_crossfit_stdout_unchanged(shares, seed,
                                                               n, k):
     # the logistic fits' stopping rule is relative to the total weight, so
     # rescaling by a power of two changes no bit anywhere in the chain
-    config = sb.DgpConfig(n=n, shares=shares, replications=1, base_seed=seed)
-    table = sb.dgp_sample(config, 0)
-    rng = np.random.default_rng(seed)
-    y0 = rng.standard_normal(n)  # the design's control outcome is constant
-    table = sb.ObservationTable(
-        np.where(table.s == 1, np.where(table.d == 0, y0, table.y), np.nan),
-        table.s, table.d, table.x, rng.uniform(0.5, 2.0, n))
+    table = _varied_draw(shares, seed, n)
     with tempfile.TemporaryDirectory() as directory:
         base = _estimate_stdout(table, directory, "base")
         scaled = _estimate_stdout(_with_weight(table, table.weight * 2.0 ** k),
                                   directory, "scaled")
     assert base[0] == 0  # a failed run's empty stdout would prove nothing
     assert scaled == base
+
+
+@settings(max_examples=15, deadline=None)
+@given(shares=panels, seed=seeds, n=crossfit_sizes, k=powers)
+def test_outcome_power_of_two_scales_crossfit_estimates_exactly(shares, seed,
+                                                                n, k):
+    # the cells sort, sum and search the outcomes, so a power of two scales
+    # every quantile and truncated mean, and the moments built on them,
+    # without rounding; smooth is left out, its h acts on the outcome scale
+    table = _varied_draw(shares, seed, n)
+    scaled = sb.ObservationTable(table.y * 2.0 ** k, table.s, table.d,
+                                 table.x, table.weight)
+    flags = ("--method", "sharp,trim,switch")
+    with tempfile.TemporaryDirectory() as directory:
+        base = _estimate_stdout(table, directory, "base", flags)
+        got = _estimate_stdout(scaled, directory, "scaled", flags)
+    assert base[0] == got[0] == 0
+    base, got = json.loads(base[1]), json.loads(got[1])
+    assert len(got) == len(base) == 3
+
+    def scale(v):
+        return None if v is None else v * 2.0 ** k
+    for rec, want in zip(got, base):
+        for key in ("estimate_lower", "estimate_upper", "se_lower", "se_upper"):
+            assert rec.pop(key) == scale(want.pop(key))
+        for key in ("ci_set", "ci_effect"):
+            assert rec.pop(key) == [scale(v) for v in want.pop(key)]
+        assert rec == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(shares=panels, seed=seeds, n=crossfit_sizes,
+       value=st.integers(min_value=-5, max_value=5))
+def test_one_valued_group_records_equal_full_sample_records(shares, seed, n,
+                                                            value):
+    table = _varied_draw(shares, seed, n)
+    table = sb.ObservationTable(table.y, table.s, table.d,
+                                np.column_stack([table.x, np.full(n, value)]),
+                                table.weight)
+    with tempfile.TemporaryDirectory() as directory:
+        code, out = _estimate_stdout(table, directory, "grouped",
+                                     ALL_METHODS + ("--group-col", "x3"))
+    assert code == 0
+    records = json.loads(out)
+    assert len(records) == 8
+    full, groups = records[:4], records[4:]
+    assert [rec.pop("group") for rec in groups] == [value] * 4
+    assert groups == full
 
 
 @settings(max_examples=25, deadline=None)

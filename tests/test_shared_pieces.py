@@ -21,7 +21,7 @@ import pytest
 import strata_bounds as sb
 from strata_bounds.cli import main
 from strata_bounds.data_model import Side
-from strata_bounds.errors import DegenerateTrimError, EmptyTailError
+from strata_bounds.errors import DegenerateTrimError, EmptyCellError
 from strata_bounds.estimation import EstimationConfig
 from strata_bounds.nuisance import CellSpec, LearnerSpec, crossfit
 from test_cli import write_nuisance_csv
@@ -159,11 +159,11 @@ def test_a_failed_build_caches_nothing(draw, fresh):
     def flaky(*args):
         if not raised:
             raised.append(True)
-            raise EmptyTailError("injected")
+            raise EmptyCellError("injected")
         return trunc_mean(*args)
 
     bundle.trunc_mean = flaky
-    with pytest.raises(EmptyTailError):
+    with pytest.raises(EmptyCellError):
         sb.estimate_sharp(table, bundle, EFFICIENT, support)
     assert _outcome("sharp", table, bundle, support) == fresh["sharp"]
     for _ in range(2):

@@ -21,6 +21,11 @@ class TestDgpConfig:
         with pytest.raises(ValueError):
             sb.DgpConfig(gamma=0.0)
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_replications_validation(self, reps):
+        with pytest.raises(ValueError, match="replications must be at least 1"):
+            sb.DgpConfig(replications=reps)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.1, float("nan")])
     def test_alpha_validation(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
