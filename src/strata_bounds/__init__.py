@@ -16,17 +16,15 @@ from .errors import (AllTrimmedError, DegenerateTrimError, EmptyCellError,
                      StrataBoundsError, ZeroShareError)
 from .estimation import (EstimationConfig, default_rho, estimate_inefficient,
                          estimate_sharp, estimate_smooth, estimate_switch,
-                         estimate_trim, im_critical_value,
-                         imbens_manski_interval, moment_rows, ratio_estimate,
-                         smooth_ratio_estimate)
+                         estimate_trim, im_critical_value, moment_rows,
+                         ratio_estimate, smooth_ratio_estimate)
 from .identification import (SupportBounds, conditional_sharp_bound,
                              stratum_weight, unconditional_sharp_bound)
 from .influence import (InfluenceRows, SmoothInfluenceRows,
                         degenerate_at_moments, efficiency_bound,
                         efficiency_gap, eif_regular, eif_smooth)
 from .nuisance import (CellOutcomeSurface, CellSpec, LearnerSpec, crossfit,
-                       fit_selection, fold_assignments,
-                       load_external_nuisances)
+                       fold_assignments, load_external_nuisances)
 from .simulation import (BenchmarkDesign, DgpConfig, EstimatorSpec,
                          ExperimentResult, OracleTarget, PANEL_SHARES,
                          dgp_sample, oracle_nuisances, oracle_support,

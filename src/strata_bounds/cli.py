@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data_model import ObservationTable, Stratum, validate
+from .data_model import ObservationTable, Stratum, validate, write_csv
 from .errors import StrataBoundsError
 from .estimation import EstimationConfig
 from .identification import SupportBounds
@@ -326,16 +326,15 @@ def cmd_bounds_curve(args) -> int:
         except ValueError as exc:
             return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
 
-    rows = ["h,lower,upper,ci_effect_lo,ci_effect_hi,error"]
+    rows = []
     for family in families:
         try:
             est = run_method("smooth", table, bundle, cfg, None, h=family.h)
-            rows.append(",".join([repr(family.h), repr(est.lower), repr(est.upper),
-                                  repr(est.ci_effect[0]), repr(est.ci_effect[1]),
-                                  ""]))
+            rows.append([family.h, est.lower, est.upper, *est.ci_effect, ""])
         except StrataBoundsError as exc:
-            rows.append(f"{family.h!r},,,,,{type(exc).__name__}")
-    sys.stdout.write("\n".join(rows) + "\n")
+            rows.append([family.h, "", "", "", "", type(exc).__name__])
+    write_csv(sys.stdout, ["h", "lower", "upper", "ci_effect_lo",
+                           "ci_effect_hi", "error"], rows)
     return EXIT_OK
 
 

@@ -6,10 +6,12 @@ concurrent readers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import logging
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -141,8 +143,9 @@ class ObservationTable:
     @classmethod
     def from_csv(cls, path_or_buffer,
                  weights_col: Optional[str] = None) -> "ObservationTable":
-        """Table from a CSV with the header above. Column names are unique,
-        and the covariates (the columns named ``x`` and digits) are exactly
+        """Table from a CSV with the header above, at a path or in an open
+        text buffer (see ``_opened``). Column names are unique, and the
+        covariates (the columns named ``x`` and digits) are exactly
         ``x1..xp``, in any order; a duplicate, a gap or a name such as
         ``x01`` raises ``ValueError`` naming the column. The weights are
         read from ``weights_col``, which the header must hold, or without
@@ -158,13 +161,7 @@ class ObservationTable:
         ``1_000``, which ``float`` reads), a loop over ``csv.reader`` rows
         reads the file instead: it raises the error above or returns the
         values that ``float`` and ``int`` give."""
-        close = False
-        if isinstance(path_or_buffer, (str, bytes)):
-            fh = open(path_or_buffer, "r", encoding="utf-8", newline="")
-            close = True
-        else:
-            fh = path_or_buffer
-        try:
+        with _opened(path_or_buffer, "r") as fh:
             lines = iter(fh)
             header = next(csv.reader(lines), None)
             if header is None:
@@ -188,9 +185,6 @@ class ObservationTable:
                                      f"x1..x{len(xcols)}: covariates are named "
                                      f"x1..xp with none missing")
             lines = list(lines)
-        finally:
-            if close:
-                fh.close()
         if not lines:
             raise ValueError("data file has no data rows")
         try:
@@ -201,23 +195,31 @@ class ObservationTable:
         return cls(*columns)
 
     def to_csv(self, path_or_buffer) -> None:
-        close = False
-        if isinstance(path_or_buffer, (str, bytes)):
-            fh = open(path_or_buffer, "w", encoding="utf-8", newline="")
-            close = True
-        else:
-            fh = path_or_buffer
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["y", "s", "d", "weight"] + [f"x{j + 1}" for j in range(self.p)])
-            for i in range(self.n):
-                y_str = "" if self.s[i] == 0 or math.isnan(self.y[i]) else repr(float(self.y[i]))
-                writer.writerow([y_str, int(self.s[i]), int(self.d[i]),
-                                 repr(float(self.weight[i]))]
-                                + [repr(float(v)) for v in self.x[i]])
-        finally:
-            if close:
-                fh.close()
+        """Write the table with the header above through ``write_csv``."""
+        y = np.where((self.s == 0) | np.isnan(self.y), None, self.y)
+        write_csv(path_or_buffer,
+                  ["y", "s", "d", "weight"] + [f"x{j + 1}" for j in range(self.p)],
+                  zip(y.tolist(), self.s.tolist(), self.d.tolist(),
+                      self.weight.tolist(), *self.x.T.tolist()))
+
+
+def _opened(path_or_buffer, mode: str):
+    """A context manager for a CSV's text: a ``str``, ``bytes`` or
+    ``os.PathLike`` path is opened as UTF-8 with ``newline=""`` and closed
+    on exit; anything else is an open text buffer, left open."""
+    if isinstance(path_or_buffer, (str, bytes, os.PathLike)):
+        return open(path_or_buffer, mode, encoding="utf-8", newline="")
+    return contextlib.nullcontext(path_or_buffer)
+
+
+def write_csv(path_or_buffer, header, rows) -> None:
+    """``header`` and then ``rows`` as CSV lines ending in ``"\\n"``, to a
+    path or an open text buffer (see ``_opened``). ``csv`` writes a float
+    as its ``repr`` and ``None`` as an empty field."""
+    with _opened(path_or_buffer, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 #: Lines that ``csv.reader`` reads as an empty row and ``np.loadtxt`` skips.
@@ -226,8 +228,12 @@ _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 
 def _missing_y(field: str) -> float:
     """A ``y`` field's value; an empty or ``NA`` field is missing (NaN)."""
-    raw = field.strip()
-    return math.nan if raw in ("", "NA") else float(raw)
+    return math.nan if field.strip() in ("", "NA") else float(field)
+
+
+def _weight(field: str) -> float:
+    """A weight field's value; an empty field weighs 1."""
+    return 1.0 if field.strip() == "" else float(field)
 
 
 def _parse_bulk(lines, header, cols, weights_col, xcols) -> tuple:
@@ -271,41 +277,24 @@ def _parse_rows(rows, header, cols, weights_col, xcols) -> tuple:
     d = np.zeros(n, dtype=np.int8)
     w = np.ones(n)
     x = np.zeros((n, len(xcols)))
+    # (column, rule, output array) per field
+    fields = [(cols["y"], _missing_y, y), (cols["s"], int, s), (cols["d"], int, d)]
+    if weights_col in cols:
+        fields.append((cols[weights_col], _weight, w))
+    fields += [(cols[c], float, x[:, k]) for k, c in enumerate(xcols)]
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"data row {i + 1} is blank" if not row else
                              f"data row {i + 1} has {len(row)} fields, "
                              f"the header has {width}")
-        try:
-            raw_y = row[cols["y"]].strip()
-            if raw_y not in ("", "NA"):
-                y[i] = float(raw_y)
-            s[i] = int(row[cols["s"]])
-            d[i] = int(row[cols["d"]])
-            if weights_col in cols and row[cols[weights_col]].strip() != "":
-                w[i] = float(row[cols[weights_col]])
-            for j, c in enumerate(xcols):
-                x[i, j] = float(row[cols[c]])
-        except (ValueError, OverflowError):
-            raise _field_error(i, row, cols, weights_col, xcols) from None
+        for j, rule, out in fields:
+            try:
+                out[i] = rule(row[j])
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"data row {i + 1}, column {header[j]!r}: "
+                                 f"{exc}") from None
     return y, s, d, x, w
-
-
-def _field_error(i, row, cols, weights_col, xcols) -> ValueError:
-    """The error for data row ``i`` of ``ObservationTable.from_csv``: the
-    first field, in the order the row is read, that does not parse."""
-    parsers = [("y", lambda v: v.strip() in ("", "NA") or float(v)),
-               ("s", lambda v: np.int8(int(v))),
-               ("d", lambda v: np.int8(int(v)))]
-    if weights_col in cols:
-        parsers.append((weights_col, lambda v: v.strip() == "" or float(v)))
-    parsers += [(c, float) for c in xcols]
-    for name, parse in parsers:
-        try:
-            parse(row[cols[name]])
-        except (ValueError, OverflowError) as exc:
-            return ValueError(f"data row {i + 1}, column {name!r}: {exc}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,20 @@
+import contextlib
 import os
 import sys
+import warnings
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Hypothesis imports its failure-patch module only when a property fails,
+# and that import (through libcst) defines a deprecated mypy_extensions
+# TypedDict. The suite's error::DeprecationWarning filter would turn that
+# into an INTERNALERROR that ends the session before the falsifying example
+# is reported, so the module is imported once here with the warning muted.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from strata_bounds import DgpConfig, PANEL_SHARES, run_experiment
 

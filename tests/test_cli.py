@@ -505,6 +505,18 @@ class TestBoundsCurve:
         assert lowers[0] <= lowers[1] <= lowers[2]
         assert uppers[0] >= uppers[1] >= uppers[2]
 
+    def test_stdout_bytes_with_an_error_row_are_pinned(self, capsys):
+        # the bytes written before `write_csv` existed; the smooth
+        # estimator fails at h = 10, which gives an error row
+        code, out, _ = run_cli(capsys, "bounds-curve", "--panel", "b",
+                               "--dgp-n", "400", "--h", "0.05,10")
+        assert code == 0
+        assert out == (
+            "h,lower,upper,ci_effect_lo,ci_effect_hi,error\n"
+            "0.05,0.05605430825543107,0.31751262520145784,"
+            "-0.014276683881543677,0.3847453298692458,\n"
+            "10.0,,,,,DegenerateTrimError\n")
+
     def test_empty_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds-curve", "--h", "")
         assert code == 2

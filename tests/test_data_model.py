@@ -17,6 +17,11 @@ from helpers import reference_from_csv
 from test_shared_pieces import CLI_FLAGS, _crossfit_draw
 
 
+def column_bytes(table):
+    return [(col.dtype.str, col.shape, col.tobytes())
+            for col in (table.y, table.s, table.d, table.x, table.weight)]
+
+
 def make_table(n=12, seed=0, all_selected=False):
     rng = np.random.default_rng(seed)
     s = np.ones(n, dtype=int) if all_selected else (rng.random(n) < 0.7).astype(int)
@@ -195,11 +200,39 @@ class TestCsv:
         t.to_csv(buf)
         buf.seek(0)
         back = sb.ObservationTable.from_csv(buf)
-        assert back.n == t.n and back.p == t.p
-        sel = t.s == 1
-        np.testing.assert_allclose(back.y[sel], t.y[sel])
-        assert np.isnan(back.y[~sel]).all()
-        np.testing.assert_allclose(back.x, t.x)
+        assert column_bytes(back) == column_bytes(t)
+
+    # the bytes the package wrote before `write_csv` existed
+    PINNED = ("y,s,d,weight,x1,x2\n"
+              "-0.0,1,0,1.0,5e-324,-inf\n"
+              ",1,1,0.5,nan,1e+308\n"
+              "5e-324,1,0,nan,-0.0,0.1\n"
+              "1e+308,1,1,inf,0.3333333333333333,-2.0\n"
+              "inf,1,0,5e-324,inf,0.0\n"
+              ",0,1,2.0,1e-300,7.0\n")
+
+    @pytest.mark.parametrize("target", ["str", "path", "buffer"])
+    def test_to_csv_bytes_are_pinned(self, tmp_path, target):
+        # a missing y, an unselected row's y, signed zeros, the subnormal
+        # and near-overflow ends, infinities and NaNs
+        t = sb.ObservationTable(
+            y=[-0.0, np.nan, 5e-324, 1e308, np.inf, 2.5], s=[1, 1, 1, 1, 1, 0],
+            d=[0, 1, 0, 1, 0, 1],
+            x=[[5e-324, -np.inf], [np.nan, 1e308], [-0.0, 0.1],
+               [1 / 3, -2.0], [np.inf, 0.0], [1e-300, 7.0]],
+            weight=[1.0, 0.5, np.nan, np.inf, 5e-324, 2.0])
+        path = tmp_path / "t.csv"
+        if target == "buffer":
+            buf = io.StringIO()
+            t.to_csv(buf)
+            assert not buf.closed
+            assert buf.getvalue() == self.PINNED
+            return
+        t.to_csv(str(path) if target == "str" else path)
+        assert path.read_bytes() == self.PINNED.encode()
+        again = io.StringIO()
+        sb.ObservationTable.from_csv(path).to_csv(again)
+        assert again.getvalue() == self.PINNED
 
     def test_na_token_and_missing_column(self):
         data = "y,s,d,weight,x1\nNA,0,1,1.0,0.3\n2.5,1,0,1.0,-0.1\n"
@@ -360,3 +393,35 @@ def test_bulk_reader_parity_with_the_row_loop(csv_path, case):
             got = read_columns(sb.ObservationTable.from_csv, source(),
                                weights_col)
         assert got == read_columns(reference_from_csv, source(), weights_col)
+
+
+#: values a random draw seldom reaches: signed zeros, the subnormal and
+#: overflow ends and infinities
+_EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      1e308, -1.7976931348623157e308, np.inf, -np.inf])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.integers(1, 600), p=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_csv_round_trip_is_byte_exact(n, p, seed):
+    """``to_csv`` then ``from_csv`` gives back the table's bytes, and
+    writing it again gives back the text, for missing outcomes and
+    magnitudes across the float range."""
+    rng = np.random.default_rng(seed)
+
+    def values(*shape):
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-330, 300, shape)
+        return np.where(rng.random(shape) < 0.1, rng.choice(_EXTREMES, shape), v)
+
+    s = rng.integers(0, 2, n)
+    y = np.where((s == 1) & (rng.random(n) < 0.9), values(n), np.nan)
+    table = sb.ObservationTable(y, s, rng.integers(0, 2, n), values(n, p),
+                                values(n))
+    text = io.StringIO()
+    table.to_csv(text)
+    back = sb.ObservationTable.from_csv(io.StringIO(text.getvalue()))
+    assert column_bytes(back) == column_bytes(table)
+    again = io.StringIO()
+    back.to_csv(again)
+    assert again.getvalue() == text.getvalue()

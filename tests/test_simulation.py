@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -288,6 +290,18 @@ class TestRunExperiment:
         lines = ppath.read_text().splitlines()
         assert lines[0] == "panel,method,n,hypothesis,rejection_rate"
         assert len(lines) == 1 + 5 * len(config.estimators)
+
+    def test_metric_and_power_csv_bytes_are_pinned(self, tmp_path):
+        # digests of the files written before `write_csv` existed
+        config = sb.DgpConfig(n=150, shares=(0.5, 0.0, 0.5), replications=6,
+                              base_seed=2, h_grid=(0.05,), power_points=5)
+        res = run_experiment(config, threads=1)
+        write_metrics_csv(res, str(tmp_path / "metrics.csv"))
+        write_power_csv([res], tmp_path / "power.csv")
+        assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("metrics.csv", "power.csv")] == [
+            "af7e47ec5752f56c8d2bfc0f6c4ab4cd2a3ec40ccf7f71b43137450515faf461",
+            "9cffbee1f7c4ccd2f44a4fdcb356a2dea5dc14756bb949f4bfcd7282b43b695b"]
 
     def test_power_grid_anchored_at_target(self):
         config = sb.DgpConfig(n=150, shares=(0.5, 0.0, 0.5), replications=6,
