@@ -74,15 +74,34 @@ def _load_config_file(path):
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _Failure(EXIT_INPUT, "InvalidConfig", str(exc))
+    if not isinstance(cfg, dict):
+        raise _Failure(EXIT_INPUT, "InvalidConfig", f"a config file holds a "
+                       f"JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
-    """CLI flags override config-file values override defaults."""
+    """CLI flags override config-file values override defaults. A file key
+    the command does not read, a null where the default is not null, or no
+    list of numbers for ``h``, ``n`` or ``shares`` raises ``_Failure``."""
+    for key, val in file_cfg.items():
+        if key not in defaults:
+            why = (f"is not read by {args.command}; it reads "
+                   f"{', '.join(sorted(defaults))}")
+        elif val is None and defaults[key] is not None:
+            why = "takes a value, got null"
+        elif key in ("h", "n", "shares") and val is not None and not (
+                isinstance(val, list)
+                and all(type(v) in (int, float) for v in val)):
+            why = f"takes a list of numbers, got {val!r}"
+        else:
+            continue
+        raise _Failure(EXIT_INPUT, "InvalidConfig", f"config key {key!r} {why}")
     resolved = dict(defaults)
-    resolved.update({k: v for k, v in file_cfg.items() if k in defaults})
+    resolved.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:

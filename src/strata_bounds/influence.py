@@ -6,11 +6,12 @@ so the point estimator is the ratio of their weighted means. Conditional on
 covariates, ``E[psi_b | X] = beta(x) * weight(x)`` and
 ``E[psi_s | X] = weight(x)`` where ``weight`` is the stratum share.
 
-Directly assembled families: always-taker lower/upper, complier lower, and
-extensive-margin lower, plus the smoothed always-taker pair and the
-known-propensity (uncorrected) variant. The remaining strata/sides come
-from two exact symmetry transforms (outcome negation and treatment-arm
-relabeling) rather than hand-copied formulas.
+Directly assembled families: always-taker lower/upper and complier lower,
+plus the smoothed always-taker pair and the known-propensity (uncorrected)
+variant. The remaining strata/sides come from two exact symmetry
+transforms (outcome negation and treatment-arm relabeling) rather than
+hand-copied formulas, and the extensive margin joins the complier rows on
+the positive partition to the defier rows on the negative one.
 """
 
 from __future__ import annotations
@@ -191,66 +192,37 @@ def _build_degenerate_at_moments(table, bundle, inefficient):
     return InfluenceRows(psi_b=psi_b, psi_s=psi_s)
 
 
-def _cm_moments(table, bundle, labels, stratum: Stratum,
-                support: SupportBounds, dominance: bool) -> InfluenceRows:
-    """Lower-bound moments for the compliers and the extensive margin.
-
-    Compliers live on the positive partition only; the extensive margin
-    adds the mirrored defier branch on the negative partition. The pairing
-    of the share branches with the two strata was confirmed by exact
-    enumeration on a discrete design (see the moment-identity tests).
+def _cm_moments(table, bundle, labels, support: SupportBounds,
+                dominance: bool) -> InfluenceRows:
+    """Lower-bound moments for the compliers, who live on the positive
+    partition only; every other complier, defier and extensive-margin
+    family is built from these through the symmetry transforms.
     """
-    yy, d, ipw1, ipw0, c0, c1 = _ipw_pieces(table, bundle)
-    m, s0, s1, p0 = bundle.m, bundle.s0, bundle.s1, bundle.p0
+    yy, _, ipw1, ipw0, c0, c1 = _ipw_pieces(table, bundle)
+    s0, s1, p0 = bundle.s0, bundle.s1, bundle.p0
     rows = bundle.all_rows()
-    labels = np.asarray(labels)
-    plus = labels == XPLUS
-    minus = labels == XMINUS
+    plus = np.asarray(labels) == XPLUS
+    if not plus.any():
+        return InfluenceRows(psi_b=np.zeros(bundle.n), psi_s=np.zeros(bundle.n))
 
-    psi_b = np.zeros(bundle.n)
-    psi_s = np.zeros(bundle.n)
-
-    if plus.any():
-        u = np.clip(1.0 - p0, 0.0, 1.0)
-        q1, b1 = bundle.tail(rows, 1, 1, u)
-        i1 = (yy <= q1).astype(float)
-        k = c0 - p0 * c1
-        share_p = (s1 - s0) + c1 - c0
-        m1 = ipw1 * (yy * i1 - u * b1)
-        m4 = -ipw1 * q1 * (i1 - u)
-        m5 = -(q1 - b1) * k
-        if dominance:
-            mu0 = bundle.trunc_mean(rows, 0, 0, np.zeros(bundle.n))
-            control = (s1 - s0) * mu0 + mu0 * (c1 - c0) \
-                + ((s1 - s0) / s0) * ipw0 * (yy - mu0)
-            pb = m1 + m4 + m5 + b1 * share_p - control
-        else:
-            ybar0 = np.broadcast_to(support.upper(0, rows), p0.shape)
-            pb = m1 + m4 + m5 + (b1 - ybar0) * share_p
-        psi_b = np.where(plus, pb, psi_b)
-        psi_s = np.where(plus, share_p, psi_s)
-
-    if stratum is Stratum.EM and minus.any():
-        r = np.clip(1.0 / p0, 0.0, 1.0)
-        q0, b0 = bundle.tail(rows, 0, 0, r)
-        i0 = (yy >= q0).astype(float)
-        k = c0 / p0 - c1
-        share_m = (s0 - s1) + c0 - c1
-        m2 = -ipw0 * (yy * i0 - (1.0 - r) * b0)
-        m4 = ipw0 * q0 * (i0 - (1.0 - r))
-        m5 = (q0 - b0) * k
-        if dominance:
-            mu1 = bundle.trunc_mean(rows, 1, 1, np.ones(bundle.n))
-            treated = (s0 - s1) * mu1 + mu1 * (c0 - c1) \
-                + ((s0 - s1) / s1) * ipw1 * (yy - mu1)
-            pb = m2 + m4 + m5 + treated - b0 * share_m
-        else:
-            ylow1 = np.broadcast_to(support.lower(1, rows), p0.shape)
-            pb = m2 + m4 + m5 + (ylow1 - b0) * share_m
-        psi_b = np.where(minus, pb, psi_b)
-        psi_s = np.where(minus, share_m, psi_s)
-
-    return InfluenceRows(psi_b=psi_b, psi_s=psi_s)
+    u = np.clip(1.0 - p0, 0.0, 1.0)
+    q1, b1 = bundle.tail(rows, 1, 1, u)
+    i1 = (yy <= q1).astype(float)
+    k = c0 - p0 * c1
+    share_p = (s1 - s0) + c1 - c0
+    m1 = ipw1 * (yy * i1 - u * b1)
+    m4 = -ipw1 * q1 * (i1 - u)
+    m5 = -(q1 - b1) * k
+    if dominance:
+        mu0 = bundle.trunc_mean(rows, 0, 0, np.zeros(bundle.n))
+        control = (s1 - s0) * mu0 + mu0 * (c1 - c0) \
+            + ((s1 - s0) / s0) * ipw0 * (yy - mu0)
+        pb = m1 + m4 + m5 + b1 * share_p - control
+    else:
+        ybar0 = np.broadcast_to(support.upper(0, rows), p0.shape)
+        pb = m1 + m4 + m5 + (b1 - ybar0) * share_p
+    return InfluenceRows(psi_b=np.where(plus, pb, 0.0),
+                         psi_s=np.where(plus, share_p, 0.0))
 
 
 def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
@@ -261,7 +233,8 @@ def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
     Mirrored cases reduce to the directly assembled ones through outcome
     negation (swaps lower and upper) and treatment-arm relabeling (swaps
     compliers and defiers); both transforms are exact under a continuous
-    outcome distribution.
+    outcome distribution. The extensive margin is the compliers on the
+    positive partition and the defiers on the negative one.
     """
     labels = np.asarray(labels)
     if (labels == XZERO).any():
@@ -280,9 +253,9 @@ def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
     if st is Stratum.NT:
         raise PartitionError("never-taker bounds are support-driven constants "
                              "with no moment representation")
-    if st in (Stratum.C, Stratum.EM):
+    if st is Stratum.C:
         if side is Side.L:
-            return _cm_moments(table, bundle, labels, st, support, spec.dominance)
+            return _cm_moments(table, bundle, labels, support, spec.dominance)
         neg = eif_regular(table.with_negated_outcome(), bundle.with_negated_outcome(),
                           labels, StratumSpec(st, Side.L, spec.dominance),
                           support.with_negated_outcome())
@@ -294,6 +267,13 @@ def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
         return eif_regular(table.with_swapped_arms(), bundle.with_swapped_arms(),
                            -labels, StratumSpec(Stratum.C, other, spec.dominance),
                            support.with_swapped_arms()).negated_numerator()
+    if st is Stratum.EM:
+        comp, dfr = (eif_regular(table, bundle, labels,
+                                 StratumSpec(part, side, spec.dominance), support)
+                     for part in (Stratum.C, Stratum.DEF))
+        minus = labels == XMINUS
+        return InfluenceRows(np.where(minus, dfr.psi_b, comp.psi_b),
+                             np.where(minus, dfr.psi_s, comp.psi_s))
     raise ValueError(st)
 
 

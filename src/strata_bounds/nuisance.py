@@ -137,6 +137,13 @@ class _CellIndex:
             else:
                 qs = np.linspace(0, 1, spec.n_bins + 1)[1:-1]
                 self.edges[j] = _weighted_quantile(x_train[:, j], w_train, qs)
+        cells = math.prod([len(lv) for lv in self.levels.values()]
+                          + [len(e) + 1 for e in self.edges.values()])
+        if cells > np.iinfo(np.intp).max:   # the keys' flat index overflows
+            raise ValueError(
+                f"the covariates make {cells} cells, more than the "
+                f"{np.iinfo(np.intp).max} that cell keys can number; lower "
+                f"--cells-bins or list fewer --cells-discrete columns")
 
     def _level_index(self, j, col):
         """Index of each value of discrete column ``j`` among its training
@@ -616,14 +623,16 @@ def load_external_nuisances(path, table: ObservationTable,
     """Bundle from a CSV of per-row predictions, row-aligned with the data.
 
     Required columns ``m,s0,s1``; optional per-level surface grids with
-    columns ``q_<d>_u<level>`` and ``b_<j>_<d>_u<level>``. Surfaces are
+    columns ``q_<d>_u<level>`` and ``b_<j>_<d>_u<level>``, ``j`` and ``d``
+    in {0, 1}, one column per level in [0, 1]. Surfaces are
     piecewise-linear in the level between grid points and clamped at the
     grid ends. Grid values are used as supplied: a quantile grid that
     decreases in the level is not monotonized.
 
     Every field must be numeric: an empty or ``NA`` field, a ragged row or
     a blank line raises ``ValueError``, as does a non-finite ``m``, ``s0``
-    or ``s1`` and a NaN grid value. Grid values of ``inf``/``-inf`` are
+    or ``s1``, a NaN grid value, and a ``q_``/``b_`` column that breaks
+    the pattern (names of another shape are ignored). Grid values of ``inf``/``-inf`` are
     allowed (end-of-grid quantiles of an unbounded outcome).
     """
     header, data = _read_nuisance_csv(path)
@@ -645,17 +654,26 @@ def load_external_nuisances(path, table: ObservationTable,
         match = _GRID_COL.match(name)
         if not match:
             continue
+        kind, first, second, level = match.groups()
+        try:
+            u = float(level)
+        except ValueError:
+            u = math.nan
+        if ((second is None) != (kind == "q") or not 0.0 <= u <= 1.0
+                or not {first, second} <= {"0", "1", None}):
+            raise ValueError(
+                f"nuisance column {name!r} is neither q_<d>_u<level> nor "
+                f"b_<j>_<d>_u<level> with j and d in 0, 1 and a level in "
+                f"[0, 1]")
+        grid = (q_grids[int(first)] if kind == "q"
+                else b_grids[(int(first), int(second))])
+        if u in grid:
+            raise ValueError(f"nuisance column {name!r} repeats the level of "
+                             f"column {header[grid[u]]!r}")
         if nan_cols[jcol]:
             row = np.flatnonzero(np.isnan(data[:, jcol]))[0]
             raise ValueError(f"nuisance {name} is NaN at row {row}")
-        kind, first, second, level = match.groups()
-        u = float(level)
-        if kind == "q":
-            q_grids[int(first)][u] = jcol
-        else:
-            if second is None:
-                raise ValueError(f"bad truncated-mean column {name!r}")
-            b_grids[(int(first), int(second))][u] = jcol
+        grid[u] = jcol
 
     def make_interp(grid):
         if not grid:

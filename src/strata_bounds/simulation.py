@@ -134,9 +134,8 @@ class EstimatorSpec:
             raise ValueError(f"unknown trim variant {self.variant!r}")
         if self.method == "smooth" and self.moments == "known_ps":
             raise ValueError("smoothed moments use the efficient family")
-        if self.method == "smooth" and not (
-                isinstance(self.h, (int, float)) and 0.0 < self.h < math.inf):
-            raise ValueError(f"smooth needs a finite h > 0, got {self.h!r}")
+        if self.method == "smooth":
+            GFamily(self.h)   # a finite h > 0
 
 
 def paper_roster(h_grid: Sequence[float] = (0.05, 0.01, 1e-9)) -> tuple:

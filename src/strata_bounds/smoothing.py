@@ -29,9 +29,11 @@ LOG2 = float(np.log(2.0))
 
 
 def _softplus(z, h):
-    """Overflow-safe h*log(1 + exp(z/h)); exact max(z, 0) in the h -> 0 limit."""
+    """Overflow-safe h*log(1 + exp(z/h)); exact max(z, 0) in the h -> 0
+    limit. A ``z / h`` that overflows is that limit, so it passes silently."""
     z = np.asarray(z, dtype=float)
-    return np.maximum(z, 0.0) + h * np.log1p(np.exp(-np.abs(z) / h))
+    with np.errstate(over="ignore"):
+        return np.maximum(z, 0.0) + h * np.log1p(np.exp(-np.abs(z) / h))
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class GFamily:
     h: float
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("h must be positive")
+        if not (isinstance(self.h, (int, float)) and 0.0 < self.h < np.inf):
+            raise ValueError(f"h must be positive and finite, got {self.h!r}")
 
     def g(self, i: int, z):
         h = self.h
@@ -63,12 +65,14 @@ class GFamily:
     def g_prime(self, i: int, z):
         h = self.h
         z = np.asarray(z, dtype=float)
-        if i in (1, 3):
-            return expit((1.0 - z) / h)
-        if i in (2, 4):
-            return expit(z / h)
-        if i in (5, 6):
-            return expit(-z / h)
+        # an overflowed z / h is the h -> 0 limit, as in ``_softplus``
+        with np.errstate(over="ignore"):
+            if i in (1, 3):
+                return expit((1.0 - z) / h)
+            if i in (2, 4):
+                return expit(z / h)
+            if i in (5, 6):
+                return expit(-z / h)
         raise ValueError(f"no member g{i}")
 
     def limit(self, i: int, z):

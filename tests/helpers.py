@@ -9,7 +9,7 @@ import csv
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -24,9 +24,11 @@ from strata_bounds.errors import AllTrimmedError, EmptyCellError
 from strata_bounds.estimation import _estimate, ratio_estimate
 from strata_bounds.influence import eif_regular
 from strata_bounds.identification import SupportBounds
-from strata_bounds.nuisance import _CellIndex, _quantile_pos, fold_assignments
-from strata_bounds.simulation import (TRUNC_HI, TRUNC_LO, _TRUNC_MASN,
-                                      DesignAtoms, DgpConfig,
+from strata_bounds.nuisance import (CellSpec, LearnerSpec, _CellIndex,
+                                    _quantile_pos, crossfit, fold_assignments)
+from strata_bounds.simulation import (PANEL_SHARES, TRUNC_HI, TRUNC_LO,
+                                      _TRUNC_MASN, DesignAtoms, DgpConfig,
+                                      dgp_sample,
                                       _mix_censored_var, _mix_ppf, _mix_tail)
 from strata_bounds.smoothing import GFamily
 
@@ -514,6 +516,23 @@ def grouped_trunc_mean(surface, x, j, d, u):
         if not ok.all():
             out[rows[~ok]] = total_y / total_w
     return out
+
+
+def crossfit_panel_b():
+    """A panel-b draw (n = 2,000, seed 5) with cross-fitted nuisances (the
+    benchmark's cells) and its sample support.
+
+    The design's control outcome is 0, which would make every control-arm
+    surface constant, so the selected control rows get a standard normal
+    outcome instead."""
+    table = dgp_sample(DgpConfig(n=2000, shares=PANEL_SHARES["b"],
+                                 base_seed=5, replications=1), 0)
+    y0 = np.random.default_rng(5).standard_normal(table.n)
+    table = replace(table, y=np.where(
+        table.s == 1, np.where(table.d == 0, y0, table.y), np.nan))
+    spec = LearnerSpec(cells=CellSpec(discrete_cols=(0,), n_bins=3), folds=5,
+                       seed=1)
+    return table, crossfit(table, spec), SupportBounds.from_table(table)
 
 
 def crossfit_surfaces(table, spec):

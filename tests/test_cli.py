@@ -198,17 +198,19 @@ class TestEstimate:
     }
 
     @pytest.mark.parametrize("case", ["missing", "row_count", "grid_header",
-                                      *MALFORMED_ROWS])
+                                      "grid_arm", *MALFORMED_ROWS])
     def test_bad_nuisance_file_exits_2(self, capsys, tmp_path, sample_csv, case):
         _, table, path = sample_csv
         npath = tmp_path / "nuis.csv"
         n_rows = table.n - 1 if case == "row_count" else table.n
-        level = "bad" if case == "grid_header" else "0.5"
+        # an arm 2 grid column used to exit 1 with a KeyError
+        grid = {"grid_header": "q_0_ubad", "grid_arm": "q_2_u0.5"}.get(
+            case, "q_0_u0.5")
         if case != "missing":
             rows = ["0.5,0.4,0.6,0.0"] * n_rows
             if case in self.MALFORMED_ROWS:
                 rows[10] = self.MALFORMED_ROWS[case][0]
-            npath.write_text(f"m,s0,s1,q_0_u{level}\n" + "\n".join(rows) + "\n")
+            npath.write_text(f"m,s0,s1,{grid}\n" + "\n".join(rows) + "\n")
         code, out, err = run_cli(capsys, "estimate", path, "--nuisance-file",
                                  str(npath))
         assert code == 2 and out == ""
@@ -217,6 +219,8 @@ class TestEstimate:
                                 else "ValueError")
         if case in self.MALFORMED_ROWS:
             assert self.MALFORMED_ROWS[case][1] in rec["message"]
+        if case.startswith("grid_"):
+            assert rec["message"].startswith(f"nuisance column {grid!r} ")
 
     def test_nan_nuisance_exits_2(self, capsys, tmp_path, sample_csv):
         config, table, path = sample_csv
@@ -491,6 +495,21 @@ class TestSimulate:
         assert "n = 1" in failure["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate", "{data}", "--method", "smooth", "--folds", "2"),
+    ("bounds-curve", "--data", "{data}", "--folds", "2"),
+    ("bounds-curve", "--dgp-n", "400")])
+def test_infinite_h_exits_2(capsys, sample_csv, argv):
+    # estimate used to exit 3 (DegenerateTrimError), bounds-curve to write
+    # an error row and exit 0
+    code, out, err = run_cli(capsys, *(a.format(data=sample_csv[2])
+                                       for a in argv), "--h", "0.05,inf")
+    assert code == 2 and out == ""
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": "ValueError",
+        "message": "h must be positive and finite, got inf"}
+
+
 class TestBoundsCurve:
     def test_widening_and_limit(self, capsys):
         code, out, _ = run_cli(capsys, "bounds-curve", "--panel", "a",
@@ -673,6 +692,43 @@ def test_alpha_outside_the_unit_interval_exits_2(capsys, tmp_path, sample_csv,
         "error": "ValueError",
         "message": f"alpha must be in (0, 1), got {float(alpha)}"}
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    # each of the first four used to exit 0, having run the defaults
+    ("estimate", {"metod": "trim"}, "config key 'metod' is not read by "
+     "estimate; it reads alpha, dominance, eps_trim, folds, h, method, rho, "
+     "seed, side, stratum, trim_variant"),
+    ("estimate", {"cells_bins": 4}, "config key 'cells_bins' is not read by "
+     "estimate"),
+    ("simulate", {"n_bins": 4}, "config key 'n_bins' is not read by "
+     "simulate; it reads alpha, gamma, h, n, out, panel, power_out, "
+     "power_points, reps, seed, shares, threads"),
+    ("estimate", {"folds": None}, "config key 'folds' takes a value, got "
+     "null"),
+    # these three used to exit 1 with a traceback
+    ("estimate", [{"method": "trim"}], "a config file holds a JSON object, "
+     "got list"),
+    ("estimate", {"h": 0.05}, "config key 'h' takes a list of numbers, got "
+     "0.05"),
+    ("simulate", {"n": 400}, "config key 'n' takes a list of numbers, got "
+     "400"),
+    ("simulate", {"shares": [0.5, "0.5", 0.0]}, "config key 'shares' takes "
+     "a list of numbers"),
+], ids=["unknown_key", "flag_only_key", "unknown_simulate_key", "null",
+        "array", "scalar_h", "scalar_n", "string_share"])
+def test_config_file_errors_name_the_key(capsys, tmp_path, monkeypatch,
+                                         sample_csv, command, cfg, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = (sample_csv[2],) if command == "estimate" else ()
+    code, out, err = run_cli(capsys, command, *argv, "--config", str(path))
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "InvalidConfig"
+    assert rec["message"].startswith(message)
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_one_parser_serves_every_call(capsys, tmp_path, sample_csv):

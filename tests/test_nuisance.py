@@ -331,6 +331,20 @@ class TestCellKeys:
         pairs = np.unique(np.column_stack([cells, keys]), axis=0)
         assert len(pairs) == len(np.unique(cells, axis=0)) == len(np.unique(keys))
 
+    def test_cell_count_past_the_key_space_is_named(self):
+        # p = 40 at 3 bins used to fail on numpy's "invalid dims" when the
+        # first keys were read; 3**39 cells still fit
+        x = np.random.default_rng(3).normal(size=(50, 40))
+        w = np.ones(len(x))
+        fits = _CellIndex(x[:, :39], w, CellSpec(n_bins=3))
+        assert fits.keys(x[:, :39]).min() >= 0
+        with pytest.raises(ValueError) as err:
+            _CellIndex(x, w, CellSpec(n_bins=3))
+        assert str(err.value) == (
+            f"the covariates make {3 ** 40} cells, more than the "
+            f"{2 ** 63 - 1} that cell keys can number; lower --cells-bins "
+            f"or list fewer --cells-discrete columns")
+
     def test_discrete_level_tolerance_is_two_sided(self):
         # a value np.isclose to a training level takes that level from
         # either side; a value close to none is unseen (key -2)
@@ -998,6 +1012,35 @@ class TestExternal:
                            [[0.5, 0.4, 0.8, *g] for g in grid])
         with pytest.raises(ValueError, match=r"q_0_u0\.9 is NaN at row 4"):
             load_external_nuisances(path, self._table(n))
+
+    @pytest.mark.parametrize("columns,bad", [
+        # the first two used to raise KeyError, the third said nothing of
+        # the column, and the last four were read as grid columns
+        ("q_2_u0.5", "q_2_u0.5"),
+        ("b_0_5_u0.5", "b_0_5_u0.5"),
+        ("q_1_uabc", "q_1_uabc"),
+        ("q_1_0_u0.5", "q_1_0_u0.5"),
+        ("b_1_u0.5", "b_1_u0.5"),
+        ("q_1_u1.5", "q_1_u1.5"),
+        ("q_1_u-0.25", "q_1_u-0.25"),
+        ("q_1_unan", "q_1_unan"),
+        ("q_1_u0.5,q_1_u0.50", "q_1_u0.50"),
+        ("b_0_1_u0.5,q_1_u0.25,b_0_1_u5e-1", "b_0_1_u5e-1"),
+    ], ids=["arm_2", "arm_5", "level_abc", "q_with_tail", "b_without_arm",
+            "level_above_1", "level_below_0", "level_nan", "same_level",
+            "same_level_spelled_apart"])
+    def test_grid_column_name_is_checked(self, tmp_path, columns, bad):
+        k = columns.count(",") + 1
+        path = self._write(tmp_path, None, "m,s0,s1," + columns,
+                           [[0.5, 0.4, 0.8] + [1.0] * k] * 3)
+        with pytest.raises(ValueError) as err:
+            load_external_nuisances(path, self._table(3))
+        assert str(err.value).startswith(f"nuisance column {bad!r} ")
+
+    def test_other_columns_are_ignored(self, tmp_path):
+        path = self._write(tmp_path, None, "m,s0,s1,q_hat,id,b_x_u0.5",
+                           [[0.5, 0.4, 0.8, 1.0, 2.0, 3.0]] * 3)
+        assert load_external_nuisances(path, self._table(3)).n == 3
 
     def test_header_and_row_widths_must_agree(self, tmp_path):
         path = self._write(tmp_path, None, "m,s0,s1",

@@ -37,10 +37,12 @@ class TestDgpConfig:
         (("bogus", "bogus"), "unknown method 'bogus'"),
         (("smooth_known", "smooth", "known_ps", 0.05),
          "smoothed moments use the efficient family"),
-        (("s", "smooth"), "smooth needs a finite h > 0, got None"),
-        (("s", "smooth", "efficient", 0.0), "finite h > 0, got 0.0"),
-        (("s", "smooth", "efficient", float("nan")), "finite h > 0, got nan"),
-        (("s", "smooth", "efficient", float("inf")), "finite h > 0, got inf"),
+        (("s", "smooth"), "h must be positive and finite, got None"),
+        (("s", "smooth", "efficient", 0.0), "positive and finite, got 0.0"),
+        (("s", "smooth", "efficient", float("nan")),
+         "positive and finite, got nan"),
+        (("s", "smooth", "efficient", float("inf")),
+         "positive and finite, got inf"),
         (("t", "trim", "efficient", None, "bogus"),
          "unknown trim variant 'bogus'"),
         (("k", "switch", "known"), "unknown moments 'known'"),

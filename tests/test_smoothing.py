@@ -26,10 +26,27 @@ class TestGFamily:
         assert g1 < min(z, 1.0)
         assert min(z, 1.0) - g1 <= 0.15 * LOG2 + 1e-15
 
-    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan])
+    # inf used to be accepted (its trim levels then fail), None raised a
+    # TypeError
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf, None])
     def test_h_not_positive_raises(self, h):
         with pytest.raises(ValueError, match="h must be positive"):
             GFamily(h=h)
+
+    def test_overflowing_z_over_h_is_the_limit(self):
+        # z / h overflows at these h; it used to warn (an error under the
+        # test suite's filter) although the result is the h -> 0 limit
+        config, table, bundle = _oracle(shares=sb.PANEL_SHARES["b"], n=400)
+        z = np.array([-2.0, -1e-300, 0.0, 1e-300, 0.5, 1.0, 3.0])
+        want = sb.estimate_smooth(table, bundle, GFamily(h=1e-300))
+        for h in (1e-308, 5e-324):
+            fam = GFamily(h=h)
+            for i in range(1, 7):
+                fam.g(i, z)
+                fam.g_prime(i, z)
+            got = sb.estimate_smooth(table, bundle, fam)
+            assert (got.lower, got.upper, got.se_lower, got.se_upper) == \
+                (want.lower, want.upper, want.se_lower, want.se_upper)
 
     def test_mirror_identities(self):
         fam = GFamily(h=0.2)
