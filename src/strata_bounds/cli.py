@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .data_model import ObservationTable, Stratum, validate, write_csv
 from .errors import StrataBoundsError
-from .estimation import EstimationConfig
+from .estimation import EstimationConfig, _band_width
 from .identification import SupportBounds
 from .nuisance import CellSpec, LearnerSpec, crossfit, load_external_nuisances
 from .simulation import (METHODS, DgpConfig, PANEL_SHARES, dgp_sample,
@@ -203,6 +203,18 @@ def cmd_estimate(args) -> int:
             return _fail(EXIT_INPUT, "InvalidConfig",
                          "group column must be named x1..xp")
         group = int(k) - 1
+    # a bad knob value fails before the nuisances are fitted
+    try:
+        cfg = EstimationConfig(stratum=Stratum.parse(resolved["stratum"]),
+                               alpha=float(resolved["alpha"]),
+                               dominance=bool(resolved["dominance"]))
+        for h in resolved["h"]:
+            GFamily(h=float(h))
+        for knob in ("rho", "eps_trim"):
+            if resolved[knob] not in (None, "auto"):
+                _band_width(knob, resolved[knob])
+    except ValueError as exc:
+        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
     table, bundle = _load_input(args, resolved["seed"], resolved["folds"])
     if group is not None and group >= table.p:
         return _fail(EXIT_INPUT, "InvalidConfig",
@@ -222,9 +234,6 @@ def cmd_estimate(args) -> int:
     where = ""   # names the group whose estimators are running
     try:
         support = SupportBounds.from_table(table)
-        cfg = EstimationConfig(stratum=Stratum.parse(resolved["stratum"]),
-                               alpha=float(resolved["alpha"]),
-                               dominance=bool(resolved["dominance"]))
         payload = records(table, bundle)
         if group is not None:
             column = table.x[:, group]
@@ -241,24 +250,11 @@ def cmd_estimate(args) -> int:
     hidden = {"l": "upper", "u": "lower"}.get(str(resolved["side"]).lower())
     for rec in payload if hidden else ():
         rec[f"estimate_{hidden}"] = rec[f"se_{hidden}"] = None
-    payload = _jsonable(payload)
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    # ``_estimate`` lets no non-finite bound, SE or interval end through
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
     sys.stdout.write("\n")
     _human_table(payload)
     return EXIT_OK
-
-
-def _jsonable(obj):
-    """Strict-JSON-safe copy: non-finite floats become null."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        return obj if np.isfinite(obj) else None
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(float(obj))
-    return obj
 
 
 def _human_table(payload):

@@ -68,6 +68,15 @@ def _finite(*moments) -> None:
                 "finite; the bound reads an infinite support limit or quantile")
 
 
+def _finite_ends(method, *values) -> None:
+    """Raise ``InfiniteMomentError`` unless every bound, standard error
+    and interval end in ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise InfiniteMomentError(
+            f"{method}: a bound, standard error or interval end is not "
+            f"finite ({', '.join(repr(float(v)) for v in values)})")
+
+
 def _solve(wn, psi_b, psi_s):
     """``(beta, den, resid)`` of the moment equation under the normalized
     weights ``wn``: the share mean ``den``, the ratio ``beta`` and the
@@ -276,11 +285,14 @@ def _estimate(side_estimate, method, n_effective, config, h=None,
         upper = lower  # numerical guard at point identification
     alpha = config.alpha
     z = _normal_quantile(1.0 - alpha / 2.0)
+    ci_set = (lower - z * se_lower, upper + z * se_upper)
+    # the effect interval lies inside ci_set, so this covers it too
+    _finite_ends(method, lower, upper, se_lower, se_upper, *ci_set)
     # estimated ends can cross on degenerate samples; the critical value
     # then uses the point-identified (zero-width) limit
     return BoundsEstimate(
         lower=lower, upper=upper, se_lower=se_lower, se_upper=se_upper,
-        ci_set=(lower - z * se_lower, upper + z * se_upper),
+        ci_set=ci_set,
         ci_effect=_effect_interval(lower, upper, se_lower, se_upper, alpha),
         method=method, n_effective=int(n_effective), alpha=alpha, h=h,
         stratum=config.stratum.value, diagnostics=diagnostics or {})

@@ -27,7 +27,7 @@ from .errors import PartitionError
 from .identification import (SupportBounds, at_tails, conditional_sharp_bound,
                              stratum_weight, trim_levels,
                              unconditional_sharp_bound)
-from .smoothing import GFamily, _smooth_trim_levels
+from .smoothing import LOG2, SMOOTH_RECIPE, GFamily, _smooth_trim_levels
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,9 @@ def _cm_moments(table, bundle, labels, support: SupportBounds,
     if not plus.any():
         return InfluenceRows(psi_b=np.zeros(bundle.n), psi_s=np.zeros(bundle.n))
 
-    u = np.clip(1.0 - p0, 0.0, 1.0)
+    # off the positive partition 1 - p0 clips to level 0, where an unbounded
+    # tail is infinite; those rows are discarded, so read them at level 0.5
+    u = np.where(plus, np.clip(1.0 - p0, 0.0, 1.0), 0.5)
     q1, b1 = bundle.tail(rows, 1, 1, u)
     i1 = (yy <= q1).astype(float)
     k = c0 - p0 * c1
@@ -278,9 +280,10 @@ def eif_regular(table: ObservationTable, bundle: NuisanceBundle, labels,
 
 
 def _smooth_pieces(table, bundle, family: GFamily):
-    """The side-independent pieces of the smoothed moments: the trim levels
-    g1(p0) and g1(1/p0), g3(p0), the slopes g1'(p0) and g1'(1/p0), the
-    selection correction ``k`` and the share factors ``f1`` and ``f3``.
+    """The side-independent pieces of the smoothed moments: g1(p0), g1(1/p0),
+    p0^2 g1(1/p0), the slopes g1'(p0) and g1'(1/p0), the selection
+    correction ``k``, and per level j of ``SMOOTH_RECIPE`` gj(p0), its
+    ratios to g1(p0) and to p0 g1(1/p0), and its share factor.
     Built once per (table, bundle) and kept for the last ``family`` only:
     ``estimate_smooth`` runs both sides at one h before the next, and one
     entry keeps memory flat. Read-only."""
@@ -295,20 +298,21 @@ def _smooth_pieces(table, bundle, family: GFamily):
 def _build_smooth_pieces(table, bundle, family):
     _, _, _, _, c0, c1 = _ipw_pieces(table, bundle)
     s1, p0 = bundle.s1, bundle.p0
-    g, gp = family.g, family.g_prime
+    inv_p0 = 1.0 / p0
+    u1, u0 = _smooth_trim_levels(family, p0, inv_p0)   # g1(p0), g1(1/p0)
+    gp1 = family.g_prime(1, p0)   # g3' = g1'
+    pu0 = p0 * u0
 
-    u1, u0 = _smooth_trim_levels(family, p0)   # g1(p0), g1(1/p0)
-    g3 = g(3, p0)
-    gp1 = gp(1, p0)
+    def per_level(level):
+        return (level, level / u1, level / pu0,
+                level * s1 + gp1 * c0 + (level - p0 * gp1) * c1)
 
-    def fshare(gj, gjp):
-        return gj * s1 + gjp * c0 + (gj - p0 * gjp) * c1
-
-    out = (u1, u0, g3, gp1, gp(1, 1.0 / p0), c0 - p0 * c1,
-           fshare(u1, gp1), fshare(g3, gp1))   # g3' = g1'
-    for arr in out:
+    # the strict check leaves u1 unclipped, so u1 + h log 2 is g3(p0)
+    levels = {1: per_level(u1), 3: per_level(u1 + family.h * LOG2)}
+    out = (u1, u0, u0 * p0 ** 2, gp1, family.g_prime(1, inv_p0), c0 - p0 * c1)
+    for arr in (*out, *levels[1], *levels[3]):
         arr.setflags(write=False)
-    return out
+    return (*out, levels)
 
 
 def eif_smooth(table: ObservationTable, bundle: NuisanceBundle,
@@ -320,24 +324,13 @@ def eif_smooth(table: ObservationTable, bundle: NuisanceBundle,
     """
     side = Side.parse(side)
     yy, _, ipw1, ipw0, _, _ = _ipw_pieces(table, bundle)
-    p0 = bundle.p0
     rows = bundle.all_rows()
-    g, gp = family.g, family.g_prime
-    u1, u0, g3, gp1, gp1_inv, k, f1, f3 = _smooth_pieces(table, bundle, family)
+    u1, u0, u0p2, gp1, gp1_inv, k, levels = _smooth_pieces(table, bundle,
+                                                           family)
 
     treated, control = at_tails(side, u1, u0)
     q1, b1, i1 = _tail(bundle, rows, yy, 1, *treated)
     q0, b0, i0 = _tail(bundle, rows, yy, 0, *control)
-    if side is Side.L:
-        outer_idx = (4, 5)
-        level_plus, level_minus = u1, g3          # weights on the trimmed pieces
-        share_plus, share_minus = f3, f1          # denominator moments
-        carry_plus, carry_minus = f1, f3          # numerator share factors
-    else:
-        outer_idx = (2, 6)
-        level_plus, level_minus = g3, u1
-        share_plus, share_minus = f1, f3
-        carry_plus, carry_minus = f3, f1
 
     beta_h = b1 - b0
     # an infinite quantile means the trimming level degenerated to an end
@@ -354,24 +347,16 @@ def eif_smooth(table: ObservationTable, bundle: NuisanceBundle,
     a2 = ipw0 * (yy * i0 - u0 * b0)
     a4 = ipw1 * q1 * (i1 - u1)
     a4b = ipw0 * q0 * (i0 - u0)
-    pu0, u0p2 = p0 * u0, u0 * p0 ** 2
 
-    def component(outer_i, level, carry, share):
-        deriv = gp(outer_i, beta_h)
-        ratio = level / u1
-        ratio0 = level / pu0
-        psi = deriv * (ratio * a1
-                       - ratio0 * a2
-                       - ratio * a4
-                       + ratio0 * a4b
-                       + (gap1 * ratio + gap0 * level / u0p2) * k)
-        psi_b = psi + g(outer_i, beta_h) * carry
-        return psi_b, share
+    def component(outer_i, num, den):
+        level, ratio, ratio0, carry = levels[num]
+        psi = family.g_prime(outer_i, beta_h) * (
+            ratio * a1 - ratio0 * a2 - ratio * a4 + ratio0 * a4b
+            + (gap1 * ratio + gap0 * level / u0p2) * k)
+        return psi + family.g(outer_i, beta_h) * carry, levels[den][3]
 
-    pb_plus, ps_plus = component(outer_idx[0], level_plus, carry_plus, share_plus)
-    pb_minus, ps_minus = component(outer_idx[1], level_minus, carry_minus, share_minus)
-    return SmoothInfluenceRows(psi_b_plus=pb_plus, psi_s_plus=ps_plus,
-                               psi_b_minus=pb_minus, psi_s_minus=ps_minus)
+    plus, minus = (component(*piece) for piece in SMOOTH_RECIPE[side])
+    return SmoothInfluenceRows(*plus, *minus)
 
 
 # ---------------------------------------------------------------------------

@@ -255,11 +255,11 @@ def _benchmark_bundle(config: DgpConfig, table: ObservationTable) -> NuisanceBun
     p0_row = s0 / s1
 
     def tail_fn(rows, j, d, u):
-        if d == 0:
-            return np.zeros(len(rows)), np.zeros(len(rows))
-        mix = is_mix[rows]
-        q, b = _mix_tail(p0_row[rows], gamma, j, u)
-        return np.where(mix, q, 0.0), np.where(mix, b, 0.0)
+        q, b = np.zeros(len(rows)), np.zeros(len(rows))
+        if d == 1:
+            mix = np.flatnonzero(is_mix[rows])
+            q[mix], b[mix] = _mix_tail(p0_row[rows[mix]], gamma, j, u[mix])
+        return q, b
 
     return NuisanceBundle(m, s0, s1, tail_fn, provenance="oracle")
 

@@ -87,8 +87,16 @@ class GFamily:
         raise ValueError(f"no member g{i}")
 
 
-def _smooth_trim_levels(family: GFamily, p0: np.ndarray, strict: bool = True):
-    """(g1(p0), g1(1/p0)) trim levels.
+#: Per side, the plus and then the minus ratio piece of the smoothed bound:
+#: (g member applied to beta_h, level j weighting the numerator, level j
+#: weighting the share), level j being gj(p0). g5, g6 negate g2, g4 exactly.
+SMOOTH_RECIPE = {Side.L: ((4, 1, 3), (5, 3, 1)),
+                 Side.U: ((2, 3, 1), (6, 1, 3))}
+
+
+def _smooth_trim_levels(family: GFamily, p0: np.ndarray, inv_p0: np.ndarray,
+                        strict: bool = True):
+    """(g1(p0), g1(1/p0)) trim levels, with ``inv_p0`` the caller's 1/p0.
 
     With ``strict`` a nonpositive level raises: the moment evaluations
     divide by it. Without, levels clip to zero, which keeps the plug-in
@@ -96,7 +104,7 @@ def _smooth_trim_levels(family: GFamily, p0: np.ndarray, strict: bool = True):
     the clipped member still brackets its non-smooth target).
     """
     u1 = family.g(1, p0)
-    u0 = family.g(1, 1.0 / p0)
+    u0 = family.g(1, inv_p0)
     if strict and (np.min(u1) <= 0.0 or np.min(u0) <= 0.0):
         raise DegenerateTrimError(
             f"g1 trimming level not positive at h={family.h}; reduce h")
@@ -113,7 +121,8 @@ def smooth_conditional_bound(bundle: NuisanceBundle, side, family: GFamily,
     """
     side = Side.parse(side)
     rows = bundle.all_rows()
-    u1, u0 = _smooth_trim_levels(family, bundle.p0, strict=strict)
+    p0 = bundle.p0
+    u1, u0 = _smooth_trim_levels(family, p0, 1.0 / p0, strict=strict)
     (j1, t1), (j0, t0) = at_tails(side, u1, u0)
     return bundle.trunc_mean(rows, j1, 1, t1) - bundle.trunc_mean(rows, j0, 0, t0)
 
@@ -129,18 +138,14 @@ def smooth_unconditional_components(table, bundle: NuisanceBundle, side,
     p0 = bundle.p0
     s1 = bundle.s1
     beta_h = smooth_conditional_bound(bundle, side, family, strict=False)
-    g = family.g
-    den_a = float((w * g(3, p0) * s1).sum() / wsum)
-    den_b = float((w * g(1, p0) * s1).sum() / wsum)
-    if min(den_a, den_b) <= SHARE_FLOOR:
+    levels = {j: family.g(j, p0) for j in (1, 3)}
+    share = {j: float((w * level * s1).sum() / wsum)
+             for j, level in levels.items()}
+    if min(share.values()) <= SHARE_FLOOR:
         raise ZeroShareError("smoothed share denominator at or below floor")
-    if side is Side.L:
-        num_a = float((w * g(4, beta_h) * g(1, p0) * s1).sum() / wsum)
-        num_b = float((w * g(2, -beta_h) * g(3, p0) * s1).sum() / wsum)
-        return num_a / den_a, -(num_b / den_b)
-    num_a = float((w * g(2, beta_h) * g(3, p0) * s1).sum() / wsum)
-    num_b = float((w * g(4, -beta_h) * g(1, p0) * s1).sum() / wsum)
-    return num_a / den_b, -(num_b / den_a)
+    return tuple(float((w * family.g(i, beta_h) * levels[num] * s1).sum()
+                       / wsum) / share[den]
+                 for i, num, den in SMOOTH_RECIPE[side])
 
 
 def smooth_unconditional_bound(table, bundle: NuisanceBundle, side,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strata_bounds as sb
-from strata_bounds.cli import _jsonable, main
+from strata_bounds.cli import main
 from strata_bounds.simulation import METHODS
 
 
@@ -16,6 +16,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_crossfit(*args):
+    """Stands in for ``cli.crossfit`` where an error must come before any
+    fit."""
+    raise AssertionError("crossfit ran")
 
 
 @pytest.fixture()
@@ -315,10 +321,12 @@ class TestEstimate:
         (("--method", "trim", "--eps-trim", "inf"), "eps_trim"),
     ], ids=["rho_negative", "rho_nan", "rho_inf", "eps_trim_negative",
             "eps_trim_nan", "eps_trim_inf"])
-    def test_band_width_out_of_range_exits_2(self, capsys, sample_csv, argv,
-                                             knob):
+    def test_band_width_out_of_range_exits_2(self, capsys, monkeypatch,
+                                             sample_csv, argv, knob):
         # these used to exit 0: a negative or NaN width switched or trimmed
-        # nothing, and rho inf switched every row
+        # nothing, and rho inf switched every row; then they exited 2 only
+        # after cross-fitting
+        monkeypatch.setattr("strata_bounds.cli.crossfit", _no_crossfit)
         _, _, path = sample_csv
         code, out, err = run_cli(capsys, "estimate", path, "--folds", "2",
                                  *argv)
@@ -381,7 +389,7 @@ class TestEstimate:
             rows = table.x[:, 0] == g
             want = sb.estimate_sharp(table.select(rows), bundle.select(rows),
                                      cfg, support)
-            assert rec == json.loads(json.dumps(_jsonable(want.to_dict())))
+            assert rec == json.loads(json.dumps(want.to_dict()))
             assert rec["diagnostics"] == {"plug_in": True}
 
     def test_group_col_past_the_last_covariate_exits_2(self, capsys,
@@ -499,9 +507,11 @@ class TestSimulate:
     ("estimate", "{data}", "--method", "smooth", "--folds", "2"),
     ("bounds-curve", "--data", "{data}", "--folds", "2"),
     ("bounds-curve", "--dgp-n", "400")])
-def test_infinite_h_exits_2(capsys, sample_csv, argv):
+def test_infinite_h_exits_2(capsys, monkeypatch, sample_csv, argv):
     # estimate used to exit 3 (DegenerateTrimError), bounds-curve to write
-    # an error row and exit 0
+    # an error row and exit 0; then estimate exited 2 only after
+    # cross-fitting
+    monkeypatch.setattr("strata_bounds.cli.crossfit", _no_crossfit)
     code, out, err = run_cli(capsys, *(a.format(data=sample_csv[2])
                                        for a in argv), "--h", "0.05,inf")
     assert code == 2 and out == ""
@@ -663,9 +673,7 @@ def test_cells_discrete_outside_the_covariates_exits_2(capsys, sample_csv,
 def test_cells_bins_below_one_exits_2_before_fitting(capsys, monkeypatch,
                                                      sample_csv, bins, argv):
     # each used to exit 0 with the records of one bin
-    def fit(*args):
-        raise AssertionError("crossfit ran")
-    monkeypatch.setattr("strata_bounds.cli.crossfit", fit)
+    monkeypatch.setattr("strata_bounds.cli.crossfit", _no_crossfit)
     code, out, err = run_cli(capsys, *(a.format(data=sample_csv[2])
                                        for a in argv),
                              "--cells-bins", str(bins), "--folds", "2")
@@ -677,10 +685,12 @@ def test_cells_bins_below_one_exits_2_before_fitting(capsys, monkeypatch,
 
 @pytest.mark.parametrize("alpha", ["0", "1", "2", "-0.1", "nan"])
 @pytest.mark.parametrize("command", ["estimate", "simulate", "bounds-curve"])
-def test_alpha_outside_the_unit_interval_exits_2(capsys, tmp_path, sample_csv,
-                                                 command, alpha):
+def test_alpha_outside_the_unit_interval_exits_2(capsys, monkeypatch, tmp_path,
+                                                 sample_csv, command, alpha):
     # estimate and simulate used to exit 0 (null intervals, a size of 0.667);
-    # bounds-curve ended in a traceback
+    # bounds-curve ended in a traceback; then estimate exited 2 only after
+    # cross-fitting
+    monkeypatch.setattr("strata_bounds.cli.crossfit", _no_crossfit)
     argv = {"estimate": ("estimate", sample_csv[2], "--folds", "2"),
             "simulate": ("simulate", "--n", "50", "--reps", "2", "--out",
                          str(tmp_path / "m.csv"), "--power-out",
@@ -927,3 +937,23 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, "estimate", str(path), *self.FLAGS)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[rep]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_standard_errors_exit_3(capsys, tmp_path):
+    # from y x 1e160 on, the squared residuals of the standard errors
+    # overflow: estimate used to exit 0 with null standard errors and
+    # interval ends, bounds-curve with infinite effect-interval ends
+    config = sb.DgpConfig(n=2000, shares=sb.PANEL_SHARES["b"], base_seed=5,
+                          replications=1)
+    table = sb.dgp_sample(config, 0)
+    path = str(tmp_path / "scaled.csv")
+    sb.ObservationTable(table.y * 1e160, table.s, table.d, table.x,
+                        table.weight).to_csv(path)
+    code, out, err = run_cli(capsys, "estimate", path, *TestGoldenOutput.FLAGS)
+    assert code == 3 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == "InfiniteMomentError"
+    code, out, _ = run_cli(capsys, "bounds-curve", "--data", path, "--h",
+                           "0.05", *TestGoldenOutput.FLAGS[4:])
+    assert code == 0
+    assert out.splitlines()[1:] == ["0.05,,,,,InfiniteMomentError"]

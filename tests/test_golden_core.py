@@ -4,12 +4,13 @@ Each case hashes the raw bytes (``tobytes()``) of an estimator-core output
 on a fixed draw: the regular moments for every directly assembled and
 mirrored stratum and side, the plain-estimator moments and conditional
 bounds on a cross-fitted bundle, the smoothed moments and bounds, the
-oracle variance functionals, the Monte Carlo records of three
-replications on each panel, and every provider's tails with their
-transforms. The CLI digests of ``TestGoldenOutput`` only
-reach the always-taker bound without dominance; these reach the rest. The
-digests were recorded with numpy 2.4 on x86-64. A change to them needs a
-line in ``CHANGES.md`` that says why the outputs changed.
+plug-in smoothed targets of every panel, the oracle variance functionals,
+the Monte Carlo records of three replications on each panel, and every
+provider's tails with their transforms. The CLI digests of
+``TestGoldenOutput`` only reach the always-taker bound without dominance;
+these reach the rest. The digests were recorded with numpy 2.4 on x86-64.
+A change to them needs a line in ``CHANGES.md`` that says why the outputs
+changed.
 """
 
 import hashlib
@@ -32,6 +33,8 @@ from helpers import crossfit_panel_b
 STRATA = ("at", "c", "def", "em")
 SIDES = ("l", "u")
 H_GRID = (0.05, 0.5)
+#: h values of the plug-in smoothed targets, from coarse to the sharp limit.
+TARGET_H_GRID = (0.5, 0.05, 0.01, 1e-9)
 
 
 def _digest(*arrays) -> str:
@@ -62,9 +65,11 @@ def panel_b():
 
 
 @pytest.fixture(scope="module")
-def design_a():
-    """The panel-a benchmark design, for the oracle variance functionals."""
-    return sb.BenchmarkDesign(sb.DgpConfig(shares=sb.PANEL_SHARES["a"]))
+def designs():
+    """Each panel's benchmark design: panel a's for the oracle variance
+    functionals, all three for the plug-in smoothed targets."""
+    return {panel: sb.BenchmarkDesign(sb.DgpConfig(shares=sb.PANEL_SHARES[panel]))
+            for panel in "abc"}
 
 
 def _regular(panel, stratum, side, dominance, inefficient=False):
@@ -98,6 +103,11 @@ def _smooth(panel, side, h):
             smooth_conditional_bound(bundle, side, GFamily(h), strict=False))
 
 
+def _smooth_targets(design):
+    return [part for side in SIDES for h in TARGET_H_GRID
+            for part in design.smooth_component_targets(side, h)]
+
+
 def _cases() -> dict:
     """Case name -> (fixture name, outputs as a function of the fixture)."""
     cases = {}
@@ -120,8 +130,11 @@ def _cases() -> dict:
         for h in H_GRID:
             cases[f"smooth/b/{side}-h{h}"] = (
                 "panel_b", lambda p, side=side, h=h: _smooth(p, side, h))
-    cases["efficiency_bound/a"] = ("design_a", lambda d: (efficiency_bound(d),))
-    cases["efficiency_gap/a"] = ("design_a", lambda d: (efficiency_gap(d),))
+    for panel in "abc":
+        cases[f"smooth_component_targets/{panel}"] = (
+            "designs", lambda d, panel=panel: _smooth_targets(d[panel]))
+    cases["efficiency_bound/a"] = ("designs", lambda d: (efficiency_bound(d["a"]),))
+    cases["efficiency_gap/a"] = ("designs", lambda d: (efficiency_gap(d["a"]),))
     return cases
 
 
@@ -208,6 +221,12 @@ DIGESTS = {
         "2fd21b45959a2281aeede90172b9fa23334ad03a530fc571a595aa93930c29e8",
     "moment_rows/b/em-u-dom":
         "855be3f0e28ae165caf9bb5758ef804b19e5431a7604bc4b3da44fb0d82774ba",
+    "smooth_component_targets/a":
+        "fbd76f8a58491957394f9260b6224c7126c66bb9523be74bc25f578b90877579",
+    "smooth_component_targets/b":
+        "deeb3d9d1f310c61ff626026fd50f32810dbaab6a24e6c412751ee26687d94a8",
+    "smooth_component_targets/c":
+        "7c29ccf5f77d14b1844f9d5a2b27975a17ab33410b26a401ebe480ee5d55d5d0",
     "smooth/b/l-h0.05":
         "b1dc3f91726f0e1c6be82760573246fece398de6b6a483505c74464061271f7b",
     "smooth/b/l-h0.5":

@@ -484,11 +484,7 @@ class TestNeymanOrthogonality:
         labels = bundle.labels()
 
         def estimate(b):
-            # the complier moments are evaluated on every row and kept on
-            # the positive partition; elsewhere the level-0 tail of this
-            # unbounded design is infinite, and 0 * inf there is discarded
-            with np.errstate(invalid="ignore"):
-                rows = eif_regular(table, b, labels, spec, support)
+            rows = eif_regular(table, b, labels, spec, support)
             return sb.ratio_estimate(rows.psi_b, rows.psi_s, table.weight)[0]
 
         base = estimate(bundle)
