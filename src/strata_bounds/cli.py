@@ -2,7 +2,9 @@
 smoothing-sensitivity curves.
 
 All randomness flows from ``--seed`` (default 0, never wall-clock). Exit
-codes: 0 success, 2 invalid input or configuration, 3 estimation failure.
+codes: 0 success, 2 invalid input, configuration or file (a ``ValueError``
+or ``OSError``), 3 estimation failure (a ``StrataBoundsError``). ``main``
+alone maps an error to its code; any other exception propagates.
 Errors are emitted as a JSON object on stderr; primary results go to
 stdout as JSON or CSV only, so runs can be piped. ``STRATA_BOUNDS_LOG``
 sets the log level.
@@ -119,13 +121,20 @@ class _Failure(Exception):
     message). ``main`` reports it."""
 
 
-def _load_input(args, seed, folds):
-    """Read and validate the CSV at ``args.data`` and build its nuisance
-    bundle (from ``--nuisance-file`` or by cross-fitting).
+#: The errors ``main`` reports; any other exception is a bug and propagates.
+CLASSIFIED = (StrataBoundsError, OSError, ValueError)
 
-    Raises ``_Failure``: exit 2 for unreadable or invalid input, exit 3
-    when the nuisances cannot be estimated from a valid sample.
-    """
+
+def _classify(exc, prefix: str = "") -> tuple:
+    """``_fail``'s (code, kind, message) for a ``CLASSIFIED`` error."""
+    code = EXIT_ESTIMATION if isinstance(exc, StrataBoundsError) else EXIT_INPUT
+    return code, type(exc).__name__, prefix + str(exc)
+
+
+def _load_input(args, seed, folds):
+    """Read and validate the CSV at ``args.data`` (``_Failure``, exit 2, if
+    it is unreadable or invalid) and build its nuisance bundle (from
+    ``--nuisance-file`` or by cross-fitting)."""
     try:
         table = ObservationTable.from_csv(args.data, weights_col=args.weights_col)
     except (OSError, ValueError) as exc:
@@ -133,20 +142,14 @@ def _load_input(args, seed, folds):
     report = validate(table)
     if not report.ok:
         raise _Failure(EXIT_INPUT, "ValidationFailed", "; ".join(report.messages))
-    try:
-        if args.nuisance_file:
-            provenance = "external_oracle" if args.nuisance_oracle else "external"
-            return table, load_external_nuisances(args.nuisance_file, table,
-                                                  provenance=provenance)
-        cells = CellSpec(discrete_cols=_discrete_cols(args.cells_discrete,
-                                                      table.p),
-                         n_bins=args.cells_bins)
-        spec = LearnerSpec(cells=cells, folds=int(folds), seed=int(seed))
-        return table, crossfit(table, spec)
-    except (OSError, ValueError) as exc:
-        raise _Failure(EXIT_INPUT, type(exc).__name__, str(exc))
-    except StrataBoundsError as exc:
-        raise _Failure(EXIT_ESTIMATION, type(exc).__name__, str(exc))
+    if args.nuisance_file:
+        provenance = "external_oracle" if args.nuisance_oracle else "external"
+        return table, load_external_nuisances(args.nuisance_file, table,
+                                              provenance=provenance)
+    cells = CellSpec(discrete_cols=_discrete_cols(args.cells_discrete, table.p),
+                     n_bins=args.cells_bins)
+    spec = LearnerSpec(cells=cells, folds=int(folds), seed=int(seed))
+    return table, crossfit(table, spec)
 
 
 def _discrete_cols(text, p: int) -> tuple:
@@ -204,17 +207,14 @@ def cmd_estimate(args) -> int:
                          "group column must be named x1..xp")
         group = int(k) - 1
     # a bad knob value fails before the nuisances are fitted
-    try:
-        cfg = EstimationConfig(stratum=Stratum.parse(resolved["stratum"]),
-                               alpha=float(resolved["alpha"]),
-                               dominance=bool(resolved["dominance"]))
-        for h in resolved["h"]:
-            GFamily(h=float(h))
-        for knob in ("rho", "eps_trim"):
-            if resolved[knob] not in (None, "auto"):
-                _band_width(knob, resolved[knob])
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+    cfg = EstimationConfig(stratum=Stratum.parse(resolved["stratum"]),
+                           alpha=float(resolved["alpha"]),
+                           dominance=bool(resolved["dominance"]))
+    for h in resolved["h"]:
+        GFamily(h=float(h))
+    for knob in ("rho", "eps_trim"):
+        if resolved[knob] not in (None, "auto"):
+            _band_width(knob, resolved[knob])
     table, bundle = _load_input(args, resolved["seed"], resolved["folds"])
     if group is not None and group >= table.p:
         return _fail(EXIT_INPUT, "InvalidConfig",
@@ -231,21 +231,16 @@ def cmd_estimate(args) -> int:
                     for kw in grid]
         return out
 
-    where = ""   # names the group whose estimators are running
-    try:
-        support = SupportBounds.from_table(table)
-        payload = records(table, bundle)
-        if group is not None:
-            column = table.x[:, group]
-            for g in np.unique(column):
-                where = f"group x{group + 1}={float(g)}: "
-                rows = column == g
-                payload += [dict(rec, group=float(g)) for rec in
-                            records(table.select(rows), bundle.select(rows))]
-    except StrataBoundsError as exc:
-        return _fail(EXIT_ESTIMATION, type(exc).__name__, where + str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, where + str(exc))
+    support = SupportBounds.from_table(table)
+    payload = records(table, bundle)
+    column = () if group is None else table.x[:, group]
+    for g in np.unique(column):
+        rows = column == g
+        try:
+            payload += [dict(rec, group=float(g)) for rec in
+                        records(table.select(rows), bundle.select(rows))]
+        except CLASSIFIED as exc:
+            raise _Failure(*_classify(exc, f"group x{group + 1}={float(g)}: "))
 
     hidden = {"l": "upper", "u": "lower"}.get(str(resolved["side"]).lower())
     for rec in payload if hidden else ():
@@ -289,20 +284,16 @@ def cmd_simulate(args) -> int:
         shares, label = PANEL_SHARES[panel], panel
     else:
         return _fail(EXIT_INPUT, "UnknownPanel", panel)
-    try:
-        results = []
-        for n in resolved["n"]:
-            config = DgpConfig(n=int(n), shares=shares,
-                               gamma=float(resolved["gamma"]),
-                               base_seed=int(resolved["seed"]),
-                               replications=int(resolved["reps"]),
-                               alpha=float(resolved["alpha"]),
-                               h_grid=tuple(resolved["h"]),
-                               power_points=int(resolved["power_points"]),
-                               label=label)
-            results.append(run_experiment(config, threads=int(resolved["threads"])))
-    except (StrataBoundsError, ValueError) as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+    # every n's configuration is checked before the first experiment runs
+    configs = [DgpConfig(n=int(n), shares=shares, gamma=float(resolved["gamma"]),
+                         base_seed=int(resolved["seed"]),
+                         replications=int(resolved["reps"]),
+                         alpha=float(resolved["alpha"]),
+                         h_grid=tuple(resolved["h"]),
+                         power_points=int(resolved["power_points"]),
+                         label=label) for n in resolved["n"]]
+    results = [run_experiment(config, threads=int(resolved["threads"]))
+               for config in configs]
     write_metrics_csv(results, resolved["out"])
     write_power_csv(results, resolved["power_out"])
     sys.stdout.write(f"wrote {resolved['out']} and {resolved['power_out']}\n")
@@ -315,11 +306,8 @@ def cmd_simulate(args) -> int:
 def cmd_bounds_curve(args) -> int:
     if not args.h:
         return _fail(EXIT_INPUT, "EmptyGrid", "provide at least one h")
-    try:
-        families = [GFamily(h=float(h)) for h in args.h]
-        cfg = EstimationConfig(alpha=args.alpha)
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+    families = [GFamily(h=float(h)) for h in args.h]
+    cfg = EstimationConfig(alpha=args.alpha)
     own, other = CURVE_FLAGS if args.data else CURVE_FLAGS[::-1]
     for key in other:
         if getattr(args, key) is not None:
@@ -333,13 +321,10 @@ def cmd_bounds_curve(args) -> int:
     if args.data:
         table, bundle = _load_input(args, seed, args.folds)
     else:
-        try:
-            config = DgpConfig(n=args.dgp_n, shares=PANEL_SHARES[args.panel],
-                               base_seed=seed, replications=1)
-            table = dgp_sample(config, 0)
-            bundle = oracle_nuisances(config)(table)
-        except ValueError as exc:
-            return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+        config = DgpConfig(n=args.dgp_n, shares=PANEL_SHARES[args.panel],
+                           base_seed=seed, replications=1)
+        table = dgp_sample(config, 0)
+        bundle = oracle_nuisances(config)(table)
 
     rows = []
     for family in families:
@@ -429,6 +414,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except _Failure as exc:
         return _fail(*exc.args)
+    except CLASSIFIED as exc:
+        return _fail(*_classify(exc))
 
 
 if __name__ == "__main__":

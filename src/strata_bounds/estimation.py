@@ -77,6 +77,16 @@ def _finite_ends(method, *values) -> None:
             f"finite ({', '.join(repr(float(v)) for v in values)})")
 
 
+def _norm(v) -> float:
+    """``sqrt(sum(v ** 2))`` summed on ``v`` times ``2 ** -e``, where
+    ``2 ** e`` bounds ``max |v|``: no square overflows, and only negligible
+    ones underflow (LAPACK's ``dnrm2``, Blue 1978). Powers of two scale
+    exactly, so in the normal range this equals the unscaled formula."""
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    root = math.sqrt(float(np.sum(np.ldexp(v, -e) ** 2)))
+    return 2.0 * root * 2.0 ** (e - 1)   # 2.0 ** 1024 raises; this gives inf
+
+
 def _solve(wn, psi_b, psi_s):
     """``(beta, den, resid)`` of the moment equation under the normalized
     weights ``wn``: the share mean ``den``, the ratio ``beta`` and the
@@ -100,8 +110,7 @@ def ratio_estimate(psi_b, psi_s, weights):
     psi_s = np.asarray(psi_s, dtype=float)
     wn = _normalized(np.asarray(weights, dtype=float))
     beta, den, resid = _solve(wn, psi_b, psi_s)
-    se = float(np.sqrt(np.sum((wn * resid) ** 2))) / den
-    return beta, se
+    return beta, _norm(wn * resid) / den
 
 
 def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100,
@@ -390,7 +399,7 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
             rows = _regular_rows(table, bundle, labels, config.spec(side),
                                  support, config.inefficient, band)
             beta, den, resid = _solve(wn_all, rows.psi_b, rows.psi_s)
-            return beta, float(np.sqrt(np.sum((wn_surv * resid) ** 2))) / den
+            return beta, _norm(wn_surv * resid) / den
     else:
         raise ValueError(f"unknown trim variant {variant!r}")
     return _estimate(side_estimate, "trim", n_surv, config, diagnostics=diags)
@@ -425,8 +434,7 @@ def smooth_ratio_estimate(rows, weights):
     wn = _normalized(np.asarray(weights, dtype=float))
     beta_p, den_p, resid_p = _solve(wn, rows.psi_b_plus, rows.psi_s_plus)
     beta_m, den_m, resid_m = _solve(wn, rows.psi_b_minus, rows.psi_s_minus)
-    se = float(np.sqrt(np.sum((wn * (resid_p / den_p + resid_m / den_m)) ** 2)))
-    return beta_p + beta_m, se
+    return beta_p + beta_m, _norm(wn * (resid_p / den_p + resid_m / den_m))
 
 
 def estimate_smooth(table: ObservationTable, bundle: NuisanceBundle,

@@ -40,13 +40,17 @@ def _fit_logistic(Xd, y, w, tol: float = 1e-8, max_iter: int = 100):
     Stops at gradient norm <= tol * total weight or after max_iter steps;
     warns on quasi-separation (fitted index beyond +-30). The tolerance,
     the line search's slack and the ridge all scale with the total weight,
-    so weights times a power of two give the same coefficients.
+    so weights times a power of two give the same coefficients. The norm
+    test scales both sides by ``2 ** -e``, where ``2 ** e`` bounds the
+    total, so ``grad @ grad`` cannot overflow or underflow at any scale.
     """
     coef = np.zeros(Xd.shape[1])
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     total = float(np.sum(w))
     ridge = 1e-10 * total * np.eye(Xd.shape[1])
+    e = math.frexp(total)[1]
+    limit = tol * math.ldexp(total, -e)
 
     def nll(eta):
         return float((w * (np.logaddexp(0.0, eta) - y * eta)).sum())
@@ -56,7 +60,8 @@ def _fit_logistic(Xd, y, w, tol: float = 1e-8, max_iter: int = 100):
     for _ in range(max_iter):
         p = expit(eta)
         grad = Xd.T @ (w * (p - y))
-        if math.sqrt(grad @ grad) <= tol * total:
+        unit_grad = np.ldexp(grad, -e)
+        if math.sqrt(unit_grad @ unit_grad) <= limit:
             break
         hess = Xd.T @ (Xd * (w * p * (1.0 - p))[:, None])
         hess += ridge

@@ -180,6 +180,8 @@ class DgpConfig:
         if len(shares) != 3 or min(shares) < 0 or abs(sum(shares) - 1.0) > 1e-12:
             raise ValueError("shares must be three nonnegative values summing to 1")
         object.__setattr__(self, "shares", shares)
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.replications < 1:

@@ -24,6 +24,12 @@ def _no_crossfit(*args):
     raise AssertionError("crossfit ran")
 
 
+def _no_experiment(*args, **kwargs):
+    """Stands in for ``cli.run_experiment`` where an error must come before
+    any experiment runs."""
+    raise AssertionError("run_experiment ran")
+
+
 @pytest.fixture()
 def sample_csv(tmp_path):
     config = sb.DgpConfig(n=400, shares=(0.5, 0.0, 0.5), replications=1,
@@ -493,6 +499,22 @@ class TestSimulate:
             "message": "replications must be at least 1, got 0"}
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("n", ["0", "-5", "400,0"])
+    def test_bad_sample_size_exits_2_before_any_experiment(
+            self, capsys, monkeypatch, tmp_path, n):
+        # -5 failed in numpy ("negative dimensions are not allowed"), 0 only
+        # after the oracle target was built, and 400,0 only after the whole
+        # n = 400 experiment had run
+        monkeypatch.setattr("strata_bounds.cli.run_experiment", _no_experiment)
+        code, out, err = run_cli(capsys, "simulate", "--panel", "b",
+                                 f"--n={n}", "--reps", "2", "--out",
+                                 str(tmp_path / "m.csv"), "--power-out",
+                                 str(tmp_path / "p.csv"))
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": f"n must be at least 1, got {n.split(',')[-1]}"}
+
     def test_one_row_replications_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--panel", "b", "--n", "1",
                                "--reps", "3", "--out", str(tmp_path / "m.csv"),
@@ -939,16 +961,19 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[rep]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_standard_errors_exit_3(capsys, tmp_path):
-    # from y x 1e160 on, the squared residuals of the standard errors
-    # overflow: estimate used to exit 0 with null standard errors and
+    # at y x 1e307 the cells' weighted outcome sums overflow, and the moment
+    # rows built on them are not finite (numpy warns on the way); from
+    # y x 1e160 on, the squared residuals of the unscaled standard errors
+    # overflowed: estimate used to exit 0 with null standard errors and
     # interval ends, bounds-curve with infinite effect-interval ends
     config = sb.DgpConfig(n=2000, shares=sb.PANEL_SHARES["b"], base_seed=5,
                           replications=1)
     table = sb.dgp_sample(config, 0)
     path = str(tmp_path / "scaled.csv")
-    sb.ObservationTable(table.y * 1e160, table.s, table.d, table.x,
+    sb.ObservationTable(table.y * 1e307, table.s, table.d, table.x,
                         table.weight).to_csv(path)
     code, out, err = run_cli(capsys, "estimate", path, *TestGoldenOutput.FLAGS)
     assert code == 3 and out == ""
@@ -957,3 +982,31 @@ def test_overflowing_standard_errors_exit_3(capsys, tmp_path):
                            "0.05", *TestGoldenOutput.FLAGS[4:])
     assert code == 0
     assert out.splitlines()[1:] == ["0.05,,,,,InfiniteMomentError"]
+
+
+@pytest.mark.parametrize("case", ["grid-less nuisance file", "empty draw",
+                                  "unwritable output"])
+def test_input_and_file_errors_exit_2(capsys, tmp_path, sample_csv, case):
+    # each ended in a traceback with exit 1: bounds-curve's per-h loop
+    # caught only package errors, and neither its design draw nor
+    # simulate's writers were covered by an error handler
+    config, table, path = sample_csv
+    npath = str(tmp_path / "nuis.csv")
+    write_nuisance_csv(npath, table, sb.oracle_nuisances(config)(table),
+                       u_grid=())
+    argv, kind, message = {
+        "grid-less nuisance file": (
+            ("bounds-curve", "--data", path, "--nuisance-file", npath, "--h",
+             "0.05"), "ValueError", "no quantile grid supplied for arm 1"),
+        "empty draw": (("bounds-curve", "--dgp-n", "0", "--h", "0.05"),
+                       "ValueError", "n must be at least 1, got 0"),
+        "unwritable output": (
+            ("simulate", "--panel", "b", "--n", "200", "--reps", "2", "--out",
+             str(tmp_path / "missing" / "m.csv"), "--power-out",
+             str(tmp_path / "p.csv")),
+            "FileNotFoundError", "No such file or directory"),
+    }[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == kind and message in rec["message"]

@@ -11,9 +11,11 @@ import strata_bounds as sb
 from strata_bounds.data_model import (SHARE_FLOOR, NuisanceBundle,
                                       ObservationTable)
 from strata_bounds.errors import (AllTrimmedError, EmptyCellError,
-                                  PartitionError, ZeroShareError)
+                                  InfiniteMomentError, PartitionError,
+                                  ZeroShareError)
 from strata_bounds import simulation
-from strata_bounds.estimation import (EstimationConfig, _brentq, default_rho,
+from strata_bounds.estimation import (EstimationConfig, _brentq, _estimate,
+                                      default_rho,
                                       estimate_inefficient, estimate_sharp,
                                       estimate_smooth, estimate_switch,
                                       estimate_trim, im_critical_value,
@@ -55,6 +57,31 @@ class TestRatioEstimate:
     def test_zero_share_error(self):
         with pytest.raises(ZeroShareError):
             ratio_estimate(np.ones(10), np.zeros(10), np.ones(10))
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_standard_errors_scale_exactly_over_the_float_range(self, k):
+        # at these scales the squared residuals used to overflow to inf or
+        # underflow to 0
+        rng = np.random.default_rng(3)
+        psi_b, psi_s = rng.normal(size=(2, 400))
+        psi_s = np.abs(psi_s) + 0.5
+        w = rng.uniform(0.5, 2.0, 400)
+        beta, se = ratio_estimate(psi_b, psi_s, w)
+        assert ratio_estimate(np.ldexp(psi_b, k), psi_s, w) == (
+            math.ldexp(beta, k), math.ldexp(se, k))
+        rows = SmoothInfluenceRows(psi_b, psi_s, -psi_b[::-1], psi_s[::-1])
+        beta, se = smooth_ratio_estimate(rows, w)
+        scaled = SmoothInfluenceRows(np.ldexp(psi_b, k), psi_s,
+                                     -np.ldexp(psi_b[::-1], k), psi_s[::-1])
+        assert smooth_ratio_estimate(scaled, w) == (math.ldexp(beta, k),
+                                                    math.ldexp(se, k))
+
+    def test_an_overflowing_interval_end_raises(self):
+        # the standard errors no longer overflow, so a side estimate stands
+        # in for one whose interval end does
+        with pytest.raises(InfiniteMomentError, match="sharp: a bound"):
+            _estimate(lambda side: (1e308, 1e308), "sharp", 2,
+                      EstimationConfig())
 
 
 class TestImbensManski:

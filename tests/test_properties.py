@@ -112,7 +112,7 @@ def _varied_draw(shares, seed, n):
 
 
 crossfit_sizes = st.integers(min_value=200, max_value=600)
-powers = st.integers(min_value=-6, max_value=6)
+powers = st.integers(min_value=-1000, max_value=1000)
 
 
 @settings(max_examples=15, deadline=None)

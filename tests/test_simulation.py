@@ -23,6 +23,12 @@ class TestDgpConfig:
         with pytest.raises(ValueError):
             sb.DgpConfig(gamma=0.0)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_sample_size_validation(self, n):
+        # -5 used to fail in numpy's sampler, 0 after the oracle target
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            sb.DgpConfig(n=n)
+
     @pytest.mark.parametrize("reps", [0, -1])
     def test_replications_validation(self, reps):
         with pytest.raises(ValueError, match="replications must be at least 1"):
