@@ -292,6 +292,13 @@ def cmd_simulate(args) -> int:
                          h_grid=tuple(resolved["h"]),
                          power_points=int(resolved["power_points"]),
                          label=label) for n in resolved["n"]]
+    # so is each output path: opening it raises the OSError a write would,
+    # and the file is left as it was
+    for path in (resolved["out"], resolved["power_out"]):
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
     results = [run_experiment(config, threads=int(resolved["threads"]))
                for config in configs]
     write_metrics_csv(results, resolved["out"])

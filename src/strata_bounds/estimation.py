@@ -69,12 +69,12 @@ def _finite(*moments) -> None:
 
 
 def _finite_ends(method, *values) -> None:
-    """Raise ``InfiniteMomentError`` unless every bound, standard error
-    and interval end in ``values`` is finite."""
+    """Raise ``InfiniteMomentError`` unless every bound, standard error,
+    interval end and gap in ``values`` is finite."""
     if not np.isfinite(values).all():
         raise InfiniteMomentError(
-            f"{method}: a bound, standard error or interval end is not "
-            f"finite ({', '.join(repr(float(v)) for v in values)})")
+            f"{method}: a bound, standard error, interval end or gap is "
+            f"not finite ({', '.join(repr(float(v)) for v in values)})")
 
 
 def _norm(v) -> float:
@@ -231,26 +231,21 @@ def imbens_manski_interval(lower: float, upper: float, se_lower: float,
     return _effect_interval(lower, upper, se_lower, se_upper, alpha)
 
 
-def _regular_rows(table, bundle, labels, spec, support, inefficient,
-                  degenerate_mask) -> InfluenceRows:
+def _regular_rows(table, bundle, spec, support, inefficient,
+                  mask) -> InfluenceRows:
     """Regular moments with the point-identified limit on the masked rows."""
-    degenerate_mask = np.asarray(degenerate_mask, dtype=bool)
     # give masked rows a harmless branch for vectorized evaluation,
     # then overwrite their contributions
-    safe_labels = np.where(degenerate_mask, 1, labels)
-    rows = eif_regular(table, bundle, safe_labels, spec, support,
-                       inefficient=inefficient)
-    if not degenerate_mask.any():
+    rows = eif_regular(table, bundle, np.where(mask, XPLUS, bundle.labels()),
+                       spec, support, inefficient=inefficient)
+    if not mask.any():
         return rows
     if spec.stratum is Stratum.AT:
-        deg = degenerate_at_moments(table, bundle, inefficient=inefficient)
-        psi_b = np.where(degenerate_mask, deg.psi_b, rows.psi_b)
-        psi_s = np.where(degenerate_mask, deg.psi_s, rows.psi_s)
-    else:
-        # zero stratum mass at indifference: the rows contribute nothing
-        psi_b = np.where(degenerate_mask, 0.0, rows.psi_b)
-        psi_s = np.where(degenerate_mask, 0.0, rows.psi_s)
-    return InfluenceRows(psi_b=psi_b, psi_s=psi_s)
+        limit = degenerate_at_moments(table, bundle, inefficient=inefficient)
+    else:  # zero stratum mass at indifference: the rows contribute nothing
+        limit = InfluenceRows(psi_b=0.0, psi_s=0.0)
+    return InfluenceRows(psi_b=np.where(mask, limit.psi_b, rows.psi_b),
+                         psi_s=np.where(mask, limit.psi_s, rows.psi_s))
 
 
 @dataclass(frozen=True)
@@ -275,19 +270,18 @@ def moment_rows(table: ObservationTable, bundle: NuisanceBundle, side,
                 support: Optional[SupportBounds] = None) -> InfluenceRows:
     """Per-row moments as the plain estimator consumes them: regular on the
     monotone partitions, the point-identified limit on indifferent rows."""
-    if support is None:
-        support = SupportBounds.from_table(table)
-    labels = bundle.labels()
-    mask = labels == XZERO
-    return _regular_rows(table, bundle, labels, config.spec(Side.parse(side)),
-                         support, config.inefficient, mask)
+    return _regular_rows(table, bundle, config.spec(Side.parse(side)),
+                         support, config.inefficient, _band(bundle))
 
 
-def _estimate(side_estimate, method, n_effective, config, h=None,
-              diagnostics=None) -> BoundsEstimate:
+def _estimate(side_estimate, method, n_effective, config, bundle, band=None,
+              rule="none", h=None, **own) -> BoundsEstimate:
     """Package ``side_estimate(side) -> (estimate, se)`` for the lower and
-    then the upper side, with the pointwise interval for the identified set
-    and the effect interval."""
+    then the upper side, with the pointwise interval for the identified set,
+    the effect interval and the diagnostics every method reports: the
+    shares of selection-indifferent rows and of the rows in ``band`` (named
+    by ``rule``), the clamp count, the provenance, and whether the ends
+    cross, plus the method's ``own`` values."""
     lower, se_lower = side_estimate(Side.L)
     upper, se_upper = side_estimate(Side.U)
     if upper < lower and upper - lower > -1e-10:
@@ -295,16 +289,55 @@ def _estimate(side_estimate, method, n_effective, config, h=None,
     alpha = config.alpha
     z = _normal_quantile(1.0 - alpha / 2.0)
     ci_set = (lower - z * se_lower, upper + z * se_upper)
+    gap = upper - lower
     # the effect interval lies inside ci_set, so this covers it too
-    _finite_ends(method, lower, upper, se_lower, se_upper, *ci_set)
-    # estimated ends can cross on degenerate samples; the critical value
-    # then uses the point-identified (zero-width) limit
+    _finite_ends(method, lower, upper, se_lower, se_upper, *ci_set, gap)
+    # estimated ends can cross on degenerate samples: they are reported as
+    # estimated, flagged, and the critical value uses the zero-width limit
+    diagnostics = {
+        "share_xzero": float((bundle.labels() == XZERO).mean()),
+        "band": rule, "share_band": 0.0 if band is None else float(band.mean()),
+        "n_clamped": bundle.n_clamped, "provenance": bundle.provenance,
+        "crossed": gap < 0, "gap": gap, **own}
     return BoundsEstimate(
         lower=lower, upper=upper, se_lower=se_lower, se_upper=se_upper,
         ci_set=ci_set,
         ci_effect=_effect_interval(lower, upper, se_lower, se_upper, alpha),
         method=method, n_effective=int(n_effective), alpha=alpha, h=h,
-        stratum=config.stratum.value, diagnostics=diagnostics or {})
+        stratum=config.stratum.value, diagnostics=diagnostics)
+
+
+def _banded(table, bundle, config, support, band, rule, method, trim=None,
+            **own) -> BoundsEstimate:
+    """The moment estimate with the rows in ``band`` on their
+    point-identified limit, read over every row; with ``trim="drop"`` over
+    the rows off the band only, and with ``trim="retain"`` over every row
+    but with the standard error of the rows off the band only."""
+    kept = ~band
+    n_kept = int(kept.sum()) if trim else table.n
+    if n_kept == 0:
+        raise AllTrimmedError("every row lies inside the trimming band")
+    weight = table.weight[kept] if trim == "drop" else table.weight
+    wn = _normalized(weight)
+    wn_se = _normalized(np.where(kept, weight, 0.0)) if trim == "retain" else wn
+
+    def side_estimate(side):
+        rows = _regular_rows(table, bundle, config.spec(side), support,
+                             config.inefficient, band)
+        psi_b, psi_s = rows.psi_b, rows.psi_s
+        if trim == "drop":
+            psi_b, psi_s = psi_b[kept], psi_s[kept]
+        beta, den, resid = _solve(wn, psi_b, psi_s)
+        return beta, _norm(wn_se * resid) / den
+    return _estimate(side_estimate, method, n_kept, config, bundle, band, rule,
+                     **own)
+
+
+def _band(bundle, width=None) -> np.ndarray:
+    """The selection-indifferent rows, and with a ``width`` every row with
+    ``|p0 - 1| <= width``."""
+    band = bundle.labels() == XZERO
+    return band if width is None else band | (np.abs(bundle.p0 - 1.0) <= width)
 
 
 def estimate_sharp(table: ObservationTable, bundle: NuisanceBundle,
@@ -320,26 +353,20 @@ def estimate_sharp(table: ObservationTable, bundle: NuisanceBundle,
     the never-taker stratum takes the moment path, which raises
     ``PartitionError`` as every stratum but the always-takers' does.
     """
-    if support is None:
-        support = SupportBounds.from_table(table)
     if config.stratum is Stratum.NT and not config.inefficient:
+        if support is None:
+            support = SupportBounds.from_table(table)
         w_nt = stratum_weight(bundle.s0, bundle.s1, Stratum.NT)
 
         def plug_in(side):
             beta_x = conditional_sharp_bound(bundle, config.spec(side), support)
             return ratio_estimate(beta_x * w_nt, w_nt, table.weight)
 
-        return _estimate(plug_in, "sharp", table.n, config,
-                         diagnostics={"plug_in": True})
-
-    def side_estimate(side):
-        rows = moment_rows(table, bundle, side, config, support)
-        return ratio_estimate(rows.psi_b, rows.psi_s, table.weight)
-
+        return _estimate(plug_in, "sharp", table.n, config, bundle,
+                         plug_in=True)
     method = "inefficient_known_ps" if config.inefficient else "sharp"
-    diags = {"share_xzero": float((bundle.labels() == XZERO).mean()),
-             "n_clamped": bundle.n_clamped}
-    return _estimate(side_estimate, method, table.n, config, diagnostics=diags)
+    return _banded(table, bundle, config, support, _band(bundle), "xzero",
+                   method)
 
 
 def estimate_inefficient(table, bundle, config: EstimationConfig = EstimationConfig(),
@@ -368,41 +395,13 @@ def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,
     standard error on the regular subsample only (its residual spread and
     its count), which is deliberately conservative.
     """
-    if support is None:
-        support = SupportBounds.from_table(table)
-    labels = bundle.labels()
-    band = labels == XZERO
-    if eps_trim is not None:
-        band = band | (np.abs(bundle.p0 - 1.0) <= _band_width("eps_trim", eps_trim))
-    survivors = ~band
-    n_surv = int(survivors.sum())
-    if n_surv == 0:
-        raise AllTrimmedError("every row lies inside the trimming band")
-    diags = {"share_trimmed": float(band.mean()), "variant": variant}
-
-    if variant == "drop":
-        # banded rows take a harmless branch; the moments are elementwise,
-        # so the survivors' rows equal those of the survivor subset
-        safe_labels = np.where(band, XPLUS, labels)
-        w_surv = table.weight[survivors]
-
-        def side_estimate(side):
-            rows = eif_regular(table, bundle, safe_labels, config.spec(side),
-                               support, inefficient=config.inefficient)
-            return ratio_estimate(rows.psi_b[survivors],
-                                  rows.psi_s[survivors], w_surv)
-    elif variant == "retain":
-        wn_all = _normalized(table.weight)
-        wn_surv = _normalized(np.where(survivors, table.weight, 0.0))
-
-        def side_estimate(side):
-            rows = _regular_rows(table, bundle, labels, config.spec(side),
-                                 support, config.inefficient, band)
-            beta, den, resid = _solve(wn_all, rows.psi_b, rows.psi_s)
-            return beta, _norm(wn_surv * resid) / den
-    else:
+    if variant not in ("drop", "retain"):
         raise ValueError(f"unknown trim variant {variant!r}")
-    return _estimate(side_estimate, "trim", n_surv, config, diagnostics=diags)
+    if eps_trim is not None:
+        eps_trim = _band_width("eps_trim", eps_trim)
+    return _banded(table, bundle, config, support, _band(bundle, eps_trim),
+                   "xzero" if eps_trim is None else "eps_trim", "trim",
+                   trim=variant, variant=variant)
 
 
 def estimate_switch(table: ObservationTable, bundle: NuisanceBundle,
@@ -410,19 +409,9 @@ def estimate_switch(table: ObservationTable, bundle: NuisanceBundle,
                     rho: float | str = "auto",
                     support: Optional[SupportBounds] = None) -> BoundsEstimate:
     """Swap in the point-identified moment inside the shrinking band."""
-    if support is None:
-        support = SupportBounds.from_table(table)
     rho = _band_width("rho", default_rho(table.n) if rho == "auto" else rho)
-    labels = bundle.labels()
-    band = (labels == XZERO) | (np.abs(bundle.p0 - 1.0) <= rho)
-
-    def side_estimate(side):
-        rows = _regular_rows(table, bundle, labels, config.spec(side), support,
-                             config.inefficient, band)
-        return ratio_estimate(rows.psi_b, rows.psi_s, table.weight)
-
-    diags = {"rho": rho, "share_switched": float(band.mean())}
-    return _estimate(side_estimate, "switch", table.n, config, diagnostics=diags)
+    return _banded(table, bundle, config, support, _band(bundle, rho), "rho",
+                   "switch", rho=rho)
 
 
 def smooth_ratio_estimate(rows, weights):
@@ -453,4 +442,5 @@ def estimate_smooth(table: ObservationTable, bundle: NuisanceBundle,
         return smooth_ratio_estimate(eif_smooth(table, bundle, family, side),
                                      table.weight)
 
-    return _estimate(side_estimate, "smooth", table.n, config, h=family.h)
+    return _estimate(side_estimate, "smooth", table.n, config, bundle,
+                     h=family.h)

@@ -594,7 +594,6 @@ def reference_trim_drop(table, bundle, config, eps_trim=None, support=None):
     n_surv = int(survivors.sum())
     if n_surv == 0:
         raise AllTrimmedError("every row lies inside the trimming band")
-    diags = {"share_trimmed": float(band.mean()), "variant": "drop"}
 
     sub_table = table.select(survivors)
     sub_bundle = bundle.select(survivors)
@@ -609,7 +608,9 @@ def reference_trim_drop(table, bundle, config, eps_trim=None, support=None):
                            config.spec(side), sub_support,
                            inefficient=config.inefficient)
         return ratio_estimate(rows.psi_b, rows.psi_s, sub_table.weight)
-    return _estimate(side_estimate, "trim", n_surv, config, diagnostics=diags)
+    return _estimate(side_estimate, "trim", n_surv, config, bundle, band,
+                     "xzero" if eps_trim is None else "eps_trim",
+                     variant="drop")
 
 
 def reference_interp(levels, values, u):

@@ -396,7 +396,31 @@ class TestEstimate:
             want = sb.estimate_sharp(table.select(rows), bundle.select(rows),
                                      cfg, support)
             assert rec == json.loads(json.dumps(want.to_dict()))
-            assert rec["diagnostics"] == {"plug_in": True}
+            assert rec["diagnostics"]["plug_in"] is True
+            assert rec["diagnostics"]["band"] == "none"
+
+    def test_crossed_ends_are_reported_as_estimated_and_flagged(
+            self, capsys, tmp_path):
+        # sharp and trim cross on this panel-c draw; they used to print
+        # lower > upper with exit 0 and no flag
+        config = sb.DgpConfig(n=400, shares=sb.PANEL_SHARES["c"], base_seed=5,
+                              replications=1)
+        path = tmp_path / "c.csv"
+        sb.dgp_sample(config, 0).to_csv(str(path))
+        code, out, _ = run_cli(capsys, "estimate", str(path), "--folds", "2",
+                               "--method", "sharp,trim,switch,smooth")
+        assert code == 0
+        records = {rec["method"]: rec for rec in json.loads(out)}
+        for method, ends in {
+                "sharp": (0.08584631997633506, 0.062267518708413225),
+                "trim": (0.0858434211221752, 0.06215057495360624)}.items():
+            rec = records[method]
+            assert (rec["estimate_lower"], rec["estimate_upper"]) == ends
+            assert rec["diagnostics"]["crossed"] is True
+            assert rec["diagnostics"]["gap"] == ends[1] - ends[0]
+            assert rec["diagnostics"]["gap"] == pytest.approx(-0.024, abs=1e-3)
+        for method in ("switch", "smooth"):
+            assert records[method]["diagnostics"]["crossed"] is False
 
     def test_group_col_past_the_last_covariate_exits_2(self, capsys,
                                                         sample_csv):
@@ -514,6 +538,28 @@ class TestSimulate:
         assert json.loads(err.splitlines()[-1]) == {
             "error": "ValueError",
             "message": f"n must be at least 1, got {n.split(',')[-1]}"}
+
+    @pytest.mark.parametrize("present", [True, False],
+                             ids=["present", "absent"])
+    @pytest.mark.parametrize("flag", ["--out", "--power-out"])
+    def test_unwritable_output_exits_2_before_any_experiment(
+            self, capsys, monkeypatch, tmp_path, flag, present):
+        # a missing directory used to exit 2 only after the whole Monte
+        # Carlo, and a bad --power-out left a complete --out behind; the
+        # other path is left as it was
+        monkeypatch.setattr("strata_bounds.cli.run_experiment", _no_experiment)
+        good, bad = tmp_path / "good.csv", tmp_path / "missing" / "bad.csv"
+        if present:
+            good.write_text("kept\n")
+        out, power = (bad, good) if flag == "--out" else (good, bad)
+        code, stdout, err = run_cli(capsys, "simulate", "--panel", "b", "--n",
+                                    "200", "--reps", "2", "--out", str(out),
+                                    "--power-out", str(power))
+        assert code == 2 and stdout == ""
+        rec = json.loads(err.splitlines()[-1])
+        assert rec["error"] == "FileNotFoundError" and str(bad) in rec["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["good.csv"] * present
+        assert not present or good.read_text() == "kept\n"
 
     def test_one_row_replications_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--panel", "b", "--n", "1",
@@ -939,15 +985,21 @@ class TestGoldenOutput:
     """``estimate`` with the benchmark's cross-fitting flags reproduces,
     byte for byte, the stdout recorded for two fixed panel-b draws (draw
     124 has a held-out cell that no training fold saw). The digests were
-    recorded with numpy 2.4 on x86-64. A change to them needs a line in
+    recorded with numpy 2.4 on x86-64. A second digest per draw covers the
+    records without their ``diagnostics``, so a change to the diagnostics
+    cannot hide a change to the numbers. A change to either needs a line in
     ``CHANGES.md`` that says why the outputs changed."""
 
     FLAGS = ("--method", "sharp,trim,switch,smooth", "--h", "0.05,0.01",
              "--cells-discrete", "1", "--cells-bins", "3", "--folds", "5",
              "--seed", "1")
     DIGESTS = {
-        0: "2b6b3b17b75c4803308f0338e7e3c5a7c57f61b6d1aa7ebbde4e78e0ed5fecd4",
-        124: "2c4e9e5b35f8e64617bf0dffd8879fe01bd707411f8f59038795ee9e30aa7e21",
+        0: "128c18c462d1390f96576f130979395fb17d108d6685db844ad5bd7070613087",
+        124: "c053c61396a19a8a7a4e1441e6a0a1dfa3ebcfd72a89f08cfd45431cd0b8aa5d",
+    }
+    NUMBERS = {
+        0: "073628a9bdda1a52cbcc7d98d22dc06f75f34f5d29e2b55b0bdd5b5675627a9f",
+        124: "1eca54f0583b2bf64528ef39f88f05123531b4f422083719463734b0b59a6e10",
     }
 
     @pytest.mark.parametrize("rep", sorted(DIGESTS))
@@ -959,6 +1011,11 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, "estimate", str(path), *self.FLAGS)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[rep]
+        records = json.loads(out)
+        for rec in records:
+            del rec["diagnostics"]
+        numbers = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(numbers.encode()).hexdigest() == self.NUMBERS[rep]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

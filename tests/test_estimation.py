@@ -78,10 +78,18 @@ class TestRatioEstimate:
 
     def test_an_overflowing_interval_end_raises(self):
         # the standard errors no longer overflow, so a side estimate stands
-        # in for one whose interval end does
+        # in for one whose interval end does; it raises before the
+        # diagnostics read a bundle
         with pytest.raises(InfiniteMomentError, match="sharp: a bound"):
             _estimate(lambda side: (1e308, 1e308), "sharp", 2,
-                      EstimationConfig())
+                      EstimationConfig(), bundle=None)
+
+    def test_an_overflowing_gap_raises(self):
+        # finite ends and interval ends whose difference is not finite
+        with pytest.raises(InfiniteMomentError, match="trim: a bound"):
+            _estimate(lambda side: (-1e308 if side is sb.Side.L else 1e308,
+                                    0.0), "trim", 2, EstimationConfig(),
+                      bundle=None)
 
 
 class TestImbensManski:
@@ -275,7 +283,46 @@ def test_share_floor(entry):
             call()
 
 
+#: The diagnostics keys of every record; a method adds its own values.
+SCHEMA = {"share_xzero", "band", "share_band", "n_clamped", "provenance",
+          "crossed", "gap"}
+
+
 class TestEstimators:
+    def test_every_method_reports_one_diagnostics_schema(self):
+        config, table, bundle, support = oracle_setup(shares=(0.4, 0.2, 0.4),
+                                                      n=600)
+        cfg = EstimationConfig()
+        nt = EstimationConfig(stratum=sb.Stratum.NT)
+        xzero = bundle.labels() == 0
+        cases = [  # (estimate, band rule, rows in the band, own values)
+            (estimate_sharp(table, bundle, cfg, support), "xzero", xzero, {}),
+            (estimate_inefficient(table, bundle, cfg, support), "xzero",
+             xzero, {}),
+            (estimate_trim(table, bundle, cfg, support=support), "xzero",
+             xzero, {"variant": "drop"}),
+            (estimate_trim(table, bundle, cfg, eps_trim=0.05,
+                           variant="retain", support=support), "eps_trim",
+             xzero | (np.abs(bundle.p0 - 1) <= 0.05), {"variant": "retain"}),
+            (estimate_switch(table, bundle, cfg, rho=0.1, support=support),
+             "rho", xzero | (np.abs(bundle.p0 - 1) <= 0.1), {"rho": 0.1}),
+            (estimate_smooth(table, bundle, GFamily(h=0.05), cfg), "none",
+             np.zeros(table.n, bool), {}),
+            (estimate_sharp(table, bundle, nt, support), "none",
+             np.zeros(table.n, bool), {"plug_in": True}),
+        ]
+        assert 0 < xzero.mean() < 0.3
+        for est, rule, band, own in cases:
+            diags = est.diagnostics
+            assert set(diags) == SCHEMA | set(own)
+            assert diags == dict(diags, **own)
+            assert (diags["band"], diags["share_band"]) == (rule, band.mean())
+            assert diags["share_xzero"] == xzero.mean()
+            assert diags["n_clamped"] == bundle.n_clamped
+            assert diags["provenance"] == "oracle"
+            assert diags["gap"] == est.upper - est.lower
+            assert diags["crossed"] is (est.lower > est.upper)
+
     def test_switch_with_zero_rho_equals_sharp_on_regular_design(self):
         config, table, bundle, support = oracle_setup()
         cfg = EstimationConfig()

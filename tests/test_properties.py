@@ -21,6 +21,8 @@ import strata_bounds as sb
 from strata_bounds import EstimationConfig, Side, Stratum, StratumSpec
 from strata_bounds.cli import main
 
+from test_cli import write_nuisance_csv
+
 PANELS = ((0.5, 0.0, 0.5), (1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4))
 N = 300
 
@@ -66,17 +68,20 @@ def test_weight_scaling_leaves_estimates_and_ses_unchanged(shares, seed, scale):
 
 
 ALL_METHODS = ("--method", "sharp,trim,switch,smooth", "--h", "0.05")
+CROSSFIT = ("--cells-discrete", "1", "--cells-bins", "3", "--folds", "3",
+            "--seed", "1")
 
 
-def _estimate_stdout(table, directory, name, flags=ALL_METHODS):
+def _estimate_stdout(table, directory, name, flags=ALL_METHODS,
+                     nuisances=CROSSFIT):
     """``estimate``'s exit code, stdout and, on a failure, the JSON error
-    object on stderr (``None`` on success)."""
+    object on stderr (``None`` on success); ``nuisances`` are the flags
+    that fit or read the nuisance bundle."""
     path = f"{directory}/{name}.csv"
     table.to_csv(path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["estimate", path, *flags, "--cells-discrete", "1",
-                     "--cells-bins", "3", "--folds", "3", "--seed", "1"])
+        code = main(["estimate", path, *flags, *nuisances])
     error = json.loads(err.getvalue().splitlines()[-1]) if code else None
     return code, out.getvalue(), error
 
@@ -112,6 +117,8 @@ def _varied_draw(shares, seed, n):
 
 
 crossfit_sizes = st.integers(min_value=200, max_value=600)
+#: the levels of the external nuisance grids
+LEVELS = np.linspace(0.0, 1.0, 21)
 powers = st.integers(min_value=-1000, max_value=1000)
 
 
@@ -139,7 +146,8 @@ def test_outcome_power_of_two_scales_crossfit_estimates_exactly(shares, seed,
                                                                 n, k):
     # the cells sort, sum and search the outcomes, so a power of two scales
     # every quantile and truncated mean, and the moments built on them,
-    # without rounding; smooth is left out, its h acts on the outcome scale
+    # without rounding, and the gap between the ends with them; smooth is
+    # left out, its h acts on the outcome scale
     table = _varied_draw(shares, seed, n)
     scaled = sb.ObservationTable(table.y * 2.0 ** k, table.s, table.d,
                                  table.x, table.weight)
@@ -150,9 +158,16 @@ def test_outcome_power_of_two_scales_crossfit_estimates_exactly(shares, seed,
     if _unseen_level(base):
         assert got == base
         return
-    assert base[0] == got[0] == 0
+    _assert_scaled(base, got, k, 3)
+
+
+def _assert_scaled(base, got, k, methods):
+    """Both runs exit 0 with ``methods`` records each, and ``got``'s are
+    ``base``'s with every bound, standard error, interval end and gap
+    times ``2 ** k`` exactly, and every other field equal."""
+    assert base[0] == got[0] == 0, (base[2], got[2])
     base, got = json.loads(base[1]), json.loads(got[1])
-    assert len(got) == len(base) == 3
+    assert len(got) == len(base) == methods
 
     def scale(v):
         return None if v is None else v * 2.0 ** k
@@ -161,7 +176,61 @@ def test_outcome_power_of_two_scales_crossfit_estimates_exactly(shares, seed,
             assert rec.pop(key) == scale(want.pop(key))
         for key in ("ci_set", "ci_effect"):
             assert rec.pop(key) == [scale(v) for v in want.pop(key)]
+        gap = rec["diagnostics"].pop("gap")
+        assert gap == scale(want["diagnostics"].pop("gap"))
         assert rec == want
+
+
+def _scaled_tails(bundle, k):
+    """``bundle`` with every quantile and truncated mean times ``2 ** k``."""
+    def tail(rows, j, d, u):
+        return tuple(np.ldexp(v, k) for v in bundle.tail(rows, j, d, u))
+    return sb.NuisanceBundle(bundle.m, bundle.s0, bundle.s1, tail,
+                             provenance=bundle.provenance)
+
+
+@settings(max_examples=15, deadline=None)
+@given(shares=panels, seed=seeds, n=crossfit_sizes, k=powers)
+def test_outcome_power_of_two_scales_external_estimates_exactly(shares, seed,
+                                                                n, k):
+    # a nuisance file whose quantiles and truncated means are scaled with
+    # the outcomes: the surfaces interpolate linearly in the grid values,
+    # so every record scales as on cross-fitted runs, inefficient (which
+    # reads external and oracle bundles only) included
+    table = _varied_draw(shares, seed, n)
+    bundle = sb.oracle_nuisances(_config(shares, seed))(table)
+    scaled = sb.ObservationTable(table.y * 2.0 ** k, table.s, table.d,
+                                 table.x, table.weight)
+    flags = ("--method", "sharp,trim,switch,inefficient")
+    runs = []
+    with tempfile.TemporaryDirectory() as directory:
+        for name, rows, tails in (("base", table, bundle),
+                                  ("scaled", scaled, _scaled_tails(bundle, k))):
+            grid = f"{directory}/{name}-nuisances.csv"
+            write_nuisance_csv(grid, rows, tails, u_grid=LEVELS)
+            runs.append(_estimate_stdout(rows, directory, name, flags,
+                                         ("--nuisance-file", grid)))
+    _assert_scaled(*runs, k, 4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(shares=st.sampled_from(PANELS + (sb.PANEL_SHARES["c"],)), seed=seeds,
+       n=crossfit_sizes)
+@example(shares=sb.PANEL_SHARES["c"], seed=5, n=400)
+def test_crossed_ends_are_flagged_with_their_gap(shares, seed, n):
+    # ends are never reordered or clipped: a record whose lower end lies
+    # above its upper end says so (the example crosses on sharp and trim);
+    # a small panel-c draw may instead fail as documented, with exit 3
+    table = sb.dgp_sample(sb.DgpConfig(n=n, shares=shares, replications=1,
+                                       base_seed=seed), 0)
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, error = _estimate_stdout(table, directory, "draw",
+                                            nuisances=("--folds", "2"))
+    assert code in (0, 3) and (out == "") == (code == 3), error
+    for rec in json.loads(out) if code == 0 else ():
+        lower, upper = rec["estimate_lower"], rec["estimate_upper"]
+        assert rec["diagnostics"]["gap"] == upper - lower
+        assert rec["diagnostics"]["crossed"] is (lower > upper)
 
 
 @settings(max_examples=15, deadline=None)
