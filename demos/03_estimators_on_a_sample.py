@@ -6,7 +6,9 @@ handle it differently: evaluate straight through the point-identified
 limit, drop the band, switch moments inside a shrinking band, or smooth
 the whole functional. Intervals are reported for the identified set and
 for the effect itself (the latter via a width-adaptive critical value).
-A subgroup bound is the same estimator run on the group's rows.
+The known-propensity moments (``inefficient``) read the oracle's true
+propensity; an estimated one is refused. A subgroup bound is the same
+estimator run on the group's rows.
 """
 
 import numpy as np
@@ -34,7 +36,8 @@ runs = [
     ("trim (retain)", sb.estimate_trim(table, bundle, cfg, variant="retain",
                                        support=support)),
     ("switch", sb.estimate_switch(table, bundle, cfg, support=support)),
-    ("inefficient", sb.estimate_inefficient(table, bundle, cfg, support)),
+    ("inefficient", sb.estimate_sharp(
+        table, bundle, sb.EstimationConfig(inefficient=True), support)),
 ]
 for h in (0.05, 0.01, 1e-9):
     runs.append((f"smooth h={h:g}",

@@ -14,10 +14,10 @@ from .data_model import (BoundsEstimate, NuisanceBundle, ObservationTable,
 from .errors import (AllTrimmedError, DegenerateTrimError, EmptyCellError,
                      InfiniteMomentError, PartitionError, SeparationWarning,
                      StrataBoundsError, ZeroShareError)
-from .estimation import (EstimationConfig, default_rho, estimate_inefficient,
-                         estimate_sharp, estimate_smooth, estimate_switch,
-                         estimate_trim, im_critical_value, moment_rows,
-                         ratio_estimate, smooth_ratio_estimate)
+from .estimation import (EstimationConfig, default_rho, estimate_sharp,
+                         estimate_smooth, estimate_switch, estimate_trim,
+                         im_critical_value, moment_rows, ratio_estimate,
+                         smooth_ratio_estimate)
 from .identification import (SupportBounds, conditional_sharp_bound,
                              stratum_weight, unconditional_sharp_bound)
 from .influence import (InfluenceRows, SmoothInfluenceRows,

@@ -199,6 +199,13 @@ def cmd_estimate(args) -> int:
     if resolved["dominance"] and all(m == "smooth" for m in methods):
         return _fail(EXIT_INPUT, "InvalidConfig",
                      "dominance is not used by method smooth")
+    # known-propensity moments need a supplied m and have no dominance variant
+    if "inefficient" in methods and not args.nuisance_file:
+        return _fail(EXIT_INPUT, "InvalidConfig", "method inefficient needs a "
+                     "known propensity score from --nuisance-file")
+    if resolved["dominance"] and "inefficient" in methods:
+        return _fail(EXIT_INPUT, "InvalidConfig",
+                     "dominance cannot be combined with method inefficient")
     group = None   # index of the --group-col covariate
     if args.group_col is not None:
         k = args.group_col[1:]

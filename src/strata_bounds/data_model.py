@@ -37,6 +37,8 @@ DEFAULT_EPS0_ESTIMATED = 1e-12
 SHARE_FLOOR = 1e-12
 #: Provenances whose probabilities are exact rather than estimated.
 _EXACT_PROVENANCES = ("oracle", "external_oracle")
+#: Provenances whose ``m`` is the true propensity: supplied, not fitted.
+_KNOWN_PROPENSITIES = ("oracle", "external", "external_oracle")
 
 
 class Stratum(enum.Enum):
@@ -405,14 +407,18 @@ class NuisanceBundle:
         overlap floor on this bundle's rows."""
         return int(self._clamps.sum())
 
+    @property
+    def known_propensity(self) -> bool:
+        """Whether ``m`` is the true propensity rather than an estimate."""
+        return self.provenance in _KNOWN_PROPENSITIES
+
     @cached_property
     def p0(self) -> np.ndarray:
         return _read_only(self.s0 / self.s1)
 
     def default_eps0(self) -> float:
-        if self.provenance in _EXACT_PROVENANCES:
-            return 0.0
-        return DEFAULT_EPS0_ESTIMATED
+        return (0.0 if self.provenance in _EXACT_PROVENANCES
+                else DEFAULT_EPS0_ESTIMATED)
 
     def labels(self) -> np.ndarray:
         return self._labels

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -211,11 +211,6 @@ def im_critical_value(delta: float, se: float, alpha: float = 0.05) -> float:
     return _brentq(f, 0.0, z_two, xtol=1e-10, fa=f_zero, fb=f_two)
 
 
-def _effect_interval(lower, upper, se_lower, se_upper, alpha):
-    c = im_critical_value(upper - lower, max(se_lower, se_upper), alpha=alpha)
-    return lower - c * se_lower, upper + c * se_upper
-
-
 def imbens_manski_interval(lower: float, upper: float, se_lower: float,
                            se_upper: float, alpha: float = 0.05):
     """Effect confidence interval for a partially identified parameter.
@@ -223,12 +218,12 @@ def imbens_manski_interval(lower: float, upper: float, se_lower: float,
     ``se_lower``/``se_upper`` are per-estimate standard errors (any sample
     size scaling already applied). The conservative variant with the
     larger of the two standard errors enters the critical-value equation.
+    Crossed ends (``upper < lower``) take the zero-width critical value.
     """
-    if upper < lower:
-        raise ValueError("upper bound below lower bound")
     if se_lower < 0 or se_upper < 0:
         raise ValueError("standard errors must be nonnegative")
-    return _effect_interval(lower, upper, se_lower, se_upper, alpha)
+    c = im_critical_value(upper - lower, max(se_lower, se_upper), alpha=alpha)
+    return lower - c * se_lower, upper + c * se_upper
 
 
 def _regular_rows(table, bundle, spec, support, inefficient,
@@ -292,8 +287,8 @@ def _estimate(side_estimate, method, n_effective, config, bundle, band=None,
     gap = upper - lower
     # the effect interval lies inside ci_set, so this covers it too
     _finite_ends(method, lower, upper, se_lower, se_upper, *ci_set, gap)
-    # estimated ends can cross on degenerate samples: they are reported as
-    # estimated, flagged, and the critical value uses the zero-width limit
+    # ends that cross on degenerate samples are reported as such, and flagged
+    ci_effect = imbens_manski_interval(lower, upper, se_lower, se_upper, alpha)
     diagnostics = {
         "share_xzero": float((bundle.labels() == XZERO).mean()),
         "band": rule, "share_band": 0.0 if band is None else float(band.mean()),
@@ -301,8 +296,7 @@ def _estimate(side_estimate, method, n_effective, config, bundle, band=None,
         "crossed": gap < 0, "gap": gap, **own}
     return BoundsEstimate(
         lower=lower, upper=upper, se_lower=se_lower, se_upper=se_upper,
-        ci_set=ci_set,
-        ci_effect=_effect_interval(lower, upper, se_lower, se_upper, alpha),
+        ci_set=ci_set, ci_effect=ci_effect,
         method=method, n_effective=int(n_effective), alpha=alpha, h=h,
         stratum=config.stratum.value, diagnostics=diagnostics)
 
@@ -312,7 +306,11 @@ def _banded(table, bundle, config, support, band, rule, method, trim=None,
     """The moment estimate with the rows in ``band`` on their
     point-identified limit, read over every row; with ``trim="drop"`` over
     the rows off the band only, and with ``trim="retain"`` over every row
-    but with the standard error of the rows off the band only."""
+    but with the standard error of the rows off the band only. The
+    known-propensity moments refuse an estimated ``m`` (``PartitionError``)."""
+    if config.inefficient and not bundle.known_propensity:
+        raise PartitionError("known-propensity moments require an oracle or "
+                             "externally supplied propensity score")
     kept = ~band
     n_kept = int(kept.sum()) if trim else table.n
     if n_kept == 0:
@@ -364,19 +362,8 @@ def estimate_sharp(table: ObservationTable, bundle: NuisanceBundle,
 
         return _estimate(plug_in, "sharp", table.n, config, bundle,
                          plug_in=True)
-    method = "inefficient_known_ps" if config.inefficient else "sharp"
     return _banded(table, bundle, config, support, _band(bundle), "xzero",
-                   method)
-
-
-def estimate_inefficient(table, bundle, config: EstimationConfig = EstimationConfig(),
-                         support: Optional[SupportBounds] = None) -> BoundsEstimate:
-    """Known-propensity moment estimator (no truncated-mean surfaces consumed)."""
-    if bundle.provenance not in ("oracle", "external", "external_oracle"):
-        raise PartitionError("known-propensity moments require an oracle or "
-                             "externally supplied propensity score")
-    return estimate_sharp(table, bundle, replace(config, inefficient=True),
-                          support)
+                   "inefficient_known_ps" if config.inefficient else "sharp")
 
 
 def estimate_trim(table: ObservationTable, bundle: NuisanceBundle,

@@ -11,7 +11,7 @@ closed forms, so estimators can be benchmarked against exact targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -22,9 +22,8 @@ from ._special import ndtr, ndtri
 from .data_model import (XPLUS, NuisanceBundle, ObservationTable, Side, Stratum,
                          StratumSpec, write_csv)
 from .errors import StrataBoundsError
-from .estimation import (EstimationConfig, _brentq, estimate_inefficient,
-                         estimate_sharp, estimate_smooth, estimate_switch,
-                         estimate_trim)
+from .estimation import (EstimationConfig, _brentq, estimate_sharp,
+                         estimate_smooth, estimate_switch, estimate_trim)
 from .identification import (SupportBounds, stratum_weight,
                              unconditional_sharp_bound)
 from .smoothing import GFamily, smooth_unconditional_components
@@ -112,7 +111,8 @@ def run_method(method, table, bundle, config, support, **knobs):
         return estimate_switch(table, bundle, config, support=support, **knobs)
     if method == "smooth":
         return estimate_smooth(table, bundle, GFamily(h=float(knobs["h"])), config)
-    return estimate_inefficient(table, bundle, config, support)
+    return estimate_sharp(table, bundle, replace(config, inefficient=True),
+                          support)
 
 
 @dataclass(frozen=True)

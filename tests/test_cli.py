@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strata_bounds as sb
 from strata_bounds.cli import main
+from strata_bounds.estimation import imbens_manski_interval
 from strata_bounds.simulation import METHODS
 
 
@@ -285,6 +286,23 @@ class TestEstimate:
         assert rec["error"] == "InvalidConfig"
         assert "dominance" in rec["message"] and message in rec["message"]
 
+    @pytest.mark.parametrize("argv,message", [
+        ((), "method inefficient needs a known propensity score from "
+             "--nuisance-file"),
+        (("--dominance", "--nuisance-file", "missing-nuisances.csv"),
+         "dominance cannot be combined with method inefficient"),
+    ], ids=["no_nuisance_file", "dominance"])
+    def test_inefficient_combinations_exit_2_before_any_fit(
+            self, capsys, monkeypatch, sample_csv, argv, message):
+        # both used to exit 3 with PartitionError, after the cross-fit
+        monkeypatch.setattr("strata_bounds.cli.crossfit", _no_crossfit)
+        _, _, path = sample_csv
+        code, out, err = run_cli(capsys, "estimate", path, "--folds", "2",
+                                 "--method", "sharp,inefficient", *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "InvalidConfig", "message": message}
+
     def test_dominance_kept_when_a_listed_method_uses_it(self, capsys,
                                                         sample_csv):
         _, _, path = sample_csv
@@ -419,6 +437,9 @@ class TestEstimate:
             assert rec["diagnostics"]["crossed"] is True
             assert rec["diagnostics"]["gap"] == ends[1] - ends[0]
             assert rec["diagnostics"]["gap"] == pytest.approx(-0.024, abs=1e-3)
+            # the public interval helper takes crossed ends as the records do
+            assert tuple(rec["ci_effect"]) == imbens_manski_interval(
+                *ends, rec["se_lower"], rec["se_upper"])
         for method in ("switch", "smooth"):
             assert records[method]["diagnostics"]["crossed"] is False
 

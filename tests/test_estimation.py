@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from strata_bounds.errors import (AllTrimmedError, EmptyCellError,
                                   ZeroShareError)
 from strata_bounds import simulation
 from strata_bounds.estimation import (EstimationConfig, _brentq, _estimate,
-                                      default_rho,
-                                      estimate_inefficient, estimate_sharp,
+                                      _normal_quantile,
+                                      default_rho, estimate_sharp,
                                       estimate_smooth, estimate_switch,
                                       estimate_trim, im_critical_value,
                                       imbens_manski_interval, moment_rows,
@@ -26,6 +27,9 @@ from strata_bounds.smoothing import GFamily
 
 from helpers import Pieces, pair_tail, reference_trim_drop
 from test_shared_pieces import _crossfit_draw
+
+#: The known-propensity moments.
+KNOWN = EstimationConfig(inefficient=True)
 
 
 class TestRatioEstimate:
@@ -128,9 +132,16 @@ class TestImbensManski:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            imbens_manski_interval(1.0, 0.5, 0.1, 0.1)
-        with pytest.raises(ValueError):
             imbens_manski_interval(0.0, 1.0, -0.1, 0.1)
+
+    def test_crossed_ends_take_the_zero_width_critical_value(self):
+        # the ends of a panel-c sharp record, which cross; the estimators
+        # report such ends as estimated and build this interval on them
+        lower, upper = 0.0858, 0.0623
+        c = im_critical_value(0.0, 0.05)
+        assert c == _normal_quantile(0.975)
+        assert imbens_manski_interval(lower, upper, 0.05, 0.05) == (
+            lower - c * 0.05, upper + c * 0.05)
 
 
 def _solved(solve, f, a, b, **kwargs) -> str:
@@ -297,8 +308,8 @@ class TestEstimators:
         xzero = bundle.labels() == 0
         cases = [  # (estimate, band rule, rows in the band, own values)
             (estimate_sharp(table, bundle, cfg, support), "xzero", xzero, {}),
-            (estimate_inefficient(table, bundle, cfg, support), "xzero",
-             xzero, {}),
+            (estimate_sharp(table, bundle, KNOWN, support), "xzero", xzero,
+             {}),
             (estimate_trim(table, bundle, cfg, support=support), "xzero",
              xzero, {"variant": "drop"}),
             (estimate_trim(table, bundle, cfg, eps_trim=0.05,
@@ -447,15 +458,23 @@ class TestEstimators:
         cross = NuisanceBundle(bundle.m, bundle.s0, bundle.s1,
                                bundle._tail_fn, provenance="cross_fitted")
         with pytest.raises(PartitionError):
-            estimate_inefficient(table, cross, EstimationConfig(), support)
+            estimate_sharp(table, cross, KNOWN, support)
 
     @pytest.mark.parametrize("stratum", ["c", "def", "em", "nt"])
     def test_inefficient_is_for_the_always_taker_stratum_only(self, stratum):
         # the never-taker plug-in has no known-propensity variant either
         config, table, bundle, support = oracle_setup(n=300)
         with pytest.raises(PartitionError, match="always-taker stratum only"):
-            estimate_inefficient(table, bundle, EstimationConfig(
-                stratum=sb.Stratum.parse(stratum)), support)
+            estimate_sharp(table, bundle, EstimationConfig(
+                stratum=sb.Stratum.parse(stratum), inefficient=True), support)
+
+    def test_dominance_and_known_propensity_moments_cannot_be_combined(self):
+        # estimate refuses the pair before it reads data; this is the
+        # library's own refusal
+        config, table, bundle, support = oracle_setup(n=300)
+        with pytest.raises(PartitionError, match="cannot be combined"):
+            estimate_sharp(table, bundle, EstimationConfig(
+                dominance=True, inefficient=True), support)
 
     def test_null_effect_design(self):
         # constant outcome, full selection, known propensity: the estimated
@@ -471,7 +490,7 @@ class TestEstimators:
                            pair_tail(lambda r, dd, u: np.full(len(r), 2.0),
                                      lambda r, j, dd, u: np.full(len(r), 2.0)),
                            provenance="oracle")
-        est = estimate_inefficient(t, b, EstimationConfig())
+        est = estimate_sharp(t, b, KNOWN)
         assert est.lower == pytest.approx(0.0, abs=4 * max(est.se_lower, 1e-12))
 
     def test_full_selection_inefficient_is_ipw_contrast(self):
@@ -486,7 +505,7 @@ class TestEstimators:
                            pair_tail(lambda r, dd, u: np.full(len(r), y.max()),
                                      lambda r, j, dd, u: np.full(len(r), 0.0)),
                            provenance="oracle")
-        est = estimate_inefficient(t, b, EstimationConfig())
+        est = estimate_sharp(t, b, KNOWN)
         ht = np.mean(y * d / 0.4) - np.mean(y * (1 - d) / 0.6)
         # the share moment is 1 up to the floor, so the ratio reduces to
         # the plain inverse-propensity contrast
@@ -535,6 +554,52 @@ def _outcome(estimate, *args, **kwargs) -> str:
         return f"fail:{type(exc).__name__}"
 
 
+#: Every moment estimator with the known-propensity moments.
+KNOWN_PROPENSITY = {
+    "sharp": lambda t, b, s: estimate_sharp(t, b, KNOWN, s),
+    "trim_drop": lambda t, b, s: estimate_trim(t, b, KNOWN, support=s),
+    "trim_retain": lambda t, b, s: estimate_trim(t, b, KNOWN,
+                                                 variant="retain", support=s),
+    "switch": lambda t, b, s: estimate_switch(t, b, KNOWN, support=s),
+}
+
+
+class TestKnownPropensityGate:
+    """The known-propensity moments drop an augmentation that is mean-zero
+    only at the true propensity, so every moment estimator refuses them on
+    a bundle whose ``m`` is estimated."""
+
+    def test_a_cross_fitted_bundle_is_refused_by_every_method(self):
+        # sharp, trim and switch used to return bounds on this draw
+        table, make, support = _crossfit_draw()
+        bundle = make()
+        assert not bundle.known_propensity
+        for name, estimate in KNOWN_PROPENSITY.items():
+            with pytest.raises(PartitionError, match="require an oracle or "
+                               "externally supplied propensity score"):
+                estimate(table, bundle, support)
+
+    @pytest.mark.parametrize("provenance,digest", [
+        ("oracle", "2932c82f3289045d7d4baa2dd654ee5a"
+                   "0f4c78b912b7d5f3518e607e1d6fce4e"),
+        ("external", "601a96da544ae7c9772b3739f10626cd"
+                     "83bf1d6b7da853cf833b1727823697ac"),
+        ("external_oracle", "10965ab561c4aff1aa99a9820c31e2b4"
+                            "83dcfeda655bf5830b1542638e7d10e0"),
+    ])
+    def test_a_supplied_propensity_gives_the_same_bytes(self, provenance,
+                                                        digest):
+        # digests of the four records' reprs, recorded before the gate
+        config, table, bundle, support = oracle_setup(shares=(0.4, 0.2, 0.4),
+                                                      n=600)
+        bundle = NuisanceBundle(bundle.m, bundle.s0, bundle.s1,
+                                bundle._tail_fn, provenance=provenance)
+        assert bundle.known_propensity
+        reprs = "\n".join(repr(estimate(table, bundle, support))
+                          for estimate in KNOWN_PROPENSITY.values())
+        assert hashlib.sha256(reprs.encode()).hexdigest() == digest
+
+
 class TestTrimDrop:
     """``estimate_trim(variant="drop")`` reduces the survivors' rows of the
     full-sample moments that every estimator shares."""
@@ -547,6 +612,9 @@ class TestTrimDrop:
         cfg = TRIM_CONFIGS[name]
         want = _outcome(reference_trim_drop, table, bundle, cfg,
                         eps_trim=eps_trim, support=support)
+        if cfg.inefficient and not bundle.known_propensity:
+            # the known-propensity moments refuse an estimated propensity
+            want = "fail:PartitionError"
         got = _outcome(estimate_trim, table, bundle, cfg, eps_trim=eps_trim,
                        variant="drop", support=support)
         assert got == want

@@ -1,5 +1,6 @@
 import io
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from strata_bounds.cli import main as cli_main
 from strata_bounds.data_model import ObservationTable
 from strata_bounds.errors import EmptyCellError, SeparationWarning
 from strata_bounds.influence import eif_smooth
+from strata_bounds._special import expit
 from strata_bounds.nuisance import (CellOutcomeSurface, CellSpec, LearnerSpec,
                                     crossfit, fit_selection, fold_assignments,
                                     load_external_nuisances, _CellIndex,
-                                    _interp_rows, _isclose, _read_nuisance_csv,
+                                    _design, _fit_logistic, _interp_rows,
+                                    _isclose, _read_nuisance_csv,
                                     _weighted_quantile)
 from strata_bounds.smoothing import GFamily
 
@@ -50,6 +53,35 @@ class TestLogistic:
                              d=np.zeros(n, int), x=x, weight=np.ones(n))
         with pytest.warns(SeparationWarning):
             fit_selection(t, 0)
+
+    def test_step_halving_reaches_the_gradient_stopping_rule(self):
+        # a small quasi-separated input, found by a seeded search over
+        # n <= 60 rows, covariates scaled up to 1e3 and exponential
+        # weights: the sixth Newton step raises the loss, and the line
+        # search halves it 18 times (the seventh step once) before the fit
+        # meets the stopping rule
+        x = np.array([
+            [-0.25358416456916627, 1001.8882954749264, -3.5806783663250052],
+            [10.63430307735925, 890.3701256213634, 4.743941162780202],
+            [-3.424656745087289, 155.58882279110577, 10.641882055254833],
+            [5.332208287334575, -447.277822569146, 7.234774783510223],
+            [6.120708118506259, -23.16231482655188, 24.658489130720547],
+            [1.6569925073544298, 336.6472048559506, -12.951062245619092],
+            [-0.5531853123788624, -427.59519794623117, -0.9280801431749224],
+            [8.003060335676235, 27.935369645024846, 13.405712441083098]])
+        w = np.array([0.09968547452155102, 0.004884500636723961,
+                      0.28522220608858734, 2.334791660523101,
+                      0.7865766620788839, 0.05536931980556539,
+                      0.13682499637782733, 1.323649963515829])
+        y = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+        Xd = _design(x)
+        with pytest.warns(SeparationWarning):
+            coef = _fit_logistic(Xd, y, w)
+        assert [float(c).hex() for c in coef] == [
+            "-0x1.1c355cdb32c46p+2", "0x1.a744491911a70p+2",
+            "-0x1.719f79eb5d23dp-8", "-0x1.fc5da8eaa6c8cp+1"]
+        grad = Xd.T @ (w * (expit(Xd @ coef) - y))
+        assert math.sqrt(grad @ grad) <= 1e-8 * w.sum()
 
 
 class TestWeightedQuantile:

@@ -306,3 +306,30 @@ def test_complier_bounds_equal_defier_bounds_of_mirrored_data(shares, seed):
         got = sb.unconditional_sharp_bound(
             mtable, mbundle, StratumSpec(Stratum.DEF, side), msupport)
         assert _close(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(shares=panels, seed=seeds, n=crossfit_sizes,
+       value=st.integers(min_value=-5, max_value=5))
+def test_one_valued_group_records_equal_full_sample_records_on_external_bundles(
+        shares, seed, n, value):
+    # a group that holds every row reads every row of the nuisance file, so
+    # its records are the full sample's, the known-propensity ones included
+    table = _varied_draw(shares, seed, n)
+    bundle = sb.oracle_nuisances(_config(shares, seed))(table)
+    table = sb.ObservationTable(table.y, table.s, table.d,
+                                np.column_stack([table.x, np.full(n, value)]),
+                                table.weight)
+    flags = ("--method", "sharp,trim,switch,smooth,inefficient", "--h", "0.05",
+             "--group-col", "x3")
+    with tempfile.TemporaryDirectory() as directory:
+        grid = f"{directory}/nuisances.csv"
+        write_nuisance_csv(grid, table, bundle, u_grid=LEVELS)
+        code, out, error = _estimate_stdout(table, directory, "grouped", flags,
+                                            ("--nuisance-file", grid))
+    assert code == 0, error
+    records = json.loads(out)
+    assert len(records) == 10
+    full, groups = records[:5], records[5:]
+    assert [rec.pop("group") for rec in groups] == [value] * 5
+    assert groups == full

@@ -73,7 +73,8 @@ class TestDgpConfig:
             "trim": sb.estimate_trim(table, bundle, cfg, support=support),
             "switch": sb.estimate_switch(table, bundle, cfg, support=support),
             "smooth": sb.estimate_smooth(table, bundle, sb.GFamily(h=0.05), cfg),
-            "inefficient": sb.estimate_inefficient(table, bundle, cfg, support),
+            "inefficient": sb.estimate_sharp(
+                table, bundle, sb.EstimationConfig(inefficient=True), support),
         }
         assert _replication_worker(config, 0) == {
             m: (est.lower, est.upper, est.se_lower, est.se_upper,
